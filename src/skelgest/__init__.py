@@ -1,9 +1,11 @@
 """skelgest: skeletal hand-gesture classification from 2-D pose sequences.
 
-The pipeline: parse 5x14 frame matrices into validated sequences, smooth the
-coordinate tracks, normalize each sliding window against the chin reference
-point, and classify windows with hand-written LSTM or temporal-convolution
-models under patient-held-out cross-validation.
+The pipeline: parse 5x14 frame matrices into validated sequences of
+coordinate and confidence arrays, smooth the coordinate tracks, cut each
+sequence into one (n, W, ...) stack of sliding windows, normalize every
+window against its chin reference point, and classify windows with
+hand-written LSTM or temporal-convolution models under patient-held-out
+cross-validation.
 """
 
 from .skeleton import (
@@ -15,14 +17,11 @@ from .skeleton import (
     GestureKind,
     GestureLabel,
     GestureSequence,
-    Joint2D,
     JointIndexMap,
-    SkeletalFrame,
     UnknownLabelError,
     class_counts,
     label_description,
     label_kind,
-    sequence_arrays,
     validate_sequence,
 )
 from .ingest import (
@@ -43,20 +42,14 @@ from .ingest import (
 )
 from .preprocess import (
     DegenerateReferenceError,
-    FeatureWindow,
     NormMethod,
-    RawWindow,
     SavgolSpec,
-    WindowSource,
     WindowSpec,
     feature_dim,
     normalize_window,
     preprocess_sequence,
     savgol_coefficients,
-    savgol_smooth,
-    slide_windows,
     smooth_series,
-    to_polar,
 )
 
 __version__ = "0.1.0"

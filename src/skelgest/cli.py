@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .skeleton import (
 )
 from .ingest import (
     DataError,
+    Dataset,
     SynthConfig,
     assign_folds,
     dataset_checksum,
@@ -40,6 +42,7 @@ from .ingest import (
 )
 from .preprocess import NormMethod, SavgolSpec, WindowSpec
 from .neuralnet import (
+    CheckpointError,
     HeadKind,
     LstmSpec,
     TcnSpec,
@@ -212,11 +215,17 @@ def _require_dataset(resolved: dict) -> Path:
     return Path(str(root))
 
 
-def _joint_map(resolved: dict) -> JointIndexMap:
-    chin = int(resolved["joints.chin_index"])
-    if chin == DEFAULT_JOINT_MAP.chin_index:
-        return DEFAULT_JOINT_MAP
-    return JointIndexMap(names=DEFAULT_JOINT_MAP.names, chin_index=chin)
+def _joint_map(chin_index: int) -> JointIndexMap:
+    return replace(DEFAULT_JOINT_MAP, chin_index=int(chin_index))
+
+
+def _load_flagged_dataset(resolved: dict, root: Path) -> Dataset:
+    """The dataset under ``root`` through the manifest and chin index the
+    flags and config name."""
+    return load_dataset(
+        root, resolved["dataset.manifest"],
+        joint_map=_joint_map(resolved["joints.chin_index"]),
+    )
 
 
 def _protocol(value: str) -> Protocol:
@@ -266,9 +275,19 @@ def _echo_config(out: Path, resolved: dict) -> None:
     (out / "config.txt").write_text(render_config(resolved))
 
 
+def _dataset_record(root: Path, manifest: str | None) -> dict:
+    """Where the data came from: root, manifest as given (None = default) and
+    the checksum of that manifest and its frames files."""
+    return {
+        "root": str(root),
+        "manifest": None if manifest is None else str(manifest),
+        "checksum": dataset_checksum(root, manifest),
+    }
+
+
 def _write_run_manifest(
     out: Path, command: str, rc: RunConfig, boundaries: tuple[int, int],
-    dataset_root: Path,
+    dataset: dict, chin_index: int,
 ) -> Path:
     manifest = {
         "format": "skelgest-run",
@@ -276,10 +295,8 @@ def _write_run_manifest(
         "command": command,
         "config": config_to_dict(rc),
         "fold_boundaries": list(boundaries),
-        "dataset": {
-            "root": str(dataset_root),
-            "checksum": dataset_checksum(dataset_root),
-        },
+        "dataset": dataset,
+        "chin_index": chin_index,
     }
     path = out / "run_manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -310,9 +327,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_ingest(args: argparse.Namespace) -> int:
     resolved = _resolved(args)
     root = _require_dataset(resolved)
-    ds = load_dataset(
-        root, resolved["dataset.manifest"], joint_map=_joint_map(resolved)
-    )
+    ds = _load_flagged_dataset(resolved, root)
     counts = class_counts()
     by_kind = {GestureKind.STATIC: 0, GestureKind.DYNAMIC: 0}
     for seq in ds.sequences:
@@ -325,7 +340,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         f"{counts.n_static} classes; "
         f"dynamic: {by_kind[GestureKind.DYNAMIC]} over {counts.n_dynamic}"
     )
-    print(f"dataset checksum: {dataset_checksum(root)}")
+    print(f"dataset checksum: {dataset_checksum(root, resolved['dataset.manifest'])}")
     return EXIT_OK
 
 
@@ -334,14 +349,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     root = _require_dataset(resolved)
     seed = _require_seed(resolved)
     rc = _run_config(resolved, seed)
-    ds = load_dataset(
-        root, resolved["dataset.manifest"], joint_map=_joint_map(resolved)
-    )
+    ds = _load_flagged_dataset(resolved, root)
     trained = train_protocol(ds.sequences, rc, ds.joint_map, fold=0, fold_name="train")
     out = Path(str(resolved["output.dir"]))
-    index_path = save_model_set(trained, out / "models")
+    dataset = _dataset_record(root, resolved["dataset.manifest"])
+    index_path = save_model_set(trained, out / "models", dataset=dataset)
     _echo_config(out, resolved)
-    _write_run_manifest(out, "train", rc, tuple(resolved["folds.boundaries"]), root)
+    _write_run_manifest(out, "train", rc, tuple(resolved["folds.boundaries"]), dataset,
+                        ds.joint_map.chin_index)
     n_models = sum(len(ms.classifiers) for ms in trained.routes.values())
     print(f"trained {n_models} model(s); index at {index_path}")
     return EXIT_OK
@@ -357,6 +372,7 @@ def _evaluate_model_set(args, resolved) -> int:
         "preprocess.method": lambda v: int(v) == stored["method"],
         "preprocess.stride": lambda v: int(v) == stored["stride"],
         "preprocess.window": lambda v: list(v)[0] == stored["window"],
+        "joints.chin_index": lambda v: int(v) == trained.joint_map.chin_index,
     }
     conflicts = []
     for name, ok in checks.items():
@@ -369,9 +385,7 @@ def _evaluate_model_set(args, resolved) -> int:
             f"different settings than {'; '.join(conflicts)}"
         )
     root = _require_dataset(resolved)
-    ds = load_dataset(
-        root, resolved["dataset.manifest"], joint_map=_joint_map(resolved)
-    )
+    ds = load_dataset(root, resolved["dataset.manifest"], joint_map=trained.joint_map)
     if trained.config.protocol is Protocol.MULTICLASS:
         static_cm, dynamic_cm = evaluate_multiclass(trained, ds.sequences, ds.joint_map)
         fold = FoldReport(
@@ -424,21 +438,31 @@ def _evaluate_from_manifest(args, resolved) -> int:
         raise DataError(f"{manifest_path} is not a run manifest")
     rc = config_from_dict(manifest["config"])
     boundaries = tuple(manifest["fold_boundaries"])
+    # Runs recorded before the chin index was stored used the default chin.
+    chin_index = manifest.get("chin_index", DEFAULT_JOINT_MAP.chin_index)
     root = Path(str(resolved["dataset.root"] or manifest["dataset"]["root"]))
+    data_manifest = resolved["dataset.manifest"] or manifest["dataset"].get("manifest")
+    dataset = _dataset_record(root, data_manifest)
     recorded = manifest["dataset"]["checksum"]
-    actual = dataset_checksum(root)
-    if actual != recorded:
+    if dataset["checksum"] != recorded:
         raise DataError(
             f"dataset checksum mismatch: manifest records {recorded}, "
-            f"{root} has {actual}"
+            f"{root} has {dataset['checksum']}"
         )
-    ds = load_dataset(root, resolved["dataset.manifest"])
-    folds = assign_folds(ds, boundaries)
-    report = cross_validate(ds, folds, rc)
+    ds = load_dataset(root, data_manifest, joint_map=_joint_map(chin_index))
+    return _cross_validate(resolved, ds, rc, boundaries, dataset)
+
+
+def _cross_validate(
+    resolved: dict, ds: Dataset, rc: RunConfig, boundaries: tuple[int, int],
+    dataset: dict,
+) -> int:
+    """Cross-validate, then write the report files and the run manifest."""
+    report = cross_validate(ds, assign_folds(ds, boundaries), rc)
     out = Path(str(resolved["output.dir"]))
     write_report_files(report, out)
     _echo_config(out, resolved)
-    _write_run_manifest(out, "evaluate", rc, boundaries, root)
+    _write_run_manifest(out, "evaluate", rc, boundaries, dataset, ds.joint_map.chin_index)
     print(render_summary(report), end="")
     return EXIT_OK
 
@@ -454,18 +478,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     root = _require_dataset(resolved)
     seed = _require_seed(resolved)
     rc = _run_config(resolved, seed)
-    ds = load_dataset(
-        root, resolved["dataset.manifest"], joint_map=_joint_map(resolved)
-    )
-    boundaries = tuple(resolved["folds.boundaries"])
-    folds = assign_folds(ds, boundaries)
-    report = cross_validate(ds, folds, rc)
-    out = Path(str(resolved["output.dir"]))
-    write_report_files(report, out)
-    _echo_config(out, resolved)
-    _write_run_manifest(out, "evaluate", rc, boundaries, root)
-    print(render_summary(report), end="")
-    return EXIT_OK
+    ds = _load_flagged_dataset(resolved, root)
+    dataset = _dataset_record(root, resolved["dataset.manifest"])
+    return _cross_validate(resolved, ds, rc, tuple(resolved["folds.boundaries"]), dataset)
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
@@ -536,7 +551,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, MissingClassError, FoldCoverageError) as exc:
+    except (DataError, CheckpointError, MissingClassError, FoldCoverageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except FileNotFoundError as exc:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import logging
 import math
 from dataclasses import dataclass
@@ -34,9 +33,7 @@ from .skeleton import (
     GestureKind,
     GestureLabel,
     GestureSequence,
-    Joint2D,
     JointIndexMap,
-    SkeletalFrame,
     UnknownLabelError,
     label_kind,
     validate_sequence,
@@ -61,45 +58,42 @@ class Provenance(Enum):
     SYNTHETIC = "synthetic"
 
 
-def parse_skeletal_file(text: str, *, source: str = "<string>") -> list[SkeletalFrame]:
-    """Parse frames-file text into skeletal frames.
+def parse_skeletal_file(
+    text: str, *, source: str = "<string>"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parse frames-file text into coordinates, confidences and aux rows.
 
-    Blank lines may separate blocks and are ignored.  Raises
-    :class:`ParseError` naming the offending line for a row with the wrong
-    number of values, a non-numeric token, or a truncated final block.
+    Returns arrays of shapes (T, 14, 2), (T, 14) and (T, 2, 14); every value
+    is read with ``float``, so the numbers round-trip exactly.  Blank lines
+    may separate blocks and are ignored.  Raises :class:`ParseError` naming
+    the offending line for a row with the wrong number of values, a
+    non-numeric token, or a truncated final block.
     """
-    rows: list[tuple[int, list[float]]] = []
+    values: list[float] = []
+    row_lines: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
+        tokens = line.split()
+        if not tokens:
             continue
-        tokens = stripped.split()
         if len(tokens) != N_JOINTS:
             raise ParseError(
                 f"{source}:{lineno}: expected {N_JOINTS} values per row, got {len(tokens)}"
             )
         try:
-            values = [float(tok) for tok in tokens]
+            values.extend(map(float, tokens))
         except ValueError:
             bad = next(tok for tok in tokens if not _is_number(tok))
             raise ParseError(f"{source}:{lineno}: non-numeric token {bad!r}") from None
-        rows.append((lineno, values))
+        row_lines.append(lineno)
 
-    if len(rows) % ROWS_PER_FRAME != 0:
-        start_line = rows[len(rows) - len(rows) % ROWS_PER_FRAME][0]
+    partial = len(row_lines) % ROWS_PER_FRAME
+    if partial:
         raise ParseError(
-            f"{source}:{start_line}: truncated final block "
-            f"({len(rows) % ROWS_PER_FRAME} of {ROWS_PER_FRAME} rows)"
+            f"{source}:{row_lines[-partial]}: truncated final block "
+            f"({partial} of {ROWS_PER_FRAME} rows)"
         )
-
-    frames = []
-    for b in range(0, len(rows), ROWS_PER_FRAME):
-        xs, ys, confs, aux1, aux2 = (rows[b + r][1] for r in range(ROWS_PER_FRAME))
-        joints = tuple(
-            Joint2D(x=xs[j], y=ys[j], confidence=confs[j]) for j in range(N_JOINTS)
-        )
-        frames.append(SkeletalFrame(joints=joints, aux_rows=(tuple(aux1), tuple(aux2))))
-    return frames
+    blocks = np.array(values, dtype=np.float64).reshape(-1, ROWS_PER_FRAME, N_JOINTS)
+    return blocks[:, :2].transpose(0, 2, 1), blocks[:, 2], blocks[:, 3:]
 
 
 def _is_number(token: str) -> bool:
@@ -110,27 +104,23 @@ def _is_number(token: str) -> bool:
         return False
 
 
-def serialize_frames(frames: list[SkeletalFrame] | tuple[SkeletalFrame, ...]) -> str:
+def serialize_frames(
+    coords: np.ndarray, conf: np.ndarray, aux: np.ndarray | None = None
+) -> str:
     """Inverse of :func:`parse_skeletal_file`, exact to full float precision.
 
-    Frames without aux rows are written with zero aux rows (the on-disk
-    format always has 5-row blocks).
+    Without aux rows, zero aux rows are written (the on-disk format always
+    has 5-row blocks).
     """
-    out = io.StringIO()
-    zero_row = (0.0,) * N_JOINTS
-    for frame in frames:
-        aux = frame.aux_rows if frame.aux_rows is not None else (zero_row, zero_row)
-        rows = (
-            [j.x for j in frame.joints],
-            [j.y for j in frame.joints],
-            [j.confidence for j in frame.joints],
-            list(aux[0]),
-            list(aux[1]),
-        )
-        for row in rows:
-            out.write(" ".join(repr(float(v)) for v in row))
-            out.write("\n")
-    return out.getvalue()
+    if aux is None:
+        aux = np.zeros((len(coords), 2, N_JOINTS))
+    blocks = np.concatenate(
+        [np.transpose(coords, (0, 2, 1)), np.asarray(conf)[:, None, :], aux], axis=1
+    )
+    return "".join(
+        " ".join(map(repr, row)) + "\n"
+        for row in blocks.reshape(-1, N_JOINTS).tolist()
+    )
 
 
 @dataclass(frozen=True)
@@ -144,9 +134,6 @@ class Dataset:
     @property
     def patients(self) -> tuple[int, ...]:
         return tuple(sorted({s.patient_id for s in self.sequences}))
-
-    def by_patient(self, patient_id: int) -> list[GestureSequence]:
-        return [s for s in self.sequences if s.patient_id == patient_id]
 
 
 def _build_dataset(
@@ -209,18 +196,13 @@ def load_dataset(
                                 f"{frames_path}")
             if not correct:
                 continue  # skip before paying the parse cost
-            frames = parse_skeletal_file(
+            coords, conf, aux = parse_skeletal_file(
                 frames_path.read_text(), source=str(frames_path)
             )
-            if not frames:
+            if not len(coords):
                 raise DataError(f"{manifest_path}:{rownum}: {frames_path} holds no frames")
             sequences.append(
-                GestureSequence(
-                    patient_id=patient_id,
-                    label=label,
-                    correct=correct,
-                    frames=tuple(frames),
-                )
+                GestureSequence(patient_id, label, correct, coords, conf, aux)
             )
     ds = _build_dataset(sequences, joint_map, provenance)
     logger.info("loaded %d sequences from %d patients (%s)",
@@ -418,21 +400,13 @@ def generate_synthetic(
                 coords = coords + rng.normal(0.0, cfg.noise_sigma, size=coords.shape)
             else:
                 rng.normal(0.0, 1.0, size=coords.shape)  # keep the draw schedule fixed
-            frames = tuple(
-                SkeletalFrame(
-                    joints=tuple(
-                        Joint2D(x=float(coords[t, j, 0]), y=float(coords[t, j, 1]))
-                        for j in range(N_JOINTS)
-                    )
-                )
-                for t in range(n_frames)
-            )
             sequences.append(
                 GestureSequence(
                     patient_id=patient_id,
                     label=GestureLabel.from_id(gesture_id),
                     correct=True,
-                    frames=frames,
+                    coords=coords,
+                    conf=np.ones((n_frames, N_JOINTS)),
                 )
             )
     return _build_dataset(sequences, joint_map, Provenance.SYNTHETIC)
@@ -457,7 +431,7 @@ def write_dataset(ds: Dataset, root: str | Path) -> Path:
         writer.writerow(MANIFEST_FIELDS)
         for seq in ordered:
             rel = f"frames/p{seq.patient_id:03d}_{seq.label.id}.txt"
-            (root / rel).write_text(serialize_frames(seq.frames))
+            (root / rel).write_text(serialize_frames(seq.coords, seq.conf, seq.aux))
             writer.writerow(
                 [seq.patient_id, seq.label.id, 1 if seq.correct else 0, rel]
             )

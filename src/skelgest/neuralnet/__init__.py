@@ -7,6 +7,7 @@ ship exact analytic gradients validated by a finite-difference checker.
 
 from .params import (
     ArchSpec,
+    CheckpointError,
     HeadKind,
     LstmSpec,
     ModelParameters,
@@ -48,6 +49,7 @@ from .train import (
 __all__ = [
     "AdamState",
     "ArchSpec",
+    "CheckpointError",
     "FitResult",
     "GradCheckReport",
     "HeadKind",

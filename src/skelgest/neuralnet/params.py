@@ -18,6 +18,10 @@ import numpy as np
 _MAGIC = b"SKGCKPT1"
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file is damaged: truncated, padded, or not a checkpoint."""
+
+
 class HeadKind(Enum):
     SOFTMAX = "softmax"  # K-way class probabilities
     SIGMOID = "sigmoid"  # single positive-class probability
@@ -249,21 +253,32 @@ def save_checkpoint(path, model: ModelParameters, *, extra: dict | None = None) 
 
 
 def load_checkpoint(path) -> tuple[ModelParameters, dict]:
-    """Read a checkpoint; returns the model and the full header dict."""
+    """Read a checkpoint; returns the model and the full header dict.
+
+    Any damage -- a wrong magic, a cut or malformed header, a short payload,
+    trailing bytes -- raises :class:`CheckpointError` naming the file.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a skelgest checkpoint")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        data = fh.read()
+    start = len(_MAGIC) + 8
+    if data[: len(_MAGIC)] != _MAGIC:
+        raise CheckpointError(f"{path}: not a skelgest checkpoint")
+    if len(data) < start:
+        raise CheckpointError(f"{path}: truncated inside the header length")
+    (header_len,) = struct.unpack("<Q", data[len(_MAGIC) : start])
+    payload = data[start + header_len :]
+    try:
+        header = json.loads(data[start : start + header_len].decode("utf-8"))
         spec = _spec_from_dict(header["arch"])
         expected = param_count(spec)
-        raw = fh.read(expected * 8)
-    values = np.frombuffer(raw, dtype="<f8")
-    if values.size != expected:
-        raise ValueError(f"{path}: parameter payload truncated "
-                         f"({values.size} of {expected} values)")
-    model = ModelParameters(
-        spec=spec, head=HeadKind(header["head"]), values=values.astype(np.float64)
-    )
+        if len(payload) != expected * 8:
+            raise ValueError(
+                f"parameter payload truncated ({len(payload) // 8} of {expected} values)"
+                if len(payload) < expected * 8
+                else f"{len(payload) - expected * 8} trailing bytes after the payload"
+            )
+        values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        model = ModelParameters(spec=spec, head=HeadKind(header["head"]), values=values)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CheckpointError(f"{path}: damaged checkpoint: {exc}") from None
     return model, header

@@ -76,17 +76,9 @@ def level_outputs(model: ModelParameters, x: np.ndarray) -> list[np.ndarray]:
     if x.ndim == 2:
         x = x[None]
     _check_input(model, x)
-    spec: TcnSpec = model.spec
-    p = model.unpack()
-    outs = []
-    current = x
-    for level, dilation in enumerate(spec.dilations):
-        pre, _ = _conv_forward(current, p[f"conv{level}_w"], p[f"conv{level}_b"], dilation)
-        proj = p.get(f"proj{level}_w")
-        residual = current @ proj if proj is not None else current
-        current = np.maximum(pre, 0.0) + residual
-        outs.append(current)
-    return outs
+    top, caches = _run_levels(model, x)
+    # Each level's input is the previous level's output.
+    return [inp for inp, _, _ in caches[1:]] + [top]
 
 
 def forward(model: ModelParameters, x: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ import numpy as np
 
 from .skeleton import (
     ALL_GESTURE_IDS,
+    DEFAULT_JOINT_MAP,
     DYNAMIC_GESTURE_IDS,
     STATIC_GESTURE_IDS,
     GestureKind,
@@ -37,7 +38,6 @@ from .skeleton import (
 )
 from .ingest import Dataset, FoldSplit
 from .preprocess import (
-    FeatureWindow,
     NormMethod,
     SavgolSpec,
     WindowSpec,
@@ -100,9 +100,8 @@ class PrepSettings:
     def feature_dim(self) -> int:
         return feature_dim(self.method, self.include_confidence)
 
-    def features(
-        self, seq: GestureSequence, joint_map: JointIndexMap
-    ) -> list[FeatureWindow]:
+    def features(self, seq: GestureSequence, joint_map: JointIndexMap) -> np.ndarray:
+        """The sequence's (n, W, D) feature windows."""
         return preprocess_sequence(
             seq,
             self.method,
@@ -177,31 +176,31 @@ class TrainJob:
     name: str
     labels: tuple[str, ...]
     head: HeadKind
-    windows: tuple[FeatureWindow, ...]
+    x: np.ndarray  # (N, W, D) feature windows
     targets: np.ndarray
-    window_length: int
     init_seed: int
     shuffle_seed: int
 
 
 class SequenceClassifier(TypingProtocol):
-    """Anything that maps feature windows to per-window class probabilities."""
+    """Anything that maps a sequence's feature windows to class probabilities."""
 
     labels: tuple[str, ...]
 
-    def predict_windows(self, windows: Sequence[FeatureWindow]) -> np.ndarray:
-        """Return (N, K) probabilities, one row per window."""
+    def predict_windows(self, x: np.ndarray, seq: GestureSequence) -> np.ndarray:
+        """Return (N, K) probabilities, one row per window of ``x`` (N, W, D),
+        the windows of ``seq``."""
         ...
 
 
 ClassifierFactory = Callable[[TrainJob], SequenceClassifier]
 
 
-def stack_windows(windows: Sequence[FeatureWindow]) -> np.ndarray:
-    """(N, W, D) array from a list of feature windows."""
-    if not windows:
+def stack_windows(per_sequence: Sequence[np.ndarray]) -> np.ndarray:
+    """(N, W, D) array from the (n, W, D) windows of several sequences."""
+    if not per_sequence:
         raise ValueError("no windows to stack")
-    return np.stack([w.data for w in windows])
+    return np.concatenate(per_sequence)
 
 
 @dataclass
@@ -213,8 +212,7 @@ class NetworkClassifier:
 
     _BATCH = 512
 
-    def predict_windows(self, windows: Sequence[FeatureWindow]) -> np.ndarray:
-        x = stack_windows(windows)
+    def predict_windows(self, x: np.ndarray, seq: GestureSequence) -> np.ndarray:
         parts = [
             forward(self.model, x[i : i + self._BATCH])
             for i in range(0, x.shape[0], self._BATCH)
@@ -226,33 +224,25 @@ class NetworkClassifier:
 class OracleClassifier:
     """Label-reading stand-in for a trained model.
 
-    Emits probability 1 for each window's true class, which makes overall
-    pipeline plumbing testable independently of training quality: with this
-    classifier substituted, every evaluation metric must come out perfect.
+    Emits probability 1 for the true class of the sequence being scored (for
+    a one-vs-rest model, whose single label is its positive class: 1 iff the
+    sequence is that class), which makes overall pipeline plumbing testable
+    independently of training quality: with this classifier substituted,
+    every evaluation metric must come out perfect.
     """
 
     labels: tuple[str, ...]
-    head: HeadKind = HeadKind.SOFTMAX
 
-    def predict_windows(self, windows: Sequence[FeatureWindow]) -> np.ndarray:
-        n, k = len(windows), len(self.labels)
-        if self.head is HeadKind.SIGMOID:
-            out = np.zeros((n, 1))
-            for i, w in enumerate(windows):
-                out[i, 0] = 1.0 if w.source.label.id == self.labels[0] else 0.0
-            return out
-        out = np.zeros((n, k))
-        index = {gid: j for j, gid in enumerate(self.labels)}
-        for i, w in enumerate(windows):
-            gid = w.source.label.id
-            if gid in index:
-                out[i, index[gid]] = 1.0
+    def predict_windows(self, x: np.ndarray, seq: GestureSequence) -> np.ndarray:
+        out = np.zeros((len(x), len(self.labels)))
+        if seq.label.id in self.labels:
+            out[:, self.labels.index(seq.label.id)] = 1.0
         return out
 
 
 def oracle_factory(job: TrainJob) -> SequenceClassifier:
     """Classifier factory that ignores training data entirely."""
-    return OracleClassifier(labels=job.labels, head=job.head)
+    return OracleClassifier(labels=job.labels)
 
 
 def network_factory(config: RunConfig) -> ClassifierFactory:
@@ -263,8 +253,7 @@ def network_factory(config: RunConfig) -> ClassifierFactory:
         spec = config.arch_spec(n_classes)
         model = init_parameters(spec, job.head, seed=job.init_seed)
         train_cfg = replace(config.train, shuffle_seed=job.shuffle_seed)
-        x = stack_windows(job.windows)
-        result = fit(model, x, job.targets, train_cfg)
+        result = fit(model, job.x, job.targets, train_cfg)
         return NetworkClassifier(labels=job.labels, model=result.model)
 
     return build
@@ -292,12 +281,16 @@ def _derived_seed(*parts: int) -> int:
 def _assert_patient_disjoint(
     train_patients: Sequence[int], test_patients: Sequence[int]
 ) -> None:
-    """Hard runtime guarantee that no patient appears on both sides of a fold."""
+    """Hard runtime guarantee that no patient appears on both sides of a fold.
+
+    Raised explicitly, not with ``assert``, so that ``python -O`` keeps it.
+    """
     overlap = set(train_patients) & set(test_patients)
-    assert not overlap, (
-        f"patients {sorted(overlap)} appear in both train and test splits; "
-        "patient-held-out evaluation is invalid"
-    )
+    if overlap:
+        raise AssertionError(
+            f"patients {sorted(overlap)} appear in both train and test splits; "
+            "patient-held-out evaluation is invalid"
+        )
 
 
 @dataclass
@@ -313,11 +306,13 @@ class ProtocolModelSet:
 
 @dataclass
 class TrainedProtocol:
-    """One or two window-length routes of trained models plus the run config."""
+    """One or two window-length routes of trained models plus the run config
+    and the joint map whose chin the models' features were referenced to."""
 
     config: RunConfig
     routes: dict[str, ProtocolModelSet]
     router: LengthRouter | None = None
+    joint_map: JointIndexMap = DEFAULT_JOINT_MAP
 
     def route_for(self, seq: GestureSequence) -> ProtocolModelSet:
         if self.router is None:
@@ -329,13 +324,14 @@ def _kind_labels(kind: GestureKind) -> tuple[str, ...]:
     return STATIC_GESTURE_IDS if kind is GestureKind.STATIC else DYNAMIC_GESTURE_IDS
 
 
-def _collect_windows(
+def _stack_features(
     seqs: Sequence[GestureSequence], prep: PrepSettings, joint_map: JointIndexMap
-) -> list[FeatureWindow]:
-    out: list[FeatureWindow] = []
-    for seq in seqs:
-        out.extend(prep.features(seq, joint_map))
-    return out
+) -> tuple[np.ndarray, np.ndarray]:
+    """All windows of the sequences as one (N, W, D) array, and each window's
+    gesture id."""
+    per_sequence = [prep.features(seq, joint_map) for seq in seqs]
+    gids = np.repeat([seq.label.id for seq in seqs], [len(f) for f in per_sequence])
+    return stack_windows(per_sequence), gids
 
 
 def _rebalanced_indices(targets: np.ndarray) -> np.ndarray:
@@ -363,39 +359,34 @@ def _train_route(
         for kind_idx, kind in enumerate((GestureKind.STATIC, GestureKind.DYNAMIC)):
             labels = _kind_labels(kind)
             subset = [s for s in train_seqs if s.label.kind is kind]
-            windows = _collect_windows(subset, prep, joint_map)
-            present = {w.source.label.id for w in windows}
+            present = {s.label.id for s in subset}
             missing = [gid for gid in labels if gid not in present]
             if missing:
                 raise MissingClassError(
                     f"{fold_name}: training split has no examples of {missing} "
                     f"for the {kind.value} model"
                 )
+            x, gids = _stack_features(subset, prep, joint_map)
             index = {gid: i for i, gid in enumerate(labels)}
-            targets = np.array(
-                [index[w.source.label.id] for w in windows], dtype=np.int64
-            )
+            targets = np.array([index[gid] for gid in gids], dtype=np.int64)
             key = ProtocolModelSet.KIND_KEYS[kind]
             classifiers[key] = factory(
                 TrainJob(
                     name=f"{fold_name}-{key}",
                     labels=labels,
                     head=HeadKind.SOFTMAX,
-                    windows=tuple(windows),
+                    x=x,
                     targets=targets,
-                    window_length=prep.window.length,
                     init_seed=_derived_seed(config.seed, fold, route_tag, kind_idx, 0),
                     shuffle_seed=_derived_seed(config.seed, fold, route_tag, kind_idx, 1),
                 )
             )
     else:
-        windows = _collect_windows(train_seqs, prep, joint_map)
-        if not windows:
+        if not train_seqs:
             raise MissingClassError(f"{fold_name}: training split produced no windows")
+        x, gids = _stack_features(train_seqs, prep, joint_map)
         for class_idx, gid in enumerate(ALL_GESTURE_IDS):
-            targets = np.array(
-                [1.0 if w.source.label.id == gid else 0.0 for w in windows]
-            )
+            targets = (gids == gid).astype(np.float64)
             n_pos = int(targets.sum())
             if n_pos == 0 or n_pos == len(targets):
                 raise MissingClassError(
@@ -403,20 +394,17 @@ def _train_route(
                     f"and negative training examples (got {n_pos} positives "
                     f"of {len(targets)})"
                 )
-            job_windows = tuple(windows)
-            job_targets = targets
+            job_x, job_targets = x, targets
             if config.rebalance:
                 keep = _rebalanced_indices(targets)
-                job_windows = tuple(windows[i] for i in keep)
-                job_targets = targets[keep]
+                job_x, job_targets = x[keep], targets[keep]
             classifiers[gid] = factory(
                 TrainJob(
                     name=f"{fold_name}-{gid}",
                     labels=(gid,),
                     head=HeadKind.SIGMOID,
-                    windows=job_windows,
+                    x=job_x,
                     targets=job_targets,
-                    window_length=prep.window.length,
                     init_seed=_derived_seed(config.seed, fold, route_tag, class_idx, 0),
                     shuffle_seed=_derived_seed(config.seed, fold, route_tag, class_idx, 1),
                 )
@@ -461,7 +449,7 @@ def train_protocol(
             else config.prep.window.length
         )
         router = LengthRouter(threshold)
-    return TrainedProtocol(config=config, routes=routes, router=router)
+    return TrainedProtocol(config=config, routes=routes, router=router, joint_map=joint_map)
 
 
 def predict_sequence(
@@ -471,8 +459,8 @@ def predict_sequence(
     model_set = trained.route_for(seq)
     key = ProtocolModelSet.KIND_KEYS[seq.label.kind]
     clf = model_set.classifiers[key]
-    windows = model_set.prep.features(seq, joint_map)
-    mean = aggregate_windows(clf.predict_windows(windows))
+    x = model_set.prep.features(seq, joint_map)
+    mean = aggregate_windows(clf.predict_windows(x, seq))
     return predict_label(mean, clf.labels)
 
 
@@ -510,10 +498,10 @@ def evaluate_binary(
     tallies = {gid: {"tp": 0, "fp": 0, "tn": 0, "fn": 0} for gid in ALL_GESTURE_IDS}
     for seq in test_seqs:
         model_set = trained.route_for(seq)
-        windows = model_set.prep.features(seq, joint_map)
+        x = model_set.prep.features(seq, joint_map)
         for gid in ALL_GESTURE_IDS:
             clf = model_set.classifiers[gid]
-            p = float(aggregate_windows(clf.predict_windows(windows))[0])
+            p = float(aggregate_windows(clf.predict_windows(x, seq))[0])
             predicted_pos = p > 0.5
             actual_pos = seq.label.id == gid
             cell = tallies[gid]
@@ -536,7 +524,6 @@ def cross_validate(
     folds: FoldSplit,
     config: RunConfig,
     factory: ClassifierFactory | None = None,
-    on_fold: Callable[[int], None] | None = None,
 ) -> EvaluationReport:
     """Patient-held-out cross-validation: each present fold is tested once.
 
@@ -553,13 +540,12 @@ def cross_validate(
     fold_of = folds.fold_of_patient
     fold_reports: list[FoldReport] = []
     for test_fold in present:
-        if on_fold is not None:
-            on_fold(test_fold)
         test_patients = tuple(p for p in folds.patients if fold_of[p] == test_fold)
         train_patients = tuple(p for p in folds.patients if fold_of[p] != test_fold)
         _assert_patient_disjoint(train_patients, test_patients)
-        train_seqs = [s for s in ds.sequences if s.patient_id in set(train_patients)]
-        test_seqs = [s for s in ds.sequences if s.patient_id in set(test_patients)]
+        train_set, test_set = set(train_patients), set(test_patients)
+        train_seqs = [s for s in ds.sequences if s.patient_id in train_set]
+        test_seqs = [s for s in ds.sequences if s.patient_id in test_set]
         if not train_seqs or not test_seqs:
             raise FoldCoverageError(
                 f"fold {test_fold}: empty split "
@@ -685,8 +671,14 @@ def config_digest(config: RunConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def save_model_set(trained: TrainedProtocol, out_dir: str | Path) -> Path:
-    """Write every trained model plus an index file; returns the index path."""
+def save_model_set(
+    trained: TrainedProtocol, out_dir: str | Path, dataset: dict | None = None
+) -> Path:
+    """Write every trained model plus an index file; returns the index path.
+
+    ``dataset`` (root, manifest, checksum of the training data) is recorded
+    in the index as given.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     digest = config_digest(trained.config)
@@ -717,6 +709,8 @@ def save_model_set(trained: TrainedProtocol, out_dir: str | Path) -> Path:
         "config": config_to_dict(trained.config),
         "router_threshold": None if trained.router is None else trained.router.threshold,
         "models": entries,
+        "dataset": dataset,
+        "chin_index": trained.joint_map.chin_index,
     }
     index_path = out / "modelset.json"
     index_path.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
@@ -748,4 +742,8 @@ def load_model_set(model_dir: str | Path) -> TrainedProtocol:
         )
     threshold = index.get("router_threshold")
     router = None if threshold is None else LengthRouter(threshold)
-    return TrainedProtocol(config=config, routes=routes, router=router)
+    joint_map = replace(
+        DEFAULT_JOINT_MAP,
+        chin_index=index.get("chin_index", DEFAULT_JOINT_MAP.chin_index),
+    )
+    return TrainedProtocol(config=config, routes=routes, router=router, joint_map=joint_map)

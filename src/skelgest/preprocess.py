@@ -1,10 +1,11 @@
 """Sequence preprocessing: smoothing, sliding windows, chin-referenced features.
 
 The chain runs in a fixed order: Savitzky-Golay smoothing over the *full*
-sequence, then stride-1 sliding windows (zero-padded at the front when the
-sequence is shorter than the window), then one of five per-window coordinate
+sequence, then sliding windows (zero-padded at the front when the sequence
+is shorter than the window), then one of five per-window coordinate
 normalizations, all referenced to the chin joint of the window's first
-non-padded frame:
+non-padded frame.  A sequence's windows are one (n, W, 14, 2) array and its
+features one (n, W, D) array; every window is normalized in the same pass:
 
   M1  chin-relative Cartesian offsets            (dx, dy)           28 features
   M2  M1 divided componentwise by the chin       (dx/xc, dy/yc)     28
@@ -19,21 +20,12 @@ patients; the ratio form additionally divides out the reference location.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .skeleton import (
-    N_JOINTS,
-    GestureLabel,
-    GestureSequence,
-    Joint2D,
-    JointIndexMap,
-    SkeletalFrame,
-    sequence_arrays,
-)
+from .skeleton import N_JOINTS, GestureSequence, JointIndexMap
 
 
 class DegenerateReferenceError(ValueError):
@@ -99,33 +91,6 @@ def smooth_series(values: np.ndarray, spec: SavgolSpec) -> np.ndarray:
     return out
 
 
-def savgol_smooth(seq: GestureSequence, spec: SavgolSpec) -> GestureSequence:
-    """Smooth each joint's x and y series independently.
-
-    Confidences and aux rows pass through untouched, as do the first and last
-    (m-1)/2 frames.
-    """
-    coords, _ = sequence_arrays(seq)
-    smoothed = smooth_series(coords, spec)
-    frames = tuple(
-        SkeletalFrame(
-            joints=tuple(
-                Joint2D(
-                    x=float(smoothed[t, j, 0]),
-                    y=float(smoothed[t, j, 1]),
-                    confidence=frame.joints[j].confidence,
-                )
-                for j in range(N_JOINTS)
-            ),
-            aux_rows=frame.aux_rows,
-        )
-        for t, frame in enumerate(seq.frames)
-    )
-    return GestureSequence(
-        patient_id=seq.patient_id, label=seq.label, correct=seq.correct, frames=frames
-    )
-
-
 # ---------------------------------------------------------------------------
 # Sliding windows
 
@@ -142,73 +107,6 @@ class WindowSpec:
             raise ValueError(f"window length must be >= 1, got {self.length}")
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
-
-
-@dataclass(frozen=True)
-class WindowSource:
-    """Where a window came from: the sequence identity and its start frame."""
-
-    patient_id: int
-    label: GestureLabel
-    start: int
-
-
-@dataclass(eq=False)
-class RawWindow:
-    """W consecutive frames as arrays, before normalization.
-
-    ``pad_count`` leading rows are all-zero filler for sequences shorter than
-    the window.
-    """
-
-    coords: np.ndarray  # (W, 14, 2)
-    confidence: np.ndarray  # (W, 14)
-    pad_count: int
-    source: WindowSource
-
-
-def slide_windows(seq: GestureSequence, spec: WindowSpec) -> list[RawWindow]:
-    """Cut a sequence into windows of ``spec.length`` frames.
-
-    T >= W: floor((T - W) / stride) + 1 windows, no padding.
-    T <  W: a single window with W - T leading zero frames.
-    """
-    coords, conf = sequence_arrays(seq)
-    return windows_from_arrays(coords, conf, spec, seq.patient_id, seq.label)
-
-
-def windows_from_arrays(
-    coords: np.ndarray,
-    conf: np.ndarray,
-    spec: WindowSpec,
-    patient_id: int,
-    label: GestureLabel,
-) -> list[RawWindow]:
-    t = coords.shape[0]
-    w = spec.length
-    if t < w:
-        pad = w - t
-        padded_coords = np.zeros((w, N_JOINTS, 2), dtype=np.float64)
-        padded_conf = np.zeros((w, N_JOINTS), dtype=np.float64)
-        padded_coords[pad:] = coords
-        padded_conf[pad:] = conf
-        return [
-            RawWindow(
-                coords=padded_coords,
-                confidence=padded_conf,
-                pad_count=pad,
-                source=WindowSource(patient_id, label, 0),
-            )
-        ]
-    return [
-        RawWindow(
-            coords=coords[start : start + w].copy(),
-            confidence=conf[start : start + w].copy(),
-            pad_count=0,
-            source=WindowSource(patient_id, label, start),
-        )
-        for start in range(0, t - w + 1, spec.stride)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -229,85 +127,69 @@ def feature_dim(method: NormMethod, include_confidence: bool = False) -> int:
     return base + (N_JOINTS if include_confidence else 0)
 
 
-def to_polar(p: Joint2D, ref: Joint2D) -> tuple[float, float]:
-    """Polar form of a joint around a reference: (distance, angle).
-
-    The angle is the full-quadrant atan2 of the offset, in (-pi, pi]; a joint
-    coinciding with the reference gets angle 0 by convention.
-    """
-    dx = p.x - ref.x
-    dy = p.y - ref.y
-    e = math.hypot(dx, dy)
-    if e == 0.0:
-        return 0.0, 0.0
-    return e, math.atan2(dy, dx)
-
-
-@dataclass(eq=False)
-class FeatureWindow:
-    """Normalized W x D feature matrix ready for a classifier."""
-
-    data: np.ndarray  # (W, D)
-    pad_count: int
-    method: NormMethod
-    source: WindowSource
-
-
-def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Zip two (T, 14) arrays into (T, 28) as [a0, b0, a1, b1, ...]."""
-    out = np.empty((a.shape[0], 2 * a.shape[1]), dtype=np.float64)
-    out[:, 0::2] = a
-    out[:, 1::2] = b
-    return out
-
-
 def normalize_window(
-    raw: RawWindow,
+    coords: np.ndarray,
     method: NormMethod,
     joint_map: JointIndexMap,
-    include_confidence: bool = False,
-) -> FeatureWindow:
-    """Normalize one window against the chin of its first non-padded frame.
+    conf: np.ndarray | None = None,
+    pad: int = 0,
+) -> np.ndarray:
+    """Normalize a stack of windows against the chin of each one's first
+    non-padded frame.
 
-    Padded rows stay exactly zero.  Raises
-    :class:`DegenerateReferenceError` for M2/M5 when a reference chin
-    coordinate is exactly zero.
+    ``coords`` is (n, W, 14, 2); its first ``pad`` rows in every window are
+    filler and come out as exactly zero.  Given ``conf`` (n, W, 14), its
+    non-padded rows are appended as the last 14 feature columns.  Returns
+    (n, W, D) features.  Raises :class:`DegenerateReferenceError` for M2/M5
+    when a reference chin coordinate is exactly zero.
     """
-    w = raw.coords.shape[0]
-    pad = raw.pad_count
+    n, w = coords.shape[:2]
     if pad >= w:
         raise ValueError("window has no non-padded frame to take the chin from")
-    chin = raw.coords[pad, joint_map.chin_index]
-    x_chin, y_chin = float(chin[0]), float(chin[1])
-
-    body = raw.coords[pad:]  # (W - pad, 14, 2)
-    delta = body - chin
+    chin = coords[:, pad, joint_map.chin_index][:, None, None, :]  # (n, 1, 1, 2)
+    delta = coords[:, pad:] - chin  # (n, W - pad, 14, 2)
+    # Flattening the trailing (14, 2) axes interleaves [a0, b0, a1, b1, ...].
+    flat = delta.shape[:2] + (2 * N_JOINTS,)
 
     blocks: list[np.ndarray] = []
     if method in (NormMethod.M1, NormMethod.M4):
-        blocks.append(_interleave(delta[..., 0], delta[..., 1]))
+        blocks.append(delta.reshape(flat))
     if method in (NormMethod.M2, NormMethod.M5):
-        if x_chin == 0.0 or y_chin == 0.0:
+        zero = np.flatnonzero((chin == 0.0).any(axis=-1))
+        if zero.size:
+            x_chin, y_chin = chin.reshape(n, 2)[zero[0]].tolist()
             raise DegenerateReferenceError(
                 f"reference chin ({x_chin}, {y_chin}) has a zero coordinate; "
                 "chin-ratio normalization is undefined"
             )
-        blocks.append(_interleave(delta[..., 0] / x_chin, delta[..., 1] / y_chin))
+        blocks.append((delta / chin).reshape(flat))
     if method in (NormMethod.M3, NormMethod.M4, NormMethod.M5):
         dist = np.hypot(delta[..., 0], delta[..., 1])
         angle = np.arctan2(delta[..., 1], delta[..., 0])
         angle = np.where(dist == 0.0, 0.0, angle)
-        blocks.append(_interleave(dist, angle))
-    if include_confidence:
-        blocks.append(raw.confidence[pad:])
+        blocks.append(np.stack([dist, angle], axis=-1).reshape(flat))
+    if conf is not None:
+        blocks.append(conf[:, pad:])
 
-    data = np.zeros((w, feature_dim(method, include_confidence)), dtype=np.float64)
-    data[pad:] = np.concatenate(blocks, axis=1)
-    return FeatureWindow(data=data, pad_count=pad, method=method, source=raw.source)
+    data = np.zeros((n, w, feature_dim(method, conf is not None)), dtype=np.float64)
+    data[:, pad:] = np.concatenate(blocks, axis=-1)
+    return data
 
 
 # ---------------------------------------------------------------------------
 # Full chain
+
+
+def _windows(values: np.ndarray, spec: WindowSpec) -> np.ndarray:
+    """(n, W, ...) windows of a (T, ...) series.
+
+    T >= W gives floor((T - W) / stride) + 1 windows; T < W gives a single
+    window with W - T leading zero rows.
+    """
+    t, w = len(values), spec.length
+    if t < w:
+        return np.concatenate([np.zeros((w - t,) + values.shape[1:]), values])[None]
+    return values[np.arange(0, t - w + 1, spec.stride)[:, None] + np.arange(w)]
 
 
 def preprocess_sequence(
@@ -317,10 +199,9 @@ def preprocess_sequence(
     joint_map: JointIndexMap,
     savgol_spec: SavgolSpec | None = SavgolSpec(),
     include_confidence: bool = False,
-) -> list[FeatureWindow]:
-    """Smooth (optional), window, and normalize one sequence."""
-    coords, conf = sequence_arrays(seq)
-    if savgol_spec is not None:
-        coords = smooth_series(coords, savgol_spec)
-    raw = windows_from_arrays(coords, conf, window_spec, seq.patient_id, seq.label)
-    return [normalize_window(r, method, joint_map, include_confidence) for r in raw]
+) -> np.ndarray:
+    """Smooth (optional), window, and normalize one sequence: (n, W, D)."""
+    coords = seq.coords if savgol_spec is None else smooth_series(seq.coords, savgol_spec)
+    conf = _windows(seq.conf, window_spec) if include_confidence else None
+    pad = max(window_spec.length - seq.n_frames, 0)
+    return normalize_window(_windows(coords, window_spec), method, joint_map, conf, pad)

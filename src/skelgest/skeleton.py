@@ -2,13 +2,15 @@
 
 A recording session yields, per video frame, the pixel coordinates of 14
 upper-body joints plus a per-joint detector confidence.  Each performance of
-a gesture by one patient is a ``GestureSequence``.  The gesture taxonomy is
-fixed: 29 gesture ids, 15 static (held poses) and 14 dynamic (motions).
+a gesture by one patient is a ``GestureSequence``, which holds those values
+as read-only arrays: coordinates (T, 14, 2), confidences (T, 14) and, when
+the source file carried them, the two auxiliary rows (T, 2, 14).  The
+gesture taxonomy is fixed: 29 gesture ids, 15 static (held poses) and 14
+dynamic (motions).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -119,48 +121,35 @@ class GestureLabel:
         return cls(id=gesture_id, kind=label_kind(gesture_id))
 
 
-def all_labels() -> tuple[GestureLabel, ...]:
-    return tuple(GestureLabel(gid, kind) for gid, kind, _ in _TAXONOMY)
-
-
-@dataclass(frozen=True)
-class Joint2D:
-    """A single detected joint: pixel coordinates plus detector confidence.
-
-    Confidence defaults to 1.0 for sources that do not report one
-    (e.g. synthetic data).
-    """
-
-    x: float
-    y: float
-    confidence: float = 1.0
-
-
-@dataclass(frozen=True)
-class SkeletalFrame:
-    """One time step: 14 joints in fixed column order.
-
-    ``aux_rows`` holds the two trailing rows of the raw per-frame matrix when
-    the source file carried them.  They are kept only for ingest round-trip
-    fidelity and are dropped before any modeling.
-    """
-
-    joints: tuple[Joint2D, ...]
-    aux_rows: tuple[tuple[float, ...], tuple[float, ...]] | None = None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GestureSequence:
-    """All frames of one patient performing one gesture once."""
+    """All frames of one patient performing one gesture once.
+
+    ``coords`` is (T, 14, 2) pixel x/y, ``conf`` is (T, 14) detector
+    confidence, and ``aux`` is the (T, 2, 14) pair of trailing rows of the
+    raw per-frame matrix, or None.  ``aux`` is kept only for ingest
+    round-trip fidelity and never reaches a model.  The arrays are stored as
+    read-only float64 copies.
+    """
 
     patient_id: int
     label: GestureLabel
     correct: bool
-    frames: tuple[SkeletalFrame, ...]
+    coords: np.ndarray
+    conf: np.ndarray
+    aux: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("coords", "conf", "aux"):
+            value = getattr(self, name)
+            if value is not None:
+                array = np.array(value, dtype=np.float64, order="C")
+                array.flags.writeable = False
+                object.__setattr__(self, name, array)
 
     @property
     def n_frames(self) -> int:
-        return len(self.frames)
+        return self.coords.shape[0]
 
 
 @dataclass(frozen=True)
@@ -224,37 +213,24 @@ def validate_sequence(seq: GestureSequence) -> list[str]:
     if seq.n_frames < 1:
         problems.append("sequence has no frames")
 
-    aux_presence: set[bool] = set()
-    for t, frame in enumerate(seq.frames):
-        if len(frame.joints) != N_JOINTS:
-            problems.append(f"frame {t}: expected {N_JOINTS} joints, got {len(frame.joints)}")
-            continue
-        for j, joint in enumerate(frame.joints):
-            if not (math.isfinite(joint.x) and math.isfinite(joint.y)):
-                problems.append(f"frame {t}, joint {j}: non-finite coordinates "
-                                f"({joint.x!r}, {joint.y!r})")
-            if not 0.0 <= joint.confidence <= 1.0:
-                problems.append(f"frame {t}, joint {j}: confidence {joint.confidence!r} "
-                                f"outside [0, 1]")
-        aux_presence.add(frame.aux_rows is not None)
-        if frame.aux_rows is not None:
-            for r, row in enumerate(frame.aux_rows):
-                if len(row) != N_JOINTS:
-                    problems.append(f"frame {t}: aux row {r} has {len(row)} values, "
-                                    f"expected {N_JOINTS}")
-    if len(aux_presence) > 1:
-        problems.append("aux rows present in some frames but not all")
-    return problems
-
-
-def sequence_arrays(seq: GestureSequence) -> tuple[np.ndarray, np.ndarray]:
-    """Dense views of a sequence: coordinates (T, 14, 2) and confidences (T, 14)."""
     t = seq.n_frames
-    coords = np.empty((t, N_JOINTS, 2), dtype=np.float64)
-    conf = np.empty((t, N_JOINTS), dtype=np.float64)
-    for i, frame in enumerate(seq.frames):
-        for j, joint in enumerate(frame.joints):
-            coords[i, j, 0] = joint.x
-            coords[i, j, 1] = joint.y
-            conf[i, j] = joint.confidence
-    return coords, conf
+    expected = {"coords": (t, N_JOINTS, 2), "conf": (t, N_JOINTS), "aux": (t, 2, N_JOINTS)}
+    shape_problems = [
+        f"{name} has shape {array.shape}, expected {shape}"
+        for name, shape in expected.items()
+        if (array := getattr(seq, name)) is not None and array.shape != shape
+    ]
+    if shape_problems:
+        return problems + shape_problems
+
+    finite = np.isfinite(seq.coords).all(axis=2)
+    conf_ok = (seq.conf >= 0.0) & (seq.conf <= 1.0)
+    for frame, joint in zip(*np.nonzero(~(finite & conf_ok))):
+        if not finite[frame, joint]:
+            x, y = seq.coords[frame, joint].tolist()
+            problems.append(f"frame {frame}, joint {joint}: non-finite coordinates "
+                            f"({x!r}, {y!r})")
+        if not conf_ok[frame, joint]:
+            problems.append(f"frame {frame}, joint {joint}: confidence "
+                            f"{seq.conf[frame, joint].item()!r} outside [0, 1]")
+    return problems

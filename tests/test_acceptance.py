@@ -42,16 +42,20 @@ from skelgest.pipeline import (
 )
 from skelgest.preprocess import (
     NormMethod,
-    RawWindow,
     SavgolSpec,
-    WindowSource,
     WindowSpec,
     normalize_window,
+    preprocess_sequence,
     savgol_coefficients,
     smooth_series,
-    windows_from_arrays,
 )
-from skelgest.skeleton import ALL_GESTURE_IDS, DEFAULT_JOINT_MAP, GestureLabel, N_JOINTS
+from skelgest.skeleton import (
+    ALL_GESTURE_IDS,
+    DEFAULT_JOINT_MAP,
+    GestureLabel,
+    GestureSequence,
+    N_JOINTS,
+)
 
 LABEL = GestureLabel.from_id("A1_1")
 
@@ -106,20 +110,16 @@ def test_criterion_3_normalization_invariance_suite():
     worst = {"translate": 0.0, "rotate": 0.0}
     for i in range(1000):
         coords = rng.uniform(1.0, 9.0, size=(w, N_JOINTS, 2))
-        conf = rng.uniform(0.0, 1.0, size=(w, N_JOINTS))
-        source = WindowSource(patient_id=1, label=LABEL, start=0)
-        raw = RawWindow(coords=coords, confidence=conf, pad_count=0, source=source)
+        rng.uniform(0.0, 1.0, size=(w, N_JOINTS))  # confidences: unused, kept drawn
 
         def features(window, method):
-            return normalize_window(window, method, DEFAULT_JOINT_MAP).data
+            return normalize_window(window[None], method, DEFAULT_JOINT_MAP)[0]
 
         # Global translation washes out of M1, M3 and their combination M4.
         shift = rng.uniform(-50.0, 50.0, size=2)
-        shifted = RawWindow(
-            coords=coords + shift, confidence=conf, pad_count=0, source=source
-        )
+        shifted = coords + shift
         for method in (NormMethod.M1, NormMethod.M3, NormMethod.M4):
-            delta = np.max(np.abs(features(shifted, method) - features(raw, method)))
+            delta = np.max(np.abs(features(shifted, method) - features(coords, method)))
             worst["translate"] = max(worst["translate"], delta)
 
         # Rotation about the reference chin preserves every M3 distance.
@@ -128,13 +128,8 @@ def test_criterion_3_normalization_invariance_suite():
             [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
         )
         chin = coords[0, DEFAULT_JOINT_MAP.chin_index]
-        rotated = RawWindow(
-            coords=(coords - chin) @ rot.T + chin,
-            confidence=conf,
-            pad_count=0,
-            source=source,
-        )
-        distances = features(raw, NormMethod.M3)[:, 0::2]
+        rotated = (coords - chin) @ rot.T + chin
+        distances = features(coords, NormMethod.M3)[:, 0::2]
         rotated_distances = features(rotated, NormMethod.M3)[:, 0::2]
         worst["rotate"] = max(
             worst["rotate"], float(np.max(np.abs(rotated_distances - distances)))
@@ -142,13 +137,13 @@ def test_criterion_3_normalization_invariance_suite():
 
         # The combination methods are exact column concatenations.
         m1, m2, m3 = (
-            features(raw, m) for m in (NormMethod.M1, NormMethod.M2, NormMethod.M3)
+            features(coords, m) for m in (NormMethod.M1, NormMethod.M2, NormMethod.M3)
         )
         assert np.array_equal(
-            features(raw, NormMethod.M4), np.concatenate([m1, m3], axis=1)
+            features(coords, NormMethod.M4), np.concatenate([m1, m3], axis=1)
         )
         assert np.array_equal(
-            features(raw, NormMethod.M5), np.concatenate([m2, m3], axis=1)
+            features(coords, NormMethod.M5), np.concatenate([m2, m3], axis=1)
         )
 
     assert worst["translate"] <= 1e-9, worst
@@ -159,7 +154,16 @@ def test_criterion_4_windowing_contract_exhaustive():
     """For every sequence length 1..70 and every power-of-two window length
     2..512: the stride-1 window count matches the closed form, padding
     appears only when the sequence is shorter than the window, pad rows are
-    exactly zero, and window contents are exact slices of the input."""
+    exactly zero, and window contents are exact slices of the input.
+
+    Windows are read through unsmoothed method-1 features with confidence
+    columns: an unpadded window's features are exactly its coordinate slice
+    minus the chin of its first frame, followed by its confidence slice."""
+    chin = DEFAULT_JOINT_MAP.chin_index
+
+    def offsets(rows):
+        return (rows - rows[0, chin]).reshape(len(rows), 2 * N_JOINTS)
+
     for w_len in (2, 4, 8, 16, 32, 64, 128, 256, 512):
         spec = WindowSpec(length=w_len, stride=1)
         for t in range(1, 71):
@@ -168,22 +172,25 @@ def test_criterion_4_windowing_contract_exhaustive():
                 + 1.0
             )
             conf = np.linspace(0.0, 1.0, t * N_JOINTS).reshape(t, N_JOINTS)
-            windows = windows_from_arrays(coords, conf, spec, 1, LABEL)
+            seq = GestureSequence(1, LABEL, True, coords, conf)
+            windows = preprocess_sequence(
+                seq, NormMethod.M1, spec, DEFAULT_JOINT_MAP, savgol_spec=None,
+                include_confidence=True,
+            )
+            assert windows.shape[1:] == (w_len, 3 * N_JOINTS)
             if t >= w_len:
                 assert len(windows) == t - w_len + 1, (t, w_len)
                 for i, win in enumerate(windows):
-                    assert win.pad_count == 0
-                    assert np.array_equal(win.coords, coords[i : i + w_len])
-                    assert np.array_equal(win.confidence, conf[i : i + w_len])
+                    assert np.array_equal(win[:, : 2 * N_JOINTS],
+                                          offsets(coords[i : i + w_len]))
+                    assert np.array_equal(win[:, 2 * N_JOINTS :], conf[i : i + w_len])
             else:
                 pad = w_len - t
                 assert len(windows) == 1, (t, w_len)
                 win = windows[0]
-                assert win.pad_count == pad
-                assert not win.coords[:pad].any()
-                assert not win.confidence[:pad].any()
-                assert np.array_equal(win.coords[pad:], coords)
-                assert np.array_equal(win.confidence[pad:], conf)
+                assert not win[:pad].any()
+                assert np.array_equal(win[pad:, : 2 * N_JOINTS], offsets(coords))
+                assert np.array_equal(win[pad:, 2 * N_JOINTS :], conf)
 
 
 # (static %, dynamic %, printed average %) rows from the recorded reference
@@ -231,8 +238,8 @@ def test_criterion_5_reference_table_averaging():
 class _ConstantNegative:
     """One-vs-rest model that rejects everything."""
 
-    def predict_windows(self, windows):
-        return np.zeros((len(windows), 1))
+    def predict_windows(self, x, seq):
+        return np.zeros((len(x), 1))
 
 
 def test_criterion_6_one_vs_rest_accuracy_skew():

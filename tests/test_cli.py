@@ -5,6 +5,8 @@ stdout/stderr can be asserted directly.
 """
 
 import json
+import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -430,6 +432,131 @@ class TestEvaluate:
         )
         assert code == EXIT_DATA
         assert "2 populated folds" in capsys.readouterr().err
+
+
+class TestReplayInputs:
+    """A saved run or model set replays with the chin index and the dataset
+    manifest that it ran with, not with the defaults."""
+
+    def _evaluate(self, out, *flags):
+        return run_cli(
+            "evaluate", "--out", str(out), "--seed", "6", "--fold-boundaries", "1,2",
+            *TINY_TRAIN_FLAGS, *flags,
+        )
+
+    def _replay(self, run_dir, dataset_dir, out):
+        return run_cli(
+            "evaluate", "--from-manifest", str(run_dir / "run_manifest.json"),
+            "--dataset", str(dataset_dir), "--out", str(out),
+        )
+
+    def test_replay_keeps_chin_index(self, dataset_dir, tmp_path):
+        run = tmp_path / "run"
+        assert self._evaluate(run, "--dataset", str(dataset_dir),
+                              "--chin-index", "4") == EXIT_OK
+        manifest = json.loads((run / "run_manifest.json").read_text())
+        assert manifest["chin_index"] == 4
+        assert "chin_index" not in manifest["config"]
+        assert self._replay(run, dataset_dir, tmp_path / "replay") == EXIT_OK
+        assert (tmp_path / "replay" / "report.json").read_bytes() == (
+            run / "report.json"
+        ).read_bytes()
+
+    def test_replay_keeps_dataset_manifest(self, tmp_path):
+        data = tmp_path / "ds"
+        assert run_cli("synth", "--out", str(data), "--seed", "21",
+                       "--patients", "3") == EXIT_OK
+        rows = (data / "manifest.csv").read_text().splitlines()
+        # patients 1 and 2 only: two folds where the full manifest has three
+        subset = tmp_path / "subset.csv"
+        subset.write_text("\n".join(row for row in rows if not row.startswith("3,")) + "\n")
+        run = tmp_path / "run"
+        assert self._evaluate(run, "--dataset", str(data),
+                              "--manifest", str(subset)) == EXIT_OK
+        manifest = json.loads((run / "run_manifest.json").read_text())
+        assert manifest["dataset"]["manifest"] == str(subset)
+        from skelgest.ingest import dataset_checksum
+
+        assert manifest["dataset"]["checksum"] == dataset_checksum(data, subset)
+        assert self._replay(run, data, tmp_path / "replay") == EXIT_OK
+        assert (tmp_path / "replay" / "report.json").read_bytes() == (
+            run / "report.json"
+        ).read_bytes()
+
+    def test_manifest_without_chin_replays_with_default(self, eval_out, dataset_dir,
+                                                        tmp_path):
+        recorded = json.loads((eval_out / "run_manifest.json").read_text())
+        del recorded["chin_index"], recorded["dataset"]["manifest"]
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "run_manifest.json").write_text(json.dumps(recorded))
+        assert self._replay(old, dataset_dir, tmp_path / "replay") == EXIT_OK
+        assert (tmp_path / "replay" / "report.json").read_bytes() == (
+            eval_out / "report.json"
+        ).read_bytes()
+
+    def test_model_set_keeps_chin_index(self, dataset_dir, tmp_path, capsys):
+        trained = tmp_path / "trained"
+        code = run_cli(
+            "train", "--dataset", str(dataset_dir), "--out", str(trained),
+            "--seed", "5", "--chin-index", "4", *TINY_TRAIN_FLAGS,
+        )
+        assert code == EXIT_OK
+        index = json.loads((trained / "models" / "modelset.json").read_text())
+        assert index["chin_index"] == 4
+        assert index["dataset"]["manifest"] is None
+        models = str(trained / "models")
+        reports = []
+        for name, flags in (("plain", []), ("explicit", ["--chin-index", "4"])):
+            out = tmp_path / name
+            code = run_cli("evaluate", "--models", models, "--dataset", str(dataset_dir),
+                           "--out", str(out), *flags)
+            assert code == EXIT_OK
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        capsys.readouterr()
+        code = run_cli("evaluate", "--models", models, "--dataset", str(dataset_dir),
+                       "--out", str(tmp_path / "x"), "--chin-index", "1")
+        assert code == EXIT_USAGE
+        assert "--chin-index" in capsys.readouterr().err
+
+
+def _cut_in_header_length(data):
+    return data[:10]
+
+
+def _bad_magic(data):
+    return b"NOTACKPT" + data[8:]
+
+
+def _short_payload(data):
+    return data[:-16]
+
+
+def _bad_header_json(data):
+    (header_len,) = struct.unpack("<Q", data[8:16])
+    return data[:16] + b"{" * header_len + data[16 + header_len :]
+
+
+def _trailing_bytes(data):
+    return data + b"\x00" * 8
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_cut_in_header_length, _bad_magic, _short_payload, _bad_header_json,
+     _trailing_bytes],
+)
+def test_corrupt_checkpoint_is_data_error(corrupt, model_dir, dataset_dir, tmp_path,
+                                          capsys):
+    models = tmp_path / "models"
+    shutil.copytree(model_dir / "models", models)
+    victim = models / "main_static.ckpt"
+    victim.write_bytes(corrupt(victim.read_bytes()))
+    code = run_cli("evaluate", "--models", str(models), "--dataset", str(dataset_dir),
+                   "--out", str(tmp_path / "out"))
+    assert code == EXIT_DATA
+    assert str(victim) in capsys.readouterr().err
 
 
 class TestGradcheck:

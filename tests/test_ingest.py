@@ -20,9 +20,8 @@ from skelgest.ingest import (
 from skelgest.skeleton import (
     ALL_GESTURE_IDS,
     DEFAULT_JOINT_MAP,
+    N_JOINTS,
     GestureKind,
-    Joint2D,
-    SkeletalFrame,
 )
 from skelgest.preprocess import NormMethod, WindowSpec, preprocess_sequence
 
@@ -37,18 +36,18 @@ def _block(rows=5, cols=14, base=0.0):
 class TestParseSkeletalFile:
     def test_two_blocks(self):
         text = _block() + "\n" + _block(base=1000.0) + "\n"
-        frames = parse_skeletal_file(text)
-        assert len(frames) == 2
-        assert frames[0].joints[0].x == 0.0
-        assert frames[0].joints[0].y == 100.0
-        assert frames[0].joints[0].confidence == 200.0
-        assert frames[1].joints[3].x == 1003.0
+        coords, conf, aux = parse_skeletal_file(text)
+        assert coords.shape == (2, N_JOINTS, 2) and conf.shape == (2, N_JOINTS)
+        assert coords[0, 0, 0] == 0.0
+        assert coords[0, 0, 1] == 100.0
+        assert conf[0, 0] == 200.0
+        assert coords[1, 3, 0] == 1003.0
 
     def test_aux_rows_preserved(self):
-        frames = parse_skeletal_file(_block())
-        assert frames[0].aux_rows is not None
-        assert frames[0].aux_rows[0][0] == 300.0
-        assert frames[0].aux_rows[1][13] == 413.0
+        _, _, aux = parse_skeletal_file(_block())
+        assert aux.shape == (1, 2, N_JOINTS)
+        assert aux[0, 0, 0] == 300.0
+        assert aux[0, 1, 13] == 413.0
 
     def test_wrong_value_count_names_line(self):
         bad = _block().splitlines()
@@ -64,36 +63,32 @@ class TestParseSkeletalFile:
 
     def test_truncated_final_block(self):
         text = _block() + "\n" + "\n".join(_block().splitlines()[:3])
-        with pytest.raises(ParseError, match="truncated|incomplete"):
+        with pytest.raises(ParseError, match=r":6: truncated final block \(3 of 5"):
             parse_skeletal_file(text)
 
     def test_empty_input_yields_no_frames(self):
-        assert parse_skeletal_file("") == []
-        assert parse_skeletal_file("   \n\n") == []
+        for text in ("", "   \n\n"):
+            coords, conf, aux = parse_skeletal_file(text)
+            assert coords.shape == (0, N_JOINTS, 2)
+            assert conf.shape == (0, N_JOINTS) and aux.shape == (0, 2, N_JOINTS)
 
     def test_round_trip_exact(self):
         """serialize(parse(f)) keeps every number bit-for-bit (independent of
         the formatting the writer chooses)."""
         rng = np.random.default_rng(11)
-        frames = []
-        for _ in range(4):
-            joints = tuple(
-                Joint2D(rng.normal() * 1e3, rng.normal() * 1e-3, rng.random())
-                for _ in range(14)
-            )
-            aux = (
-                tuple(rng.normal() for _ in range(14)),
-                tuple(rng.normal() for _ in range(14)),
-            )
-            frames.append(SkeletalFrame(joints=joints, aux_rows=aux))
-        text = serialize_frames(tuple(frames))
+        coords = rng.normal(size=(4, N_JOINTS, 2)) * [1e3, 1e-3]
+        coords[0, 0, 0] = -0.0
+        conf = rng.random((4, N_JOINTS))
+        aux = rng.normal(size=(4, 2, N_JOINTS))
+        text = serialize_frames(coords, conf, aux)
         parsed = parse_skeletal_file(text)
-        assert len(parsed) == 4
-        for a, b in zip(frames, parsed):
-            for ja, jb in zip(a.joints, b.joints):
-                assert ja.x == jb.x and ja.y == jb.y and ja.confidence == jb.confidence
-            for ra, rb in zip(a.aux_rows, b.aux_rows):
-                assert tuple(ra) == tuple(rb)
+        for original, back in zip((coords, conf, aux), parsed):
+            assert back.shape == original.shape
+            assert np.array_equal(back, original)
+            assert back.tobytes() == original.tobytes()  # bit-for-bit, -0.0 included
+        # without aux rows, zero aux rows are written
+        _, _, zero_aux = parse_skeletal_file(serialize_frames(coords, conf))
+        assert np.array_equal(zero_aux, np.zeros((4, 2, N_JOINTS)))
 
 
 def _valid_block():
@@ -223,17 +218,14 @@ class TestGenerateSynthetic:
         assert len(a.sequences) == len(b.sequences)
         for sa, sb in zip(a.sequences, b.sequences):
             assert sa.patient_id == sb.patient_id and sa.label == sb.label
-            for fa, fb in zip(sa.frames, sb.frames):
-                for ja, jb in zip(fa.joints, fb.joints):
-                    assert ja.x == jb.x and ja.y == jb.y
+            assert sa.coords.tobytes() == sb.coords.tobytes()
 
     def test_different_seed_differs(self):
         a = generate_synthetic(SynthConfig(n_patients=2, seed=1))
         b = generate_synthetic(SynthConfig(n_patients=2, seed=2))
         assert any(
-            fa.joints[0].x != fb.joints[0].x
+            sa.coords[0, 0, 0] != sb.coords[0, 0, 0]
             for sa, sb in zip(a.sequences, b.sequences)
-            for fa, fb in zip(sa.frames, sb.frames)
         )
 
     def test_every_class_once_per_patient(self):
@@ -254,19 +246,26 @@ class TestGenerateSynthetic:
         )
         static = [s for s in ds.sequences if s.label.id == "A1_2"]
         assert len(static) == 3
-        reference = static[0].frames[0]
+        reference = static[0].coords[0]
         for seq in static:
-            for frame in seq.frames:
-                for j_ref, j in zip(reference.joints, frame.joints):
-                    assert j.x == j_ref.x and j.y == j_ref.y
+            for frame in seq.coords:
+                assert np.array_equal(frame, reference)
 
     def test_dynamic_frames_move(self):
         ds = generate_synthetic(
             SynthConfig(n_patients=1, noise_sigma=0.0, camera_offset_range=0.0, seed=9)
         )
         dyn = next(s for s in ds.sequences if s.label.kind is GestureKind.DYNAMIC)
-        xs = [f.joints[4].x for f in dyn.frames]
-        assert max(xs) - min(xs) > 0.1
+        xs = dyn.coords[:, 4, 0]
+        assert xs.max() - xs.min() > 0.1
+
+    def test_default_confidence(self):
+        """A source that reports no confidence gets 1.0 for every joint."""
+        ds = generate_synthetic(SynthConfig(n_patients=1, seed=2))
+        for seq in ds.sequences:
+            assert seq.conf.shape == (seq.n_frames, N_JOINTS)
+            assert np.all(seq.conf == 1.0)
+            assert seq.aux is None
 
     def test_frame_counts_within_ranges(self):
         cfg = SynthConfig(n_patients=4, seed=3)
@@ -289,7 +288,7 @@ class TestGenerateSynthetic:
         windows = [
             preprocess_sequence(
                 s, NormMethod.M1, WindowSpec(16), DEFAULT_JOINT_MAP, savgol_spec=None
-            )[0].data
+            )[0]
             for s in sequences
         ]
         for other in windows[1:]:
@@ -307,9 +306,9 @@ class TestWriteAndChecksum:
             sorted(ds.sequences, key=key), sorted(loaded.sequences, key=key)
         ):
             assert a.n_frames == b.n_frames
-            for fa, fb in zip(a.frames, b.frames):
-                for ja, jb in zip(fa.joints, fb.joints):
-                    assert ja.x == jb.x and ja.y == jb.y
+            assert np.array_equal(a.coords, b.coords)
+            assert np.array_equal(a.conf, b.conf)
+            assert np.array_equal(b.aux, np.zeros((a.n_frames, 2, N_JOINTS)))
 
     def test_checksum_stable_and_sensitive(self, tmp_path):
         ds = generate_synthetic(SynthConfig(n_patients=2, seed=21))

@@ -5,6 +5,9 @@ pipeline correctness from training quality: any metric below 1.0 with the
 oracle substituted would mean the plumbing itself loses information.
 """
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -162,6 +165,18 @@ class TestSeedsAndGuards:
         with pytest.raises(AssertionError, match=r"\[2\]"):
             _assert_patient_disjoint([1, 2], [2, 3])
 
+    def test_patient_disjoint_guard_survives_optimize_flag(self):
+        """``python -O`` strips ``assert`` statements; the guard must stay."""
+        code = (
+            "from skelgest.pipeline import _assert_patient_disjoint\n"
+            "_assert_patient_disjoint([1, 2], [2, 3])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode != 0
+        assert "AssertionError: patients [2] appear in both" in proc.stderr
+
     def test_rebalanced_indices(self):
         targets = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
         idx = _rebalanced_indices(targets)
@@ -177,44 +192,43 @@ class TestSeedsAndGuards:
 
 
 class TestOracleClassifier:
-    def _windows(self, gesture_ids, n_frames=20):
+    def _scored(self, gesture_ids):
+        """(windows, sequence) pairs of one patient's sequences."""
         ds = _dataset(n_patients=1, seed=3)
         by_id = {s.label.id: s for s in ds.sequences}
-        windows = []
-        for gid in gesture_ids:
-            windows.extend(
-                preprocess_sequence(
-                    by_id[gid], NormMethod.M3, WindowSpec(16), ds.joint_map
-                )[:1]
-            )
-        return windows
+        return [
+            (preprocess_sequence(by_id[gid], NormMethod.M3, WindowSpec(16), ds.joint_map),
+             by_id[gid])
+            for gid in gesture_ids
+        ]
 
     def test_softmax_one_hot_on_true_label(self):
-        windows = self._windows(["A1_1", "A1_2", "A1_3"])
         clf = OracleClassifier(labels=STATIC_GESTURE_IDS)
-        probs = clf.predict_windows(windows)
-        assert probs.shape == (3, 15)
-        for i, gid in enumerate(["A1_1", "A1_2", "A1_3"]):
-            assert probs[i, STATIC_GESTURE_IDS.index(gid)] == 1.0
-            assert probs[i].sum() == 1.0
+        for x, seq in self._scored(["A1_1", "A1_2", "A1_3"]):
+            probs = clf.predict_windows(x, seq)
+            assert probs.shape == (len(x), 15)
+            assert np.all(probs[:, STATIC_GESTURE_IDS.index(seq.label.id)] == 1.0)
+            assert np.all(probs.sum(axis=1) == 1.0)
 
     def test_sigmoid_positive_only_for_own_class(self):
-        windows = self._windows(["A1_1", "A1_2"])
-        clf = OracleClassifier(labels=("A1_1",), head=HeadKind.SIGMOID)
-        probs = clf.predict_windows(windows)
-        assert probs.shape == (2, 1)
-        assert probs[0, 0] == 1.0 and probs[1, 0] == 0.0
+        clf = OracleClassifier(labels=("A1_1",))
+        (x_pos, pos), (x_neg, neg) = self._scored(["A1_1", "A1_2"])
+        assert clf.predict_windows(x_pos, pos).shape == (len(x_pos), 1)
+        assert np.all(clf.predict_windows(x_pos, pos) == 1.0)
+        assert np.all(clf.predict_windows(x_neg, neg) == 0.0)
 
 
 class TestStackWindows:
     def test_shape(self):
         ds = _dataset(n_patients=1, seed=4)
-        windows = preprocess_sequence(
-            ds.sequences[0], NormMethod.M1, WindowSpec(8), ds.joint_map
-        )
-        x = stack_windows(windows)
-        assert x.shape == (len(windows), 8, 28)
+        per_sequence = [
+            preprocess_sequence(seq, NormMethod.M1, WindowSpec(8), ds.joint_map)
+            for seq in ds.sequences[:3]
+        ]
+        x = stack_windows(per_sequence)
+        assert x.shape == (sum(len(w) for w in per_sequence), 8, 28)
         assert x.dtype == np.float64
+        assert np.array_equal(x, np.concatenate(per_sequence))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no windows"):

@@ -3,6 +3,10 @@
 Independent oracles used here: exact least-squares rationals, scipy's
 Savitzky-Golay routines, numpy.polyfit on impulse responses, and direct
 per-joint recomputation with math.hypot / math.atan2.
+
+A sequence's windows are checked through ``preprocess_sequence`` with M1
+features and no smoothing: each M1 window is its raw slice minus the chin
+of its first frame, which the tests recompute exactly.
 """
 
 import math
@@ -15,66 +19,54 @@ import scipy.signal
 from skelgest.preprocess import (
     DegenerateReferenceError,
     NormMethod,
-    RawWindow,
     SavgolSpec,
     WindowSpec,
-    WindowSource,
     feature_dim,
     normalize_window,
     preprocess_sequence,
     savgol_coefficients,
-    savgol_smooth,
-    slide_windows,
     smooth_series,
-    to_polar,
-    windows_from_arrays,
 )
 from skelgest.skeleton import (
     DEFAULT_JOINT_MAP,
     N_JOINTS,
     GestureLabel,
     GestureSequence,
-    Joint2D,
     JointIndexMap,
-    SkeletalFrame,
-    sequence_arrays,
 )
 
 LABEL = GestureLabel.from_id("A1_1")
+CHIN = DEFAULT_JOINT_MAP.chin_index
 
 
 def _make_sequence(coords, confidence=None, label=LABEL, patient_id=1):
     coords = np.asarray(coords, dtype=np.float64)
-    t = coords.shape[0]
     if confidence is None:
-        confidence = np.full((t, N_JOINTS), 0.9)
-    frames = tuple(
-        SkeletalFrame(
-            joints=tuple(
-                Joint2D(coords[i, j, 0], coords[i, j, 1], confidence[i][j])
-                for j in range(N_JOINTS)
-            )
-        )
-        for i in range(t)
-    )
-    return GestureSequence(patient_id=patient_id, label=label, correct=True, frames=frames)
+        confidence = np.full(coords.shape[:2], 0.9)
+    return GestureSequence(patient_id, label, True, coords, confidence)
 
 
 def _random_sequence(rng, t, **kwargs):
     return _make_sequence(rng.normal(size=(t, N_JOINTS, 2)) * 50 + 200, **kwargs)
 
 
-def _raw_window(coords, pad_count=0, confidence=None):
-    coords = np.asarray(coords, dtype=np.float64)
-    w = coords.shape[0]
-    if confidence is None:
-        confidence = np.full((w, N_JOINTS), 0.5)
-    return RawWindow(
-        coords=coords,
-        confidence=np.asarray(confidence, dtype=np.float64),
-        pad_count=pad_count,
-        source=WindowSource(patient_id=1, label=LABEL, start=0),
+def _features(coords, method, joint_map=DEFAULT_JOINT_MAP, pad=0, confidence=None):
+    """Features of one window: (W, 14, 2) coordinates -> (W, D)."""
+    conf = None if confidence is None else np.asarray(confidence)[None]
+    return normalize_window(np.asarray(coords)[None], method, joint_map, conf, pad)[0]
+
+
+def _raw_windows(seq, spec):
+    """Unsmoothed M1 windows plus confidence columns of a sequence."""
+    return preprocess_sequence(
+        seq, NormMethod.M1, spec, DEFAULT_JOINT_MAP, savgol_spec=None,
+        include_confidence=True,
     )
+
+
+def _m1_of(coords):
+    """Exact M1 oracle of one unpadded window: offsets from its first chin."""
+    return (coords - coords[0, CHIN]).reshape(len(coords), 2 * N_JOINTS)
 
 
 class TestSavgolCoefficients:
@@ -170,16 +162,19 @@ class TestSmoothSeries:
 
 class TestSavgolSmooth:
     def test_smooths_coords_keeps_confidence(self):
+        """Smoothing in the chain moves coordinates only: confidence columns
+        pass through untouched."""
         rng = np.random.default_rng(4)
         conf = rng.random((10, N_JOINTS))
         seq = _make_sequence(rng.normal(size=(10, N_JOINTS, 2)), confidence=conf)
-        out = savgol_smooth(seq, SavgolSpec())
-        coords_in, _ = sequence_arrays(seq)
-        coords_out, conf_out = sequence_arrays(out)
-        expected = smooth_series(coords_in, SavgolSpec())
-        assert np.max(np.abs(coords_out - expected)) <= 1e-12
-        assert np.array_equal(conf_out, conf)
-        assert out.label == seq.label and out.patient_id == seq.patient_id
+        (out,) = preprocess_sequence(
+            seq, NormMethod.M1, WindowSpec(10), DEFAULT_JOINT_MAP, SavgolSpec(),
+            include_confidence=True,
+        )
+        expected = smooth_series(seq.coords, SavgolSpec())
+        assert np.max(np.abs(out[:, :28] - _m1_of(expected))) <= 1e-12
+        assert not np.array_equal(out[:, :28], _m1_of(seq.coords))
+        assert np.array_equal(out[:, 28:], conf)
 
 
 class TestWindows:
@@ -190,38 +185,36 @@ class TestWindows:
     def test_count_closed_form(self, t, w, stride, expected):
         rng = np.random.default_rng(5)
         seq = _random_sequence(rng, t)
-        windows = slide_windows(seq, WindowSpec(w, stride))
-        assert len(windows) == expected
+        windows = _raw_windows(seq, WindowSpec(w, stride))
+        assert windows.shape == (expected, w, 42)
         assert expected == (t - w) // stride + 1
 
     def test_window_contents_and_starts(self):
         rng = np.random.default_rng(6)
         seq = _random_sequence(rng, 8)
-        coords, _ = sequence_arrays(seq)
-        windows = slide_windows(seq, WindowSpec(3))
-        assert [w.source.start for w in windows] == list(range(6))
-        for w in windows:
-            assert w.pad_count == 0
-            assert np.array_equal(w.coords, coords[w.source.start : w.source.start + 3])
+        windows = _raw_windows(seq, WindowSpec(3))
+        assert len(windows) == 6
+        for start, window in enumerate(windows):
+            coords = seq.coords[start : start + 3]
+            assert np.array_equal(window[:, :28], _m1_of(coords))
+            assert np.array_equal(window[:, 28:], seq.conf[start : start + 3])
 
     def test_short_sequence_padded_in_front(self):
         rng = np.random.default_rng(7)
         seq = _random_sequence(rng, 3)
-        coords, conf = sequence_arrays(seq)
-        (window,) = slide_windows(seq, WindowSpec(8))
-        assert window.pad_count == 5
-        assert np.array_equal(window.coords[:5], np.zeros((5, N_JOINTS, 2)))
-        assert np.array_equal(window.coords[5:], coords)
-        assert np.array_equal(window.confidence[:5], np.zeros((5, N_JOINTS)))
-        assert np.array_equal(window.confidence[5:], conf)
+        (window,) = _raw_windows(seq, WindowSpec(8))
+        assert np.array_equal(window[:5], np.zeros((5, 42)))
+        assert np.array_equal(window[5:, :28], _m1_of(seq.coords))
+        assert np.array_equal(window[5:, 28:], seq.conf)
 
     def test_windows_are_copies(self):
         rng = np.random.default_rng(8)
         seq = _random_sequence(rng, 6)
-        coords, conf = sequence_arrays(seq)
-        windows = windows_from_arrays(coords, conf, WindowSpec(4), 1, LABEL)
-        windows[0].coords[0, 0, 0] = 1e9
-        assert coords[0, 0, 0] != 1e9
+        before = seq.coords.copy()
+        windows = _raw_windows(seq, WindowSpec(4))
+        windows[0, 0, 0] = 1e9
+        assert np.array_equal(seq.coords, before)
+        assert not np.shares_memory(windows, seq.coords)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -231,8 +224,17 @@ class TestWindows:
 
 
 class TestToPolar:
+    """Polar form of a joint around the chin: the M3 block of a window."""
+
+    def _polar(self, point, ref):
+        coords = np.zeros((1, N_JOINTS, 2))
+        coords[0, :] = ref
+        coords[0, 0] = point
+        features = _features(coords, NormMethod.M3)
+        return features[0, 0], features[0, 1]
+
     def test_quadrants(self):
-        ref = Joint2D(1.0, 1.0, 1.0)
+        ref = (1.0, 1.0)
         cases = [
             ((4.0, 5.0), 5.0, math.atan2(4.0, 3.0)),
             ((-2.0, 5.0), 5.0, math.atan2(4.0, -3.0)),
@@ -241,22 +243,23 @@ class TestToPolar:
             ((1.0, 6.0), 5.0, math.pi / 2),
             ((-4.0, 1.0), 5.0, math.pi),
         ]
-        for (x, y), dist, angle in cases:
-            e, a = to_polar(Joint2D(x, y, 1.0), ref)
+        for point, dist, angle in cases:
+            e, a = self._polar(point, ref)
             assert abs(e - dist) <= 1e-12
             assert abs(a - angle) <= 1e-12
 
     def test_coincident_point_is_origin(self):
-        p = Joint2D(3.5, -2.0, 1.0)
-        assert to_polar(p, p) == (0.0, 0.0)
+        p = (3.5, -2.0)
+        assert self._polar(p, p) == (0.0, 0.0)
 
     def test_matches_hypot_atan2_randomly(self):
+        """numpy's hypot/arctan2 agree with libm's to within an ulp or two."""
         rng = np.random.default_rng(9)
         for _ in range(50):
             px, py, rx, ry = rng.normal(size=4) * 100
-            e, a = to_polar(Joint2D(px, py, 1.0), Joint2D(rx, ry, 1.0))
-            assert e == math.hypot(px - rx, py - ry)
-            assert a == math.atan2(py - ry, px - rx)
+            e, a = self._polar((px, py), (rx, ry))
+            assert math.isclose(e, math.hypot(px - rx, py - ry), rel_tol=1e-14)
+            assert math.isclose(a, math.atan2(py - ry, px - rx), rel_tol=1e-14)
 
 
 class TestFeatureDim:
@@ -284,107 +287,117 @@ class TestNormalizeWindow:
         coords[0, 2] = (10.0, 15.0)  # dx=0, dy=-5
         for j in range(3, N_JOINTS):
             coords[0, j] = (10.0 + j, 20.0 - j)
-        return _raw_window(coords)
+        return coords
 
     def test_method1_hand_case(self):
-        out = normalize_window(self._hand_window(), NormMethod.M1, DEFAULT_JOINT_MAP)
-        assert out.data.shape == (1, 28)
-        assert out.data[0, 0] == 3.0 and out.data[0, 1] == 4.0
-        assert out.data[0, 2] == 0.0 and out.data[0, 3] == 0.0  # the chin itself
-        assert out.data[0, 4] == 0.0 and out.data[0, 5] == -5.0
-        assert out.data[0, 6] == 3.0 and out.data[0, 7] == -3.0  # joint 3
+        out = _features(self._hand_window(), NormMethod.M1)
+        assert out.shape == (1, 28)
+        assert out[0, 0] == 3.0 and out[0, 1] == 4.0
+        assert out[0, 2] == 0.0 and out[0, 3] == 0.0  # the chin itself
+        assert out[0, 4] == 0.0 and out[0, 5] == -5.0
+        assert out[0, 6] == 3.0 and out[0, 7] == -3.0  # joint 3
 
     def test_method2_hand_case(self):
-        out = normalize_window(self._hand_window(), NormMethod.M2, DEFAULT_JOINT_MAP)
-        assert abs(out.data[0, 0] - 0.3) <= 1e-15  # 3/10
-        assert abs(out.data[0, 1] - 0.2) <= 1e-15  # 4/20
-        assert out.data[0, 4] == 0.0
-        assert abs(out.data[0, 5] - (-0.25)) <= 1e-15  # -5/20
+        out = _features(self._hand_window(), NormMethod.M2)
+        assert abs(out[0, 0] - 0.3) <= 1e-15  # 3/10
+        assert abs(out[0, 1] - 0.2) <= 1e-15  # 4/20
+        assert out[0, 4] == 0.0
+        assert abs(out[0, 5] - (-0.25)) <= 1e-15  # -5/20
 
     def test_method3_hand_case(self):
-        out = normalize_window(self._hand_window(), NormMethod.M3, DEFAULT_JOINT_MAP)
-        assert abs(out.data[0, 0] - 5.0) <= 1e-12
-        assert abs(out.data[0, 1] - math.atan2(4.0, 3.0)) <= 1e-12
-        assert out.data[0, 2] == 0.0 and out.data[0, 3] == 0.0  # chin: dist 0, angle 0
-        assert abs(out.data[0, 4] - 5.0) <= 1e-12
-        assert abs(out.data[0, 5] - (-math.pi / 2)) <= 1e-12
+        out = _features(self._hand_window(), NormMethod.M3)
+        assert abs(out[0, 0] - 5.0) <= 1e-12
+        assert abs(out[0, 1] - math.atan2(4.0, 3.0)) <= 1e-12
+        assert out[0, 2] == 0.0 and out[0, 3] == 0.0  # chin: dist 0, angle 0
+        assert abs(out[0, 4] - 5.0) <= 1e-12
+        assert abs(out[0, 5] - (-math.pi / 2)) <= 1e-12
 
     def test_method3_matches_per_joint_recompute(self):
         rng = np.random.default_rng(10)
-        raw = _raw_window(rng.normal(size=(4, N_JOINTS, 2)) * 30 + 100)
-        out = normalize_window(raw, NormMethod.M3, DEFAULT_JOINT_MAP)
-        chin = raw.coords[0, DEFAULT_JOINT_MAP.chin_index]
-        ref = Joint2D(chin[0], chin[1], 1.0)
+        coords = rng.normal(size=(4, N_JOINTS, 2)) * 30 + 100
+        out = _features(coords, NormMethod.M3)
+        rx, ry = coords[0, CHIN]
         for t in range(4):
             for j in range(N_JOINTS):
-                p = Joint2D(raw.coords[t, j, 0], raw.coords[t, j, 1], 1.0)
-                e, a = to_polar(p, ref)
-                assert abs(out.data[t, 2 * j] - e) <= 1e-12
-                assert abs(out.data[t, 2 * j + 1] - a) <= 1e-12
+                px, py = coords[t, j]
+                e = math.hypot(px - rx, py - ry)
+                a = 0.0 if e == 0.0 else math.atan2(py - ry, px - rx)
+                assert abs(out[t, 2 * j] - e) <= 1e-12
+                assert abs(out[t, 2 * j + 1] - a) <= 1e-12
+
+    def test_batch_matches_single_windows(self):
+        """Normalizing a stack of windows equals normalizing each alone, each
+        against the chin of its own first frame."""
+        rng = np.random.default_rng(23)
+        coords = rng.normal(size=(5, 4, N_JOINTS, 2)) * 30 + 100
+        conf = rng.random((5, 4, N_JOINTS))
+        for method in NormMethod:
+            batch = normalize_window(coords, method, DEFAULT_JOINT_MAP, conf)
+            for i in range(5):
+                alone = _features(coords[i], method, confidence=conf[i])
+                assert np.array_equal(batch[i], alone)
 
     def test_method4_is_m1_beside_m3(self):
         rng = np.random.default_rng(11)
-        raw = _raw_window(rng.normal(size=(5, N_JOINTS, 2)) * 40 + 150)
-        m1 = normalize_window(raw, NormMethod.M1, DEFAULT_JOINT_MAP)
-        m3 = normalize_window(raw, NormMethod.M3, DEFAULT_JOINT_MAP)
-        m4 = normalize_window(raw, NormMethod.M4, DEFAULT_JOINT_MAP)
-        assert np.array_equal(m4.data, np.concatenate([m1.data, m3.data], axis=1))
+        raw = rng.normal(size=(5, N_JOINTS, 2)) * 40 + 150
+        m1 = _features(raw, NormMethod.M1)
+        m3 = _features(raw, NormMethod.M3)
+        m4 = _features(raw, NormMethod.M4)
+        assert np.array_equal(m4, np.concatenate([m1, m3], axis=1))
 
     def test_method5_is_m2_beside_m3(self):
         rng = np.random.default_rng(12)
-        raw = _raw_window(rng.normal(size=(5, N_JOINTS, 2)) * 40 + 150)
-        m2 = normalize_window(raw, NormMethod.M2, DEFAULT_JOINT_MAP)
-        m3 = normalize_window(raw, NormMethod.M3, DEFAULT_JOINT_MAP)
-        m5 = normalize_window(raw, NormMethod.M5, DEFAULT_JOINT_MAP)
-        assert np.array_equal(m5.data, np.concatenate([m2.data, m3.data], axis=1))
+        raw = rng.normal(size=(5, N_JOINTS, 2)) * 40 + 150
+        m2 = _features(raw, NormMethod.M2)
+        m3 = _features(raw, NormMethod.M3)
+        m5 = _features(raw, NormMethod.M5)
+        assert np.array_equal(m5, np.concatenate([m2, m3], axis=1))
 
     def test_degenerate_chin_for_ratio_methods(self):
         coords = np.full((2, N_JOINTS, 2), 5.0)
         coords[0, DEFAULT_JOINT_MAP.chin_index] = (0.0, 20.0)
-        raw = _raw_window(coords)
         for method in (NormMethod.M2, NormMethod.M5):
-            with pytest.raises(DegenerateReferenceError):
-                normalize_window(raw, method, DEFAULT_JOINT_MAP)
+            with pytest.raises(DegenerateReferenceError, match=r"\(0\.0, 20\.0\)"):
+                _features(coords, method)
         # the Cartesian and polar methods do not care
-        normalize_window(raw, NormMethod.M1, DEFAULT_JOINT_MAP)
-        normalize_window(raw, NormMethod.M3, DEFAULT_JOINT_MAP)
+        _features(coords, NormMethod.M1)
+        _features(coords, NormMethod.M3)
+        # in a stack, one degenerate window is enough to refuse
+        stack = np.stack([coords + 1.0, coords])
+        with pytest.raises(DegenerateReferenceError):
+            normalize_window(stack, NormMethod.M2, DEFAULT_JOINT_MAP)
 
     def test_padded_rows_stay_zero_and_chin_skips_padding(self):
         rng = np.random.default_rng(13)
         coords = np.zeros((6, N_JOINTS, 2))
         coords[2:] = rng.normal(size=(4, N_JOINTS, 2)) * 30 + 100
-        raw = _raw_window(coords, pad_count=2)
-        out = normalize_window(raw, NormMethod.M1, DEFAULT_JOINT_MAP)
-        assert np.array_equal(out.data[:2], np.zeros((2, 28)))
+        out = _features(coords, NormMethod.M1, pad=2)
+        assert np.array_equal(out[:2], np.zeros((2, 28)))
         # reference chin comes from row 2, the first real frame
         chin = coords[2, DEFAULT_JOINT_MAP.chin_index]
-        assert out.data[2, 0] == coords[2, 0, 0] - chin[0]
-        assert out.data[2, 1] == coords[2, 0, 1] - chin[1]
+        assert out[2, 0] == coords[2, 0, 0] - chin[0]
+        assert out[2, 1] == coords[2, 0, 1] - chin[1]
 
     def test_fully_padded_window_rejected(self):
-        raw = _raw_window(np.zeros((3, N_JOINTS, 2)), pad_count=3)
         with pytest.raises(ValueError, match="non-padded"):
-            normalize_window(raw, NormMethod.M1, DEFAULT_JOINT_MAP)
+            _features(np.zeros((3, N_JOINTS, 2)), NormMethod.M1, pad=3)
 
     def test_confidence_columns_appended(self):
         rng = np.random.default_rng(14)
         conf = rng.random((3, N_JOINTS))
-        raw = _raw_window(rng.normal(size=(3, N_JOINTS, 2)) + 50, confidence=conf)
-        out = normalize_window(
-            raw, NormMethod.M1, DEFAULT_JOINT_MAP, include_confidence=True
-        )
-        assert out.data.shape == (3, 42)
-        assert np.array_equal(out.data[:, 28:], conf)
+        raw = rng.normal(size=(3, N_JOINTS, 2)) + 50
+        out = _features(raw, NormMethod.M1, confidence=conf)
+        assert out.shape == (3, 42)
+        assert np.array_equal(out[:, 28:], conf)
 
     def test_custom_chin_index_respected(self):
         rng = np.random.default_rng(15)
         coords = rng.normal(size=(2, N_JOINTS, 2)) * 30 + 100
-        raw = _raw_window(coords)
         other_map = JointIndexMap(names=DEFAULT_JOINT_MAP.names, chin_index=5)
-        out = normalize_window(raw, NormMethod.M1, other_map)
+        out = _features(coords, NormMethod.M1, other_map)
         chin = coords[0, 5]
-        assert out.data[0, 10] == 0.0 and out.data[0, 11] == 0.0
-        assert out.data[0, 0] == coords[0, 0, 0] - chin[0]
+        assert out[0, 10] == 0.0 and out[0, 11] == 0.0
+        assert out[0, 0] == coords[0, 0, 0] - chin[0]
 
 
 class TestInvariances:
@@ -395,17 +408,17 @@ class TestInvariances:
         rng = np.random.default_rng(16)
         coords = rng.normal(size=(5, N_JOINTS, 2)) * 30 + 200
         shifted = coords + np.array([37.5, -12.25])
-        a = normalize_window(_raw_window(coords), method, DEFAULT_JOINT_MAP)
-        b = normalize_window(_raw_window(shifted), method, DEFAULT_JOINT_MAP)
-        assert np.max(np.abs(a.data - b.data)) <= 1e-9
+        a = _features(coords, method)
+        b = _features(shifted, method)
+        assert np.max(np.abs(a - b)) <= 1e-9
 
     def test_ratio_method_not_translation_invariant(self):
         rng = np.random.default_rng(17)
         coords = rng.normal(size=(3, N_JOINTS, 2)) * 30 + 200
         shifted = coords + np.array([40.0, 40.0])
-        a = normalize_window(_raw_window(coords), NormMethod.M2, DEFAULT_JOINT_MAP)
-        b = normalize_window(_raw_window(shifted), NormMethod.M2, DEFAULT_JOINT_MAP)
-        assert np.max(np.abs(a.data - b.data)) > 1e-6
+        a = _features(coords, NormMethod.M2)
+        b = _features(shifted, NormMethod.M2)
+        assert np.max(np.abs(a - b)) > 1e-6
 
     def test_rotation_preserves_distances(self):
         """Rotating the skeleton about any point keeps every chin distance."""
@@ -416,17 +429,17 @@ class TestInvariances:
             [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
         )
         rotated = coords @ rot.T
-        a = normalize_window(_raw_window(coords), NormMethod.M3, DEFAULT_JOINT_MAP)
-        b = normalize_window(_raw_window(rotated), NormMethod.M3, DEFAULT_JOINT_MAP)
-        assert np.max(np.abs(a.data[:, 0::2] - b.data[:, 0::2])) <= 1e-9
+        a = _features(coords, NormMethod.M3)
+        b = _features(rotated, NormMethod.M3)
+        assert np.max(np.abs(a[:, 0::2] - b[:, 0::2])) <= 1e-9
 
     def test_uniform_scale_scales_distances(self):
         rng = np.random.default_rng(19)
         coords = rng.normal(size=(3, N_JOINTS, 2)) * 30 + 200
-        a = normalize_window(_raw_window(coords), NormMethod.M3, DEFAULT_JOINT_MAP)
-        b = normalize_window(_raw_window(coords * 2.0), NormMethod.M3, DEFAULT_JOINT_MAP)
-        assert np.max(np.abs(b.data[:, 0::2] - 2.0 * a.data[:, 0::2])) <= 1e-9
-        assert np.max(np.abs(b.data[:, 1::2] - a.data[:, 1::2])) <= 1e-12
+        a = _features(coords, NormMethod.M3)
+        b = _features(coords * 2.0, NormMethod.M3)
+        assert np.max(np.abs(b[:, 0::2] - 2.0 * a[:, 0::2])) <= 1e-9
+        assert np.max(np.abs(b[:, 1::2] - a[:, 1::2])) <= 1e-12
 
 
 class TestPreprocessSequence:
@@ -436,15 +449,13 @@ class TestPreprocessSequence:
         spec = WindowSpec(5)
         sg = SavgolSpec()
         got = preprocess_sequence(seq, NormMethod.M4, spec, DEFAULT_JOINT_MAP, sg)
-        smoothed = savgol_smooth(seq, sg)
+        smoothed = smooth_series(seq.coords, sg)
         manual = [
-            normalize_window(r, NormMethod.M4, DEFAULT_JOINT_MAP)
-            for r in slide_windows(smoothed, spec)
+            _features(smoothed[start : start + 5], NormMethod.M4) for start in range(8)
         ]
-        assert len(got) == len(manual) == 8
+        assert got.shape == (8, 5, 56) and got.dtype == np.float64
         for g, m in zip(got, manual):
-            assert np.array_equal(g.data, m.data)
-            assert g.source == m.source and g.pad_count == m.pad_count
+            assert np.array_equal(g, m)
 
     def test_smoothing_can_be_disabled(self):
         rng = np.random.default_rng(21)
@@ -455,20 +466,15 @@ class TestPreprocessSequence:
         without = preprocess_sequence(
             seq, NormMethod.M1, WindowSpec(6), DEFAULT_JOINT_MAP, savgol_spec=None
         )
-        manual = [
-            normalize_window(r, NormMethod.M1, DEFAULT_JOINT_MAP)
-            for r in slide_windows(seq, WindowSpec(6))
-        ]
-        assert any(
-            not np.array_equal(a.data, b.data) for a, b in zip(with_sg, without)
-        )
+        manual = [_m1_of(seq.coords[start : start + 6]) for start in range(5)]
+        assert not np.array_equal(with_sg, without)
         for a, b in zip(without, manual):
-            assert np.array_equal(a.data, b.data)
+            assert np.array_equal(a, b)
 
     def test_short_sequence_single_padded_window(self):
         rng = np.random.default_rng(22)
         seq = _random_sequence(rng, 3)
         (only,) = preprocess_sequence(seq, NormMethod.M3, WindowSpec(9), DEFAULT_JOINT_MAP)
-        assert only.pad_count == 6
-        assert only.data.shape == (9, 28)
-        assert np.array_equal(only.data[:6], np.zeros((6, 28)))
+        assert only.shape == (9, 28)
+        assert np.array_equal(only[:6], np.zeros((6, 28)))
+        assert only[6:].any()

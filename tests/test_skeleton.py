@@ -14,30 +14,32 @@ from skelgest.skeleton import (
     GestureKind,
     GestureLabel,
     GestureSequence,
-    Joint2D,
     JointIndexMap,
-    SkeletalFrame,
     UnknownLabelError,
     class_counts,
     label_description,
     label_kind,
-    sequence_arrays,
     validate_sequence,
 )
 
 
-def _frame(n=N_JOINTS, conf=1.0):
-    return SkeletalFrame(joints=tuple(Joint2D(float(i), float(-i), conf) for i in range(n)))
+def _coords(t=3, n=N_JOINTS):
+    """Joint i of every frame sits at (i, -i)."""
+    return np.tile(np.stack([np.arange(n), -np.arange(n)], axis=1), (t, 1, 1)).astype(float)
 
 
-def _sequence(frames=None, patient=1, gesture="A1_1", correct=True):
-    if frames is None:
-        frames = tuple(_frame() for _ in range(3))
+def _sequence(coords=None, conf=None, patient=1, gesture="A1_1", correct=True, aux=None):
+    if coords is None:
+        coords = _coords()
+    if conf is None:
+        conf = np.ones(coords.shape[:2])
     return GestureSequence(
         patient_id=patient,
         label=GestureLabel.from_id(gesture),
         correct=correct,
-        frames=tuple(frames),
+        coords=coords,
+        conf=conf,
+        aux=aux,
     )
 
 
@@ -90,44 +92,34 @@ class TestTaxonomy:
         assert prefixes == {"A1", "A2", "S1", "S2", "P1", "P2"}
 
 
-class TestJoint2D:
-    def test_default_confidence(self):
-        assert Joint2D(1.0, 2.0).confidence == 1.0
-
-    def test_fields(self):
-        j = Joint2D(3.5, -2.0, 0.25)
-        assert (j.x, j.y, j.confidence) == (3.5, -2.0, 0.25)
-
-
 class TestValidateSequence:
     def test_valid_sequence_is_clean(self):
         assert validate_sequence(_sequence()) == []
+        aux = np.zeros((3, 2, N_JOINTS))
+        assert validate_sequence(_sequence(aux=aux)) == []
 
     def test_wrong_joint_count(self):
-        seq = _sequence(frames=[_frame(13)])
+        seq = _sequence(coords=_coords(t=1, n=13), conf=np.ones((1, 13)))
         violations = validate_sequence(seq)
-        assert any("expected 14 joints, got 13" in v for v in violations)
-        assert any("frame 0" in v for v in violations)
+        assert "coords has shape (1, 13, 2), expected (1, 14, 2)" in violations
+        assert "conf has shape (1, 13), expected (1, 14)" in violations
+        seq = _sequence(coords=_coords(t=1), aux=np.zeros((1, 2, 13)))
+        assert validate_sequence(seq) == ["aux has shape (1, 2, 13), expected (1, 2, 14)"]
 
     def test_confidence_out_of_range_names_joint_and_value(self):
-        joints = [Joint2D(0.0, 0.0, 1.0)] * 13 + [Joint2D(0.0, 0.0, 1.5)]
-        seq = _sequence(frames=[SkeletalFrame(joints=tuple(joints))])
+        conf = np.ones((1, N_JOINTS))
+        conf[0, 13] = 1.5
+        seq = _sequence(coords=np.zeros((1, N_JOINTS, 2)), conf=conf)
         violations = validate_sequence(seq)
-        assert any("13" in v and "1.5" in v for v in violations)
+        assert violations == ["frame 0, joint 13: confidence 1.5 outside [0, 1]"]
 
     def test_nonfinite_coordinate(self):
-        joints = [Joint2D(0.0, 0.0)] * 13 + [Joint2D(math.nan, 0.0)]
-        seq = _sequence(frames=[SkeletalFrame(joints=tuple(joints))])
-        assert validate_sequence(seq)
-
-    def test_aux_presence_must_be_consistent(self):
-        with_aux = SkeletalFrame(
-            joints=tuple(Joint2D(0.0, 0.0) for _ in range(14)),
-            aux_rows=(tuple(0.0 for _ in range(14)), tuple(0.0 for _ in range(14))),
-        )
-        seq = _sequence(frames=[with_aux, _frame()])
-        violations = validate_sequence(seq)
-        assert any("aux" in v for v in violations)
+        coords = np.zeros((2, N_JOINTS, 2))
+        coords[1, 13, 0] = math.nan
+        seq = _sequence(coords=coords)
+        assert validate_sequence(seq) == [
+            "frame 1, joint 13: non-finite coordinates (nan, 0.0)"
+        ]
 
     def test_bad_patient_id(self):
         seq = _sequence(patient=0)
@@ -136,7 +128,8 @@ class TestValidateSequence:
     def test_mismatched_kind(self):
         label = GestureLabel(id="A1_1", kind=GestureKind.DYNAMIC)
         seq = GestureSequence(
-            patient_id=1, label=label, correct=True, frames=(_frame(),)
+            patient_id=1, label=label, correct=True, coords=_coords(1),
+            conf=np.ones((1, N_JOINTS)),
         )
         assert validate_sequence(seq)
 
@@ -167,14 +160,23 @@ class TestJointIndexMap:
 
 class TestSequenceArrays:
     def test_shapes_and_values(self):
-        seq = _sequence()
-        coords, conf = sequence_arrays(seq)
-        assert coords.shape == (3, 14, 2)
-        assert conf.shape == (3, 14)
-        assert coords.dtype == np.float64
-        assert coords[0, 5, 0] == 5.0
-        assert coords[0, 5, 1] == -5.0
-        assert np.all(conf == 1.0)
+        source = _coords()
+        seq = _sequence(coords=source)
+        assert seq.coords.shape == (3, 14, 2)
+        assert seq.conf.shape == (3, 14)
+        assert seq.coords.dtype == np.float64
+        assert seq.coords[0, 5, 0] == 5.0
+        assert seq.coords[0, 5, 1] == -5.0
+        assert np.all(seq.conf == 1.0)
+        assert seq.aux is None
+        # stored as read-only copies: neither the caller nor a consumer can
+        # change a loaded sequence
+        source[0, 5, 0] = 99.0
+        assert seq.coords[0, 5, 0] == 5.0
+        with pytest.raises(ValueError):
+            seq.coords[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            seq.conf[0, 0] = 0.5
 
     def test_n_frames(self):
         assert _sequence().n_frames == 3

@@ -61,15 +61,15 @@ from .pipeline import (
     config_from_dict,
     config_to_dict,
     cross_validate,
-    evaluate_binary,
-    evaluate_multiclass,
+    evaluate_binary,  # noqa: F401 -- looked up here by perfbench/tracing.py
+    evaluate_fold,
+    evaluate_multiclass,  # noqa: F401 -- looked up here by perfbench/tracing.py
     load_model_set,
     save_model_set,
     train_protocol,
 )
 from .metrics import (
     EvaluationReport,
-    FoldReport,
     render_report,
     render_summary,
     report_from_dict,
@@ -386,22 +386,7 @@ def _evaluate_model_set(args, resolved) -> int:
         )
     root = _require_dataset(resolved)
     ds = load_dataset(root, resolved["dataset.manifest"], joint_map=trained.joint_map)
-    if trained.config.protocol is Protocol.MULTICLASS:
-        static_cm, dynamic_cm = evaluate_multiclass(trained, ds.sequences, ds.joint_map)
-        fold = FoldReport(
-            fold=0,
-            train_patients=(),
-            test_patients=ds.patients,
-            static_accuracy=static_cm.accuracy,
-            dynamic_accuracy=dynamic_cm.accuracy,
-            static_confusion=static_cm,
-            dynamic_confusion=dynamic_cm,
-        )
-    else:
-        suite = evaluate_binary(trained, ds.sequences, ds.joint_map)
-        fold = FoldReport(
-            fold=0, train_patients=(), test_patients=ds.patients, binary=suite
-        )
+    fold = evaluate_fold(trained, ds.sequences, ds.joint_map, 0, (), ds.patients)
     report = EvaluationReport(
         protocol=trained.config.protocol.value,
         arch=trained.config.net.value,

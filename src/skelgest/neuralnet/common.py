@@ -8,13 +8,14 @@ from .params import HeadKind
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Numerically stable logistic function.
+
+    Both branches read ``exp(-|z|)``, which never overflows; they are the
+    ``1/(1+exp(-z))`` and ``exp(z)/(1+exp(z))`` forms, selected by sign.
+    ``-|z|`` is spelled ``min(z, -z)`` so that a NaN keeps its sign bit.
+    """
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -40,14 +40,15 @@ def _conv_backward(
     dilation: int,
 ) -> np.ndarray:
     """Accumulate conv gradients in place; return d(loss)/d(input)."""
-    b, w, _ = d_out.shape
-    kernel = weight.shape[0]
+    b, w, c_out = d_out.shape
+    kernel, c_in, _ = weight.shape
     pad = (kernel - 1) * dilation
     g_bias += d_out.sum(axis=(0, 1))
+    d_rows = d_out.reshape(b * w, c_out)
     d_xp = np.zeros_like(xp)
     for k in range(kernel):
         tap = xp[:, k * dilation : k * dilation + w, :]
-        g_weight[k] += np.einsum("btc,btd->cd", tap, d_out)
+        g_weight[k] += tap.reshape(b * w, c_in).T @ d_rows
         d_xp[:, k * dilation : k * dilation + w, :] += d_out @ weight[k].T
     return d_xp[:, pad:, :]
 
@@ -125,7 +126,9 @@ def loss_and_grad(
         )
         proj = p.get(f"proj{level}_w")
         if proj is not None:
-            g[f"proj{level}_w"] += np.einsum("btc,btd->cd", inp, d_out)
+            g[f"proj{level}_w"] += (
+                inp.reshape(-1, inp.shape[2]).T @ d_out.reshape(-1, d_out.shape[2])
+            )
             d_inp += d_out @ proj.T
         else:
             d_inp += d_out

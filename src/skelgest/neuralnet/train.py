@@ -83,15 +83,11 @@ def finite_difference_gradient(
     for i in probe:
         bumped = base.copy()
         bumped[i] = base[i] + epsilon
-        hi, _ = _loss_only(model.with_values(bumped), x, targets)
+        hi, _ = batch_loss_and_grad(model.with_values(bumped), x, targets)
         bumped[i] = base[i] - epsilon
-        lo, _ = _loss_only(model.with_values(bumped), x, targets)
+        lo, _ = batch_loss_and_grad(model.with_values(bumped), x, targets)
         grad[i] = (hi - lo) / (2.0 * epsilon)
     return grad
-
-
-def _loss_only(model, x, targets):
-    return batch_loss_and_grad(model, x, targets)
 
 
 def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:

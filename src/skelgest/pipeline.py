@@ -12,9 +12,10 @@ Two evaluation protocols:
 
 A sequence's prediction always aggregates its windows by averaging the
 per-window probability vectors before the argmax/threshold, so long
-sequences are not penalized for having more windows.  Optional length
-routing trains the whole protocol twice -- once per window length -- and
-dispatches each test sequence by its raw frame count.
+sequences are not penalized for having more windows.  Scoring runs each
+classifier once per block of at most ``SCORE_BLOCK_WINDOWS`` test windows.
+Optional length routing trains the whole protocol twice -- once per window
+length -- and dispatches each test sequence by its raw frame count.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Protocol as TypingProtocol, Sequence
+from typing import Callable, Iterable, Iterator, Protocol as TypingProtocol, Sequence
 
 import numpy as np
 
@@ -183,13 +184,13 @@ class TrainJob:
 
 
 class SequenceClassifier(TypingProtocol):
-    """Anything that maps a sequence's feature windows to class probabilities."""
+    """Anything that maps feature windows to class probabilities."""
 
     labels: tuple[str, ...]
 
-    def predict_windows(self, x: np.ndarray, seq: GestureSequence) -> np.ndarray:
-        """Return (N, K) probabilities, one row per window of ``x`` (N, W, D),
-        the windows of ``seq``."""
+    def predict_windows(self, x: np.ndarray, gids: np.ndarray) -> np.ndarray:
+        """Return (N, K) probabilities, one row per window of ``x`` (N, W, D);
+        ``gids`` (N,) holds the true gesture id of each window's sequence."""
         ...
 
 
@@ -210,22 +211,16 @@ class NetworkClassifier:
     labels: tuple[str, ...]
     model: ModelParameters
 
-    _BATCH = 512
-
-    def predict_windows(self, x: np.ndarray, seq: GestureSequence) -> np.ndarray:
-        parts = [
-            forward(self.model, x[i : i + self._BATCH])
-            for i in range(0, x.shape[0], self._BATCH)
-        ]
-        return np.concatenate(parts, axis=0)
+    def predict_windows(self, x: np.ndarray, gids: np.ndarray) -> np.ndarray:
+        return forward(self.model, x)
 
 
 @dataclass
 class OracleClassifier:
     """Label-reading stand-in for a trained model.
 
-    Emits probability 1 for the true class of the sequence being scored (for
-    a one-vs-rest model, whose single label is its positive class: 1 iff the
+    Emits probability 1 for the true class of each window's sequence (for a
+    one-vs-rest model, whose single label is its positive class: 1 iff the
     sequence is that class), which makes overall pipeline plumbing testable
     independently of training quality: with this classifier substituted,
     every evaluation metric must come out perfect.
@@ -233,11 +228,8 @@ class OracleClassifier:
 
     labels: tuple[str, ...]
 
-    def predict_windows(self, x: np.ndarray, seq: GestureSequence) -> np.ndarray:
-        out = np.zeros((len(x), len(self.labels)))
-        if seq.label.id in self.labels:
-            out[:, self.labels.index(seq.label.id)] = 1.0
-        return out
+    def predict_windows(self, x: np.ndarray, gids: np.ndarray) -> np.ndarray:
+        return (np.asarray(gids)[:, None] == np.array(self.labels)).astype(np.float64)
 
 
 def oracle_factory(job: TrainJob) -> SequenceClassifier:
@@ -303,6 +295,13 @@ class ProtocolModelSet:
 
     KIND_KEYS = {GestureKind.STATIC: "static", GestureKind.DYNAMIC: "dynamic"}
 
+    def keys_for(self, seq: GestureSequence) -> tuple[str, ...]:
+        """The classifiers that score ``seq``: the model of its kind, or all
+        29 one-vs-rest models."""
+        if self.protocol is Protocol.MULTICLASS:
+            return (self.KIND_KEYS[seq.label.kind],)
+        return ALL_GESTURE_IDS
+
 
 @dataclass
 class TrainedProtocol:
@@ -314,10 +313,11 @@ class TrainedProtocol:
     router: LengthRouter | None = None
     joint_map: JointIndexMap = DEFAULT_JOINT_MAP
 
+    def route_name(self, seq: GestureSequence) -> str:
+        return "main" if self.router is None else self.router.route(seq.n_frames)
+
     def route_for(self, seq: GestureSequence) -> ProtocolModelSet:
-        if self.router is None:
-            return self.routes["main"]
-        return self.routes[self.router.route(seq.n_frames)]
+        return self.routes[self.route_name(seq)]
 
 
 def _kind_labels(kind: GestureKind) -> tuple[str, ...]:
@@ -325,11 +325,10 @@ def _kind_labels(kind: GestureKind) -> tuple[str, ...]:
 
 
 def _stack_features(
-    seqs: Sequence[GestureSequence], prep: PrepSettings, joint_map: JointIndexMap
+    seqs: Sequence[GestureSequence], per_sequence: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All windows of the sequences as one (N, W, D) array, and each window's
-    gesture id."""
-    per_sequence = [prep.features(seq, joint_map) for seq in seqs]
+    """The sequences' (n, W, D) windows as one (N, W, D) array, and each
+    window's gesture id."""
     gids = np.repeat([seq.label.id for seq in seqs], [len(f) for f in per_sequence])
     return stack_windows(per_sequence), gids
 
@@ -366,7 +365,9 @@ def _train_route(
                     f"{fold_name}: training split has no examples of {missing} "
                     f"for the {kind.value} model"
                 )
-            x, gids = _stack_features(subset, prep, joint_map)
+            x, gids = _stack_features(
+                subset, [prep.features(s, joint_map) for s in subset]
+            )
             index = {gid: i for i, gid in enumerate(labels)}
             targets = np.array([index[gid] for gid in gids], dtype=np.int64)
             key = ProtocolModelSet.KIND_KEYS[kind]
@@ -384,7 +385,9 @@ def _train_route(
     else:
         if not train_seqs:
             raise MissingClassError(f"{fold_name}: training split produced no windows")
-        x, gids = _stack_features(train_seqs, prep, joint_map)
+        x, gids = _stack_features(
+            train_seqs, [prep.features(s, joint_map) for s in train_seqs]
+        )
         for class_idx, gid in enumerate(ALL_GESTURE_IDS):
             targets = (gids == gid).astype(np.float64)
             n_pos = int(targets.sum())
@@ -452,16 +455,86 @@ def train_protocol(
     return TrainedProtocol(config=config, routes=routes, router=router, joint_map=joint_map)
 
 
+# Scoring holds at most this many windows at once, so its memory does not grow
+# with the test set: the 5,271 windows of 18 test patients at window 16 would
+# take about 19 MB stacked at once.
+SCORE_BLOCK_WINDOWS = 64
+
+
+def _feature_blocks(
+    indexed: Iterable[tuple[int, GestureSequence]],
+    prep: PrepSettings,
+    joint_map: JointIndexMap,
+) -> Iterator[list[tuple[int, GestureSequence, np.ndarray]]]:
+    """Featurize ``(index, sequence)`` pairs in order and yield them in runs
+    of ``(index, sequence, (n, W, D) windows)`` that hold at most
+    ``SCORE_BLOCK_WINDOWS`` windows; a longer sequence is a run of its own."""
+    block: list[tuple[int, GestureSequence, np.ndarray]] = []
+    n_windows = 0
+    for i, seq in indexed:
+        feats = prep.features(seq, joint_map)
+        if block and n_windows + len(feats) > SCORE_BLOCK_WINDOWS:
+            yield block
+            block, n_windows = [], 0
+        block.append((i, seq, feats))
+        n_windows += len(feats)
+    if block:
+        yield block
+
+
+def score_sequences(
+    trained: TrainedProtocol,
+    test_seqs: Sequence[GestureSequence],
+    joint_map: JointIndexMap,
+) -> list[dict[str, np.ndarray]]:
+    """Per test sequence, in order, the mean window probabilities under each
+    classifier that scores it (``ProtocolModelSet.keys_for``).
+
+    Sequences are grouped by route and by the classifiers they need, then
+    featurized in blocks (``_feature_blocks``); each classifier runs once per
+    block, and each sequence's rows are averaged on their own.
+    """
+    groups: dict[tuple[str, tuple[str, ...]], list[int]] = {}
+    for i, seq in enumerate(test_seqs):
+        route = trained.route_name(seq)
+        groups.setdefault((route, trained.routes[route].keys_for(seq)), []).append(i)
+
+    scores: list[dict[str, np.ndarray]] = [{} for _ in test_seqs]
+    for (route, keys), members in groups.items():
+        model_set = trained.routes[route]
+        indexed = ((i, test_seqs[i]) for i in members)
+        for block in _feature_blocks(indexed, model_set.prep, joint_map):
+            x, gids = _stack_features(
+                [seq for _, seq, _ in block], [feats for _, _, feats in block]
+            )
+            for key in keys:
+                probs = model_set.classifiers[key].predict_windows(x, gids)
+                start = 0
+                for i, _, feats in block:
+                    scores[i][key] = aggregate_windows(probs[start : start + len(feats)])
+                    start += len(feats)
+    return scores
+
+
+def _multiclass_predictions(
+    trained: TrainedProtocol,
+    seqs: Sequence[GestureSequence],
+    joint_map: JointIndexMap,
+) -> list[str]:
+    """Each sequence's argmax label under the model of its kind."""
+    preds = []
+    for seq, scores in zip(seqs, score_sequences(trained, seqs, joint_map)):
+        key = ProtocolModelSet.KIND_KEYS[seq.label.kind]
+        labels = trained.route_for(seq).classifiers[key].labels
+        preds.append(predict_label(scores[key], labels))
+    return preds
+
+
 def predict_sequence(
     trained: TrainedProtocol, seq: GestureSequence, joint_map: JointIndexMap
 ) -> str:
     """Predicted gesture id for one sequence under the MULTICLASS protocol."""
-    model_set = trained.route_for(seq)
-    key = ProtocolModelSet.KIND_KEYS[seq.label.kind]
-    clf = model_set.classifiers[key]
-    x = model_set.prep.features(seq, joint_map)
-    mean = aggregate_windows(clf.predict_windows(x, seq))
-    return predict_label(mean, clf.labels)
+    return _multiclass_predictions(trained, [seq], joint_map)[0]
 
 
 def evaluate_multiclass(
@@ -472,8 +545,8 @@ def evaluate_multiclass(
     """Static and dynamic confusion matrices over the test sequences."""
     true_by_kind: dict[GestureKind, list[str]] = {k: [] for k in GestureKind}
     pred_by_kind: dict[GestureKind, list[str]] = {k: [] for k in GestureKind}
-    for seq in test_seqs:
-        pred = predict_sequence(trained, seq, joint_map)
+    preds = _multiclass_predictions(trained, test_seqs, joint_map)
+    for seq, pred in zip(test_seqs, preds):
         true_by_kind[seq.label.kind].append(seq.label.id)
         pred_by_kind[seq.label.kind].append(pred)
     static_cm = confusion(
@@ -496,13 +569,9 @@ def evaluate_binary(
 ) -> BinarySuiteMetrics:
     """Score all 29 one-vs-rest models on every test sequence."""
     tallies = {gid: {"tp": 0, "fp": 0, "tn": 0, "fn": 0} for gid in ALL_GESTURE_IDS}
-    for seq in test_seqs:
-        model_set = trained.route_for(seq)
-        x = model_set.prep.features(seq, joint_map)
+    for seq, scores in zip(test_seqs, score_sequences(trained, test_seqs, joint_map)):
         for gid in ALL_GESTURE_IDS:
-            clf = model_set.classifiers[gid]
-            p = float(aggregate_windows(clf.predict_windows(x, seq))[0])
-            predicted_pos = p > 0.5
+            predicted_pos = float(scores[gid][0]) > 0.5
             actual_pos = seq.label.id == gid
             cell = tallies[gid]
             if actual_pos and predicted_pos:
@@ -517,6 +586,34 @@ def evaluate_binary(
         BinaryClassResult(gesture_id=gid, **tallies[gid]) for gid in ALL_GESTURE_IDS
     ]
     return binary_suite_metrics(results, STATIC_GESTURE_IDS, DYNAMIC_GESTURE_IDS)
+
+
+def evaluate_fold(
+    trained: TrainedProtocol,
+    test_seqs: Sequence[GestureSequence],
+    joint_map: JointIndexMap,
+    fold: int,
+    train_patients: tuple[int, ...],
+    test_patients: tuple[int, ...],
+) -> FoldReport:
+    """Score the trained protocol on one fold's test sequences."""
+    if trained.config.protocol is Protocol.MULTICLASS:
+        static_cm, dynamic_cm = evaluate_multiclass(trained, test_seqs, joint_map)
+        return FoldReport(
+            fold=fold,
+            train_patients=train_patients,
+            test_patients=test_patients,
+            static_accuracy=static_cm.accuracy,
+            dynamic_accuracy=dynamic_cm.accuracy,
+            static_confusion=static_cm,
+            dynamic_confusion=dynamic_cm,
+        )
+    return FoldReport(
+        fold=fold,
+        train_patients=train_patients,
+        test_patients=test_patients,
+        binary=evaluate_binary(trained, test_seqs, joint_map),
+    )
 
 
 def cross_validate(
@@ -559,29 +656,11 @@ def cross_validate(
             fold=test_fold,
             fold_name=f"fold{test_fold}",
         )
-        if config.protocol is Protocol.MULTICLASS:
-            static_cm, dynamic_cm = evaluate_multiclass(trained, test_seqs, ds.joint_map)
-            fold_reports.append(
-                FoldReport(
-                    fold=test_fold,
-                    train_patients=train_patients,
-                    test_patients=test_patients,
-                    static_accuracy=static_cm.accuracy,
-                    dynamic_accuracy=dynamic_cm.accuracy,
-                    static_confusion=static_cm,
-                    dynamic_confusion=dynamic_cm,
-                )
+        fold_reports.append(
+            evaluate_fold(
+                trained, test_seqs, ds.joint_map, test_fold, train_patients, test_patients
             )
-        else:
-            suite = evaluate_binary(trained, test_seqs, ds.joint_map)
-            fold_reports.append(
-                FoldReport(
-                    fold=test_fold,
-                    train_patients=train_patients,
-                    test_patients=test_patients,
-                    binary=suite,
-                )
-            )
+        )
     return EvaluationReport(
         protocol=config.protocol.value,
         arch=config.net.value,

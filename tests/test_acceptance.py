@@ -7,7 +7,7 @@ forms, a label-reading stand-in classifier).  The conftest hook prints a
 any measurement notes recorded with ``record_acceptance_note``.
 
 The desk-scale learning check (criterion 7) trains real networks and
-dominates the suite's runtime (a few minutes); everything else is seconds.
+dominates the suite's runtime (about a minute); everything else is seconds.
 """
 
 import math
@@ -238,7 +238,7 @@ def test_criterion_5_reference_table_averaging():
 class _ConstantNegative:
     """One-vs-rest model that rejects everything."""
 
-    def predict_windows(self, x, seq):
+    def predict_windows(self, x, gids):
         return np.zeros((len(x), 1))
 
 

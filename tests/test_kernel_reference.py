@@ -1,0 +1,209 @@
+"""The LSTM and TCN kernels against straightforward reference forms.
+
+The library computes each weight gradient of a recurrence or convolution as
+one matrix product over all (time, batch) rows.  The references here are the
+direct forms: the masked two-branch logistic, a per-step accumulation of the
+LSTM recurrent-weight gradient, and ``einsum`` contractions for the
+input-weight, convolution and projection gradients.  Forward arithmetic is
+unchanged, so losses and probabilities must match exactly; the gradients sum
+the same terms in another order, so they must match to a relative 1e-12.
+"""
+
+import numpy as np
+import pytest
+
+from skelgest.neuralnet import (
+    HeadKind,
+    LstmSpec,
+    TcnSpec,
+    init_parameters,
+    lstm_forward,
+    lstm_loss_and_grad,
+    param_views,
+    sigmoid,
+    tcn_loss_and_grad,
+)
+from skelgest.neuralnet.common import head_backward, head_forward, head_loss
+from skelgest.neuralnet.tcn import _run_levels
+
+GRAD_RTOL = 1e-12
+
+
+def masked_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _nan(bits):
+    return np.frombuffer(np.uint64(bits).tobytes(), dtype=np.float64)[0]
+
+
+def reference_lstm(model, x, targets=None):
+    """Probabilities, or (loss, gradient) when ``targets`` is given."""
+    h_dim = model.spec.hidden_dim
+    b, w, _ = x.shape
+    p = model.unpack()
+    si, sf, sg, so = (slice(k * h_dim, (k + 1) * h_dim) for k in range(4))
+    pre_x = x @ p["w_x"].T + p["b"]
+    gates = np.empty((w, b, 4 * h_dim))
+    cells = np.empty((w, b, h_dim))
+    tanh_cells = np.empty((w, b, h_dim))
+    hiddens = np.empty((w, b, h_dim))
+    h = np.zeros((b, h_dim))
+    c = np.zeros((b, h_dim))
+    for t in range(w):
+        z = pre_x[:, t, :] + h @ p["w_h"].T
+        i_g = masked_sigmoid(z[:, si])
+        f_g = masked_sigmoid(z[:, sf])
+        g_g = np.tanh(z[:, sg])
+        o_g = masked_sigmoid(z[:, so])
+        c = f_g * c + i_g * g_g
+        tc = np.tanh(c)
+        h = o_g * tc
+        gates[t] = np.concatenate([i_g, f_g, g_g, o_g], axis=1)
+        cells[t], tanh_cells[t], hiddens[t] = c, tc, h
+    if targets is None:
+        return head_forward(h, p["w_head"], p["b_head"], model.head)
+
+    logits = h @ p["w_head"].T + p["b_head"]
+    loss, d_logits = head_loss(logits, targets, model.head)
+    grad = np.zeros_like(model.values)
+    g = param_views(model.spec, grad)
+    dh = head_backward(d_logits, h, p["w_head"], g["w_head"], g["b_head"])
+    dz_all = np.empty((w, b, 4 * h_dim))
+    dc = np.zeros((b, h_dim))
+    for t in range(w - 1, -1, -1):
+        i_g, f_g, g_g, o_g = (gates[t, :, s] for s in (si, sf, sg, so))
+        tc = tanh_cells[t]
+        c_prev = cells[t - 1] if t > 0 else np.zeros((b, h_dim))
+        h_prev = hiddens[t - 1] if t > 0 else np.zeros((b, h_dim))
+        dc = dc + dh * o_g * (1.0 - tc * tc)
+        dz = dz_all[t]
+        dz[:, si] = dc * g_g * i_g * (1.0 - i_g)
+        dz[:, sf] = dc * c_prev * f_g * (1.0 - f_g)
+        dz[:, sg] = dc * i_g * (1.0 - g_g * g_g)
+        dz[:, so] = dh * tc * o_g * (1.0 - o_g)
+        g["w_h"] += dz.T @ h_prev
+        dh = dz @ p["w_h"]
+        dc = dc * f_g
+    g["w_x"] += np.einsum("wbh,bwd->hd", dz_all, x)
+    g["b"] += dz_all.sum(axis=(0, 1))
+    return loss, grad
+
+
+def reference_tcn_loss_and_grad(model, x, targets):
+    """The TCN backward pass with every weight gradient as an ``einsum``."""
+    spec = model.spec
+    p = model.unpack()
+    top, caches = _run_levels(model, x)
+    last = top[:, -1, :]
+    logits = last @ p["w_head"].T + p["b_head"]
+    loss, d_logits = head_loss(logits, targets, model.head)
+    grad = np.zeros_like(model.values)
+    g = param_views(spec, grad)
+    d_out = np.zeros_like(top)
+    d_out[:, -1, :] = head_backward(d_logits, last, p["w_head"], g["w_head"], g["b_head"])
+    w = x.shape[1]
+    for level in range(len(spec.dilations) - 1, -1, -1):
+        inp, xp, pre = caches[level]
+        dilation = spec.dilations[level]
+        weight = p[f"conv{level}_w"]
+        pad = (weight.shape[0] - 1) * dilation
+        d_pre = d_out * (pre > 0.0)
+        g[f"conv{level}_b"] += d_pre.sum(axis=(0, 1))
+        d_xp = np.zeros_like(xp)
+        for k in range(weight.shape[0]):
+            tap = xp[:, k * dilation : k * dilation + w, :]
+            g[f"conv{level}_w"][k] += np.einsum("btc,btd->cd", tap, d_pre)
+            d_xp[:, k * dilation : k * dilation + w, :] += d_pre @ weight[k].T
+        d_inp = d_xp[:, pad:, :]
+        proj = p.get(f"proj{level}_w")
+        if proj is not None:
+            g[f"proj{level}_w"] += np.einsum("btc,btd->cd", inp, d_out)
+            d_inp += d_out @ proj.T
+        else:
+            d_inp += d_out
+        d_out = d_inp
+    return loss, grad
+
+
+def _relative_error(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _batch(spec, head, b, w, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(b, w, spec.input_dim))
+    if head is HeadKind.SOFTMAX:
+        targets = rng.integers(spec.n_classes, size=b)
+    else:
+        targets = rng.integers(2, size=b).astype(np.float64)
+    return x, targets
+
+
+class TestSigmoid:
+    def test_byte_identical_to_masked_form(self):
+        specials = np.array(
+            [0.0, -0.0, 40.0, -40.0, 750.0, -750.0, np.inf, -np.inf, np.nan, -np.nan,
+             _nan(0x7FF8000000000123), _nan(0xFFF0000000000001)]
+        )
+        grid = np.concatenate(
+            [specials, np.linspace(-800.0, 800.0, 16000),
+             np.random.default_rng(0).normal(scale=20.0, size=4000)]
+        )
+        for z in (grid, grid.reshape(-1, 4), specials[8:]):
+            assert sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+
+
+LSTM_CASES = [
+    ("softmax", LstmSpec(input_dim=5, hidden_dim=6, n_classes=4), HeadKind.SOFTMAX),
+    ("sigmoid", LstmSpec(input_dim=5, hidden_dim=6, n_classes=1), HeadKind.SIGMOID),
+]
+TCN_CASES = [
+    ("softmax", TcnSpec(input_dim=5, channels=6, kernel=3, dilations=(1, 2, 4),
+                        n_classes=4), HeadKind.SOFTMAX),
+    ("sigmoid", TcnSpec(input_dim=5, channels=6, kernel=2, dilations=(1, 2),
+                        n_classes=1), HeadKind.SIGMOID),
+    # Input width equal to the channel count: no projection at level 0.
+    ("softmax-no-proj", TcnSpec(input_dim=6, channels=6, kernel=3, dilations=(1, 2),
+                                n_classes=3), HeadKind.SOFTMAX),
+]
+WINDOWS = [1, 2, 11]
+
+
+class TestLstmAgainstReference:
+    @pytest.mark.parametrize("w", WINDOWS)
+    @pytest.mark.parametrize("name,spec,head", LSTM_CASES, ids=[c[0] for c in LSTM_CASES])
+    def test_loss_and_grad(self, name, spec, head, w):
+        model = init_parameters(spec, head, seed=21)
+        x, targets = _batch(spec, head, b=7, w=w, seed=22)
+        loss, grad = lstm_loss_and_grad(model, x, targets)
+        ref_loss, ref_grad = reference_lstm(model, x, targets)
+        assert loss == ref_loss
+        assert _relative_error(grad, ref_grad) <= GRAD_RTOL
+        g = param_views(spec, grad)
+        if w == 1:
+            assert np.all(g["w_h"] == 0.0)  # one step never reads its zero state
+
+    @pytest.mark.parametrize("w", WINDOWS)
+    @pytest.mark.parametrize("name,spec,head", LSTM_CASES, ids=[c[0] for c in LSTM_CASES])
+    def test_forward_is_exact(self, name, spec, head, w):
+        model = init_parameters(spec, head, seed=23)
+        x, _ = _batch(spec, head, b=7, w=w, seed=24)
+        assert lstm_forward(model, x).tobytes() == reference_lstm(model, x).tobytes()
+
+
+class TestTcnAgainstReference:
+    @pytest.mark.parametrize("w", WINDOWS)
+    @pytest.mark.parametrize("name,spec,head", TCN_CASES, ids=[c[0] for c in TCN_CASES])
+    def test_loss_and_grad(self, name, spec, head, w):
+        model = init_parameters(spec, head, seed=31)
+        x, targets = _batch(spec, head, b=7, w=w, seed=32)
+        loss, grad = tcn_loss_and_grad(model, x, targets)
+        ref_loss, ref_grad = reference_tcn_loss_and_grad(model, x, targets)
+        assert loss == ref_loss
+        assert _relative_error(grad, ref_grad) <= GRAD_RTOL

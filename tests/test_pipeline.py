@@ -13,15 +13,25 @@ import pytest
 
 from skelgest.ingest import FoldSplit, SynthConfig, assign_folds, generate_synthetic
 from skelgest.metrics import ConfusionMatrix
-from skelgest.neuralnet import HeadKind, LstmSpec, TcnSpec, TrainConfig
+from skelgest.neuralnet import (
+    HeadKind,
+    LstmSpec,
+    TcnSpec,
+    TrainConfig,
+    forward,
+    init_parameters,
+)
 from skelgest.pipeline import (
     FoldCoverageError,
     LengthRouter,
+    SCORE_BLOCK_WINDOWS,
     MissingClassError,
     NetKind,
+    NetworkClassifier,
     OracleClassifier,
     PrepSettings,
     Protocol,
+    ProtocolModelSet,
     RunConfig,
     TrainedProtocol,
     _assert_patient_disjoint,
@@ -39,6 +49,7 @@ from skelgest.pipeline import (
     predict_label,
     predict_sequence,
     save_model_set,
+    score_sequences,
     stack_windows,
     train_protocol,
 )
@@ -193,21 +204,21 @@ class TestSeedsAndGuards:
 
 class TestOracleClassifier:
     def _scored(self, gesture_ids):
-        """(windows, sequence) pairs of one patient's sequences."""
+        """(windows, window gesture ids) pairs of one patient's sequences."""
         ds = _dataset(n_patients=1, seed=3)
         by_id = {s.label.id: s for s in ds.sequences}
-        return [
-            (preprocess_sequence(by_id[gid], NormMethod.M3, WindowSpec(16), ds.joint_map),
-             by_id[gid])
-            for gid in gesture_ids
-        ]
+        pairs = []
+        for gid in gesture_ids:
+            x = preprocess_sequence(by_id[gid], NormMethod.M3, WindowSpec(16), ds.joint_map)
+            pairs.append((x, np.full(len(x), gid)))
+        return pairs
 
     def test_softmax_one_hot_on_true_label(self):
         clf = OracleClassifier(labels=STATIC_GESTURE_IDS)
-        for x, seq in self._scored(["A1_1", "A1_2", "A1_3"]):
-            probs = clf.predict_windows(x, seq)
+        for x, gids in self._scored(["A1_1", "A1_2", "A1_3"]):
+            probs = clf.predict_windows(x, gids)
             assert probs.shape == (len(x), 15)
-            assert np.all(probs[:, STATIC_GESTURE_IDS.index(seq.label.id)] == 1.0)
+            assert np.all(probs[:, STATIC_GESTURE_IDS.index(gids[0])] == 1.0)
             assert np.all(probs.sum(axis=1) == 1.0)
 
     def test_sigmoid_positive_only_for_own_class(self):
@@ -216,6 +227,15 @@ class TestOracleClassifier:
         assert clf.predict_windows(x_pos, pos).shape == (len(x_pos), 1)
         assert np.all(clf.predict_windows(x_pos, pos) == 1.0)
         assert np.all(clf.predict_windows(x_neg, neg) == 0.0)
+
+    def test_block_of_several_sequences_reads_each_window_label(self):
+        (x_a, a), (x_b, b), (x_c, c) = self._scored(["A1_1", "P2_3", "A1_2"])
+        x, gids = np.concatenate([x_a, x_b, x_c]), np.concatenate([a, b, c])
+        probs = OracleClassifier(labels=STATIC_GESTURE_IDS).predict_windows(x, gids)
+        assert np.all(probs[: len(a), STATIC_GESTURE_IDS.index("A1_1")] == 1.0)
+        assert np.all(probs[len(a) : len(a) + len(b)] == 0.0)  # dynamic: no label
+        assert np.all(probs[len(a) + len(b) :, STATIC_GESTURE_IDS.index("A1_2")] == 1.0)
+        assert np.array_equal(probs.sum(axis=1), (gids != "P2_3").astype(np.float64))
 
 
 class TestStackWindows:
@@ -438,6 +458,107 @@ class TestRealTrainingSmoke:
             else DYNAMIC_GESTURE_IDS
         )
         assert pred in labels
+
+
+def _untrained_factory(config):
+    """Real networks with their seeded initial weights, not trained."""
+
+    def build(job):
+        n_classes = 1 if job.head is HeadKind.SIGMOID else len(job.labels)
+        model = init_parameters(config.arch_spec(n_classes), job.head, seed=job.init_seed)
+        return NetworkClassifier(labels=job.labels, model=model)
+
+    return build
+
+
+class _RecordingOracle(OracleClassifier):
+    """Oracle that records the window gesture ids of every block it scores."""
+
+    def __init__(self, labels, calls):
+        super().__init__(labels=labels)
+        self.calls = calls
+
+    def predict_windows(self, x, gids):
+        assert len(x) == len(gids)
+        self.calls.append(np.array(gids))
+        return super().predict_windows(x, gids)
+
+
+class TestBlockScoring:
+    # Window 4, stride 1: static sequences (20-30 frames) have 17-27 windows,
+    # so two or three share a block; dynamic ones (70-90 frames) have 67-87,
+    # more than a block holds.
+    PREP = _fast_prep(window=WindowSpec(4, stride=1))
+
+    @staticmethod
+    def _long_and_short(seed):
+        return _dataset(n_patients=1, seed=seed, frames_static=(20, 30),
+                        frames_dynamic=(70, 90))
+
+    @pytest.mark.parametrize("long_window", [None, 8], ids=["one-route", "two-routes"])
+    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+    @pytest.mark.parametrize("net", list(NetKind), ids=lambda n: n.value)
+    def test_matches_one_sequence_at_a_time(self, net, protocol, long_window):
+        ds = self._long_and_short(seed=21)
+        config = RunConfig(
+            protocol=protocol, net=net, prep=self.PREP, long_window=long_window,
+            route_threshold=80 if long_window else None, lstm_hidden=6,
+            tcn_channels=6, tcn_kernel=2, tcn_dilations=(1, 2), seed=3,
+        )
+        trained = train_protocol(
+            ds.sequences, config, ds.joint_map, factory=_untrained_factory(config)
+        )
+        routes = {trained.route_name(seq) for seq in ds.sequences}
+        assert routes == ({"short", "long"} if long_window else {"main"})
+
+        scores = score_sequences(trained, ds.sequences, ds.joint_map)
+        assert len(scores) == len(ds.sequences)
+        for seq, got in zip(ds.sequences, scores):
+            model_set = trained.route_for(seq)
+            assert tuple(got) == model_set.keys_for(seq)
+            x = model_set.prep.features(seq, ds.joint_map)
+            for key, mean in got.items():
+                want = forward(model_set.classifiers[key].model, x).mean(axis=0)
+                assert np.max(np.abs(mean - want)) <= 1e-12
+
+    def test_blocks_hold_at_most_a_block_of_windows(self):
+        ds = self._long_and_short(seed=22)
+        calls = {gid: [] for gid in ALL_GESTURE_IDS}
+        model_set = ProtocolModelSet(
+            protocol=Protocol.MULTICLASS_BINARY,
+            prep=self.PREP,
+            classifiers={gid: _RecordingOracle((gid,), calls[gid])
+                         for gid in ALL_GESTURE_IDS},
+        )
+        config = RunConfig(protocol=Protocol.MULTICLASS_BINARY, prep=self.PREP)
+        trained = TrainedProtocol(config=config, routes={"main": model_set})
+
+        # The dataset lists static gestures first; reversed, the short static
+        # sequences come last and end in a partial block.
+        seqs = ds.sequences[::-1]
+        suite = evaluate_binary(trained, seqs, ds.joint_map)
+
+        assert suite.mean_accuracy == 1.0
+        blocks = calls[ALL_GESTURE_IDS[0]]
+        for gid in ALL_GESTURE_IDS:  # every classifier sees the same blocks
+            assert len(calls[gid]) == len(blocks)
+            assert all(np.array_equal(a, b) for a, b in zip(calls[gid], blocks))
+        # One patient: a gesture id names one sequence.
+        n_windows = {s.label.id: len(self.PREP.features(s, ds.joint_map))
+                     for s in seqs}
+        assert np.array_equal(
+            np.concatenate(blocks),
+            np.repeat([s.label.id for s in seqs], [n_windows[s.label.id] for s in seqs]),
+        )
+        sizes = [len(b) for b in blocks]
+        for block in blocks:
+            assert len(block) <= SCORE_BLOCK_WINDOWS or len(set(block)) == 1
+        for block, following in zip(blocks, blocks[1:]):
+            # Greedy: the next sequence would not have fitted.
+            assert len(block) + n_windows[following[0]] > SCORE_BLOCK_WINDOWS
+        assert max(sizes) > SCORE_BLOCK_WINDOWS  # a sequence longer than a block
+        assert any(len(set(b)) > 1 for b in blocks)  # blocks of several sequences
+        assert sizes[-1] < SCORE_BLOCK_WINDOWS  # a partial last block
 
 
 class TestModelSetSerialization:

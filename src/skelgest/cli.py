@@ -23,7 +23,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import REGISTRY, ConfigError, parse_value, render_config, resolve
+from .config import (
+    REGISTRY,
+    RUN_DEFAULTS,
+    ConfigError,
+    default_config,
+    format_value,
+    given_settings,
+    parse_value,
+    render_config,
+    resolve,
+)
 from .skeleton import (
     DEFAULT_JOINT_MAP,
     GestureKind,
@@ -40,7 +50,6 @@ from .ingest import (
     load_dataset,
     write_dataset,
 )
-from .preprocess import NormMethod, SavgolSpec, WindowSpec
 from .neuralnet import (
     CheckpointError,
     HeadKind,
@@ -53,13 +62,11 @@ from .neuralnet import (
 from .pipeline import (
     FoldCoverageError,
     MissingClassError,
-    NetKind,
-    PrepSettings,
-    Protocol,
     RunConfig,
-    TrainConfig,
     config_from_dict,
+    config_from_settings,
     config_to_dict,
+    config_to_settings,
     cross_validate,
     evaluate_binary,  # noqa: F401 -- looked up here by perfbench/tracing.py
     evaluate_fold,
@@ -115,22 +122,6 @@ def _add_flags(parser: argparse.ArgumentParser, names: list[str]) -> None:
         )
 
 
-_PREP_KEYS = [
-    "model.protocol", "model.net", "preprocess.method", "preprocess.window",
-    "preprocess.stride", "preprocess.route_threshold", "preprocess.smooth",
-    "preprocess.savgol.m", "preprocess.savgol.order",
-    "preprocess.include_confidence",
-]
-_MODEL_KEYS = [
-    "model.lstm_hidden", "model.tcn_channels", "model.tcn_kernel",
-    "model.tcn_dilations",
-]
-_TRAIN_KEYS = [
-    "train.optimizer", "train.learning_rate", "train.epochs",
-    "train.batch_size", "train.clip_norm", "train.rebalance",
-]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skelgest",
@@ -156,13 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train all protocol models on a dataset")
     _add_flags(p, ["dataset.root", "dataset.manifest", "output.dir", "run.seed",
-                   "joints.chin_index", "folds.boundaries"]
-               + _PREP_KEYS + _MODEL_KEYS + _TRAIN_KEYS)
+                   "joints.chin_index", "folds.boundaries", *RUN_DEFAULTS])
 
     p = sub.add_parser("evaluate", help="patient-held-out cross-validation")
     _add_flags(p, ["dataset.root", "dataset.manifest", "output.dir", "run.seed",
-                   "joints.chin_index", "folds.boundaries"]
-               + _PREP_KEYS + _MODEL_KEYS + _TRAIN_KEYS)
+                   "joints.chin_index", "folds.boundaries", *RUN_DEFAULTS])
     p.add_argument("--from-manifest", default=None, metavar="PATH",
                    help="replay a recorded run_manifest.json exactly")
     p.add_argument("--models", default=None, metavar="DIR",
@@ -181,22 +170,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolved(args: argparse.Namespace) -> dict[str, object]:
-    overrides = {
-        key.name: getattr(args, key.dest)
-        for key in REGISTRY.values()
-        if getattr(args, key.dest, None) is not None
-    }
+def _layers(args: argparse.Namespace) -> tuple[str | None, dict[str, object]]:
+    """The config file (``--config``, else ``SKELGEST_CONFIG``) and the flags."""
     config_path = args.config or os.environ.get("SKELGEST_CONFIG") or None
-    return resolve(config_path, overrides)
+    flags = {key.name: getattr(args, key.dest, None) for key in REGISTRY.values()}
+    return config_path, flags
 
 
-def _explicit_keys(args: argparse.Namespace, names: list[str]) -> list[str]:
-    """Which of the given config keys were set by a command-line flag."""
-    return [
-        name for name in names
-        if getattr(args, REGISTRY[name].dest, None) is not None
-    ]
+def _resolved(args: argparse.Namespace) -> dict[str, object]:
+    return resolve(*_layers(args))
 
 
 def _require_seed(resolved: dict) -> int:
@@ -225,48 +207,6 @@ def _load_flagged_dataset(resolved: dict, root: Path) -> Dataset:
     return load_dataset(
         root, resolved["dataset.manifest"],
         joint_map=_joint_map(resolved["joints.chin_index"]),
-    )
-
-
-def _protocol(value: str) -> Protocol:
-    return Protocol.MULTICLASS if value == "multiclass" else Protocol.MULTICLASS_BINARY
-
-
-def _run_config(resolved: dict, seed: int) -> RunConfig:
-    window = resolved["preprocess.window"]
-    savgol = (
-        SavgolSpec(
-            int(resolved["preprocess.savgol.m"]),
-            int(resolved["preprocess.savgol.order"]),
-        )
-        if resolved["preprocess.smooth"]
-        else None
-    )
-    prep = PrepSettings(
-        method=NormMethod(int(resolved["preprocess.method"])),
-        window=WindowSpec(window[0], int(resolved["preprocess.stride"])),
-        savgol=savgol,
-        include_confidence=bool(resolved["preprocess.include_confidence"]),
-    )
-    return RunConfig(
-        protocol=_protocol(str(resolved["model.protocol"])),
-        net=NetKind(str(resolved["model.net"])),
-        prep=prep,
-        long_window=window[1] if len(window) == 2 else None,
-        route_threshold=resolved["preprocess.route_threshold"],
-        lstm_hidden=int(resolved["model.lstm_hidden"]),
-        tcn_channels=int(resolved["model.tcn_channels"]),
-        tcn_kernel=int(resolved["model.tcn_kernel"]),
-        tcn_dilations=tuple(resolved["model.tcn_dilations"]),
-        train=TrainConfig(
-            optimizer=str(resolved["train.optimizer"]),
-            learning_rate=float(resolved["train.learning_rate"]),
-            clip_norm=float(resolved["train.clip_norm"]),
-            epochs=int(resolved["train.epochs"]),
-            batch_size=int(resolved["train.batch_size"]),
-        ),
-        rebalance=bool(resolved["train.rebalance"]),
-        seed=seed,
     )
 
 
@@ -348,7 +288,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     resolved = _resolved(args)
     root = _require_dataset(resolved)
     seed = _require_seed(resolved)
-    rc = _run_config(resolved, seed)
+    rc = config_from_settings(resolved, seed)
     ds = _load_flagged_dataset(resolved, root)
     trained = train_protocol(ds.sequences, rc, ds.joint_map, fold=0, fold_name="train")
     out = Path(str(resolved["output.dir"]))
@@ -362,30 +302,42 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _evaluate_model_set(args, resolved) -> int:
-    """Score an existing model set on a dataset (no training, no CV)."""
-    trained = load_model_set(Path(args.models))
-    stored = config_to_dict(trained.config)
-    checks = {
-        "model.protocol": lambda v: _protocol(str(v)).value == stored["protocol"],
-        "model.net": lambda v: str(v) == stored["net"],
-        "preprocess.method": lambda v: int(v) == stored["method"],
-        "preprocess.stride": lambda v: int(v) == stored["stride"],
-        "preprocess.window": lambda v: list(v)[0] == stored["window"],
-        "joints.chin_index": lambda v: int(v) == trained.joint_map.chin_index,
-    }
-    conflicts = []
-    for name, ok in checks.items():
-        given = getattr(args, REGISTRY[name].dest, None)
-        if given is not None and not ok(given):
-            conflicts.append(f"{REGISTRY[name].flag}={given!r}")
+def _as_recorded(name: str, value: object, recorded: dict) -> object:
+    """``value`` for ``name`` as a run with the other recorded settings would
+    record it, so that ``binary`` reads ``multiclass-binary``."""
+    if name in RUN_DEFAULTS:
+        try:
+            return config_to_settings(config_from_settings({**recorded, name: value}, 0))[name]
+        except ValueError:  # no run has it, so it is not the recorded value
+            pass
+    return value
+
+
+def _replayed(args: argparse.Namespace, recorded: dict, source: str) -> dict:
+    """The resolved settings with the recorded run's values in their place; a
+    flag or the config file may repeat a recorded value, not change it."""
+    given = given_settings(*_layers(args))
+    conflicts = [
+        f"{REGISTRY[name].flag} {format_value(value)}, not {format_value(given[name])}"
+        for name, value in recorded.items()
+        if name in given and _as_recorded(name, given[name], recorded) != value
+    ]
     if conflicts:
-        raise UsageError(
-            "checkpoint/config mismatch: the loaded model set was trained with "
-            f"different settings than {'; '.join(conflicts)}"
-        )
-    root = _require_dataset(resolved)
-    ds = load_dataset(root, resolved["dataset.manifest"], joint_map=trained.joint_map)
+        raise UsageError(f"settings mismatch: {source} records {'; '.join(conflicts)}")
+    return {**default_config(), **given, **recorded}
+
+
+def _evaluate_model_set(args: argparse.Namespace) -> int:
+    """Score an existing model set on a dataset (no training, no CV).  Scoring
+    draws no random numbers and uses no folds, so the seed and the fold
+    boundaries are not checked against the training run."""
+    trained = load_model_set(Path(args.models))
+    settings = _replayed(args, {
+        **config_to_settings(trained.config),
+        "joints.chin_index": trained.joint_map.chin_index,
+    }, "the model set")
+    root = _require_dataset(settings)
+    ds = load_dataset(root, settings["dataset.manifest"], joint_map=trained.joint_map)
     fold = evaluate_fold(trained, ds.sequences, ds.joint_map, 0, (), ds.patients)
     report = EvaluationReport(
         protocol=trained.config.protocol.value,
@@ -395,26 +347,15 @@ def _evaluate_model_set(args, resolved) -> int:
         folds=(fold,),
         extras={"models": str(args.models), "mode": "fixed-model-set"},
     )
-    out = Path(str(resolved["output.dir"]))
+    out = Path(str(settings["output.dir"]))
     write_report_files(report, out)
-    _echo_config(out, resolved)
+    _echo_config(out, settings)
     print(render_summary(report), end="")
     return EXIT_OK
 
 
-def _evaluate_from_manifest(args, resolved) -> int:
+def _evaluate_from_manifest(args: argparse.Namespace) -> int:
     """Replay a recorded run exactly; the dataset must match its checksum."""
-    explicit = _explicit_keys(
-        args,
-        _PREP_KEYS + _MODEL_KEYS + _TRAIN_KEYS
-        + ["run.seed", "folds.boundaries", "joints.chin_index"],
-    )
-    if explicit:
-        flags = ", ".join(REGISTRY[name].flag for name in explicit)
-        raise UsageError(
-            f"--from-manifest replays the recorded configuration; "
-            f"conflicting flags: {flags}"
-        )
     manifest_path = Path(args.from_manifest)
     if not manifest_path.is_file():
         raise DataError(f"run manifest not found: {manifest_path}")
@@ -425,8 +366,14 @@ def _evaluate_from_manifest(args, resolved) -> int:
     boundaries = tuple(manifest["fold_boundaries"])
     # Runs recorded before the chin index was stored used the default chin.
     chin_index = manifest.get("chin_index", DEFAULT_JOINT_MAP.chin_index)
-    root = Path(str(resolved["dataset.root"] or manifest["dataset"]["root"]))
-    data_manifest = resolved["dataset.manifest"] or manifest["dataset"].get("manifest")
+    settings = _replayed(args, {
+        **config_to_settings(rc),
+        "run.seed": rc.seed,
+        "joints.chin_index": chin_index,
+        "folds.boundaries": boundaries,
+    }, "the run manifest")
+    root = Path(str(settings["dataset.root"] or manifest["dataset"]["root"]))
+    data_manifest = settings["dataset.manifest"] or manifest["dataset"].get("manifest")
     dataset = _dataset_record(root, data_manifest)
     recorded = manifest["dataset"]["checksum"]
     if dataset["checksum"] != recorded:
@@ -435,7 +382,7 @@ def _evaluate_from_manifest(args, resolved) -> int:
             f"{root} has {dataset['checksum']}"
         )
     ds = load_dataset(root, data_manifest, joint_map=_joint_map(chin_index))
-    return _cross_validate(resolved, ds, rc, boundaries, dataset)
+    return _cross_validate(settings, ds, rc, boundaries, dataset)
 
 
 def _cross_validate(
@@ -453,16 +400,16 @@ def _cross_validate(
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    resolved = _resolved(args)
     if args.from_manifest and args.models:
         raise UsageError("--from-manifest and --models are mutually exclusive")
     if args.from_manifest:
-        return _evaluate_from_manifest(args, resolved)
+        return _evaluate_from_manifest(args)
     if args.models:
-        return _evaluate_model_set(args, resolved)
+        return _evaluate_model_set(args)
+    resolved = _resolved(args)
     root = _require_dataset(resolved)
     seed = _require_seed(resolved)
-    rc = _run_config(resolved, seed)
+    rc = config_from_settings(resolved, seed)
     ds = _load_flagged_dataset(resolved, root)
     dataset = _dataset_record(root, resolved["dataset.manifest"])
     return _cross_validate(resolved, ds, rc, tuple(resolved["folds.boundaries"]), dataset)

@@ -19,6 +19,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from .ingest import DEFAULT_FOLD_BOUNDARIES
+from .pipeline import RunConfig, config_to_settings
+from .skeleton import DEFAULT_JOINT_MAP
+
 
 class ConfigError(ValueError):
     """Unknown key, malformed value, or an unusable combination of settings."""
@@ -129,6 +133,15 @@ def _key(name, flag, parse, default, help_text) -> tuple[str, ConfigKey]:
                            help=help_text)
 
 
+# The keys that describe a run, with the library's own defaults, so that the
+# CLI and `RunConfig` cannot disagree.
+RUN_DEFAULTS: dict[str, object] = config_to_settings(RunConfig())
+
+
+def _run_key(name, flag, parse, help_text) -> tuple[str, ConfigKey]:
+    return _key(name, flag, parse, RUN_DEFAULTS[name], help_text)
+
+
 REGISTRY: dict[str, ConfigKey] = dict(
     [
         _key("dataset.root", "--dataset", _parse_optional_str, None,
@@ -136,49 +149,50 @@ REGISTRY: dict[str, ConfigKey] = dict(
         _key("dataset.manifest", "--manifest", _parse_optional_str, None,
              "manifest path inside the dataset directory (default manifest.csv)"),
         _key("output.dir", "--out", _parse_str, "skelgest_out", "output directory"),
-        _key("model.protocol", "--protocol",
-             _parse_choice("multiclass", "binary", "multiclass-binary"),
-             "multiclass", "evaluation protocol: multiclass or binary (one-vs-rest)"),
-        _key("model.net", "--net", _parse_choice("lstm", "tcn"), "lstm",
-             "network architecture"),
-        _key("preprocess.method", "--method", _parse_method, 3,
-             "normalization method 1..5"),
-        _key("preprocess.window", "--frames", _parse_window, (32,),
-             "window length in frames, or 'short,long' for length routing"),
-        _key("preprocess.stride", "--stride", _parse_int, 1,
-             "window stride in frames"),
-        _key("preprocess.route_threshold", "--route-threshold",
-             _parse_optional_int, None,
-             "frame-count threshold for length routing (default: short window)"),
-        _key("preprocess.smooth", "--smooth", _parse_bool, True,
-             "apply quadratic smoothing before windowing"),
-        _key("preprocess.savgol.m", "--savgol-m", _parse_int, 5,
-             "smoothing filter width (odd)"),
-        _key("preprocess.savgol.order", "--savgol-order", _parse_int, 2,
-             "smoothing polynomial order"),
-        _key("preprocess.include_confidence", "--include-confidence",
-             _parse_bool, False,
-             "append per-joint confidence columns to the feature windows"),
-        _key("model.lstm_hidden", "--lstm-hidden", _parse_int, 128,
-             "LSTM hidden state size"),
-        _key("model.tcn_channels", "--tcn-channels", _parse_int, 64,
-             "convolution channels per level"),
-        _key("model.tcn_kernel", "--tcn-kernel", _parse_int, 3,
-             "convolution kernel size"),
-        _key("model.tcn_dilations", "--tcn-dilations", _parse_int_list,
-             (1, 2, 4, 8), "comma-separated dilation per level"),
-        _key("train.optimizer", "--optimizer", _parse_choice("adam", "sgd"),
-             "adam", "parameter update rule"),
-        _key("train.learning_rate", "--learning-rate", _parse_float, 1e-3,
-             "optimizer step size"),
-        _key("train.epochs", "--epochs", _parse_int, 20, "training epochs"),
-        _key("train.batch_size", "--batch-size", _parse_int, 32,
-             "training batch size"),
-        _key("train.clip_norm", "--clip-norm", _parse_float, 5.0,
-             "gradient L2-norm ceiling"),
-        _key("train.rebalance", "--rebalance", _parse_bool, False,
-             "upsample positives for one-vs-rest training"),
-        _key("folds.boundaries", "--fold-boundaries", _parse_int_pair, (15, 35),
+        _run_key("model.protocol", "--protocol",
+                 _parse_choice("multiclass", "binary", "multiclass-binary"),
+                 "evaluation protocol: multiclass or binary (one-vs-rest)"),
+        _run_key("model.net", "--net", _parse_choice("lstm", "tcn"),
+                 "network architecture"),
+        _run_key("preprocess.method", "--method", _parse_method,
+                 "normalization method 1..5"),
+        _run_key("preprocess.window", "--frames", _parse_window,
+                 "window length in frames, or 'short,long' for length routing"),
+        _run_key("preprocess.stride", "--stride", _parse_int,
+                 "window stride in frames"),
+        _run_key("preprocess.route_threshold", "--route-threshold",
+                 _parse_optional_int,
+                 "frame-count threshold for length routing (default: short window)"),
+        _run_key("preprocess.smooth", "--smooth", _parse_bool,
+                 "apply quadratic smoothing before windowing"),
+        _run_key("preprocess.savgol.m", "--savgol-m", _parse_int,
+                 "smoothing filter width (odd)"),
+        _run_key("preprocess.savgol.order", "--savgol-order", _parse_int,
+                 "smoothing polynomial order"),
+        _run_key("preprocess.include_confidence", "--include-confidence",
+                 _parse_bool,
+                 "append per-joint confidence columns to the feature windows"),
+        _run_key("model.lstm_hidden", "--lstm-hidden", _parse_int,
+                 "LSTM hidden state size"),
+        _run_key("model.tcn_channels", "--tcn-channels", _parse_int,
+                 "convolution channels per level"),
+        _run_key("model.tcn_kernel", "--tcn-kernel", _parse_int,
+                 "convolution kernel size"),
+        _run_key("model.tcn_dilations", "--tcn-dilations", _parse_int_list,
+                 "comma-separated dilation per level"),
+        _run_key("train.optimizer", "--optimizer", _parse_choice("adam", "sgd"),
+                 "parameter update rule"),
+        _run_key("train.learning_rate", "--learning-rate", _parse_float,
+                 "optimizer step size"),
+        _run_key("train.epochs", "--epochs", _parse_int, "training epochs"),
+        _run_key("train.batch_size", "--batch-size", _parse_int,
+                 "training batch size"),
+        _run_key("train.clip_norm", "--clip-norm", _parse_float,
+                 "gradient L2-norm ceiling"),
+        _run_key("train.rebalance", "--rebalance", _parse_bool,
+                 "upsample positives for one-vs-rest training"),
+        _key("folds.boundaries", "--fold-boundaries", _parse_int_pair,
+             DEFAULT_FOLD_BOUNDARIES,
              "patient-id boundaries 'b1,b2' for the 3-fold split"),
         _key("run.seed", "--seed", _parse_optional_int, None,
              "RNG seed; required by any command that draws random numbers"),
@@ -193,19 +207,16 @@ REGISTRY: dict[str, ConfigKey] = dict(
              "synthetic frame-count range 'lo,hi' for static gestures"),
         _key("synth.frames_dynamic", "--frames-dynamic", _parse_int_pair, (48, 72),
              "synthetic frame-count range 'lo,hi' for dynamic gestures"),
-        _key("joints.chin_index", "--chin-index", _parse_int, 1,
+        _key("joints.chin_index", "--chin-index", _parse_int,
+             DEFAULT_JOINT_MAP.chin_index,
              "column index of the chin joint"),
         _key("gradcheck.tolerance", "--tolerance", _parse_float, 1e-6,
              "gradient-check pass threshold"),
     ]
 )
 
-_BY_DEST: dict[str, ConfigKey] = {key.dest: key for key in REGISTRY.values()}
-assert len(_BY_DEST) == len(REGISTRY), "flag collision in config registry"
-
-
-def key_for_dest(dest: str) -> ConfigKey:
-    return _BY_DEST[dest]
+if len({key.dest for key in REGISTRY.values()}) != len(REGISTRY):
+    raise AssertionError("flag collision in config registry")
 
 
 def default_config() -> dict[str, object]:
@@ -247,22 +258,27 @@ def load_config_file(path: str | Path) -> dict[str, object]:
     return parse_config_text(path.read_text(), source=str(path))
 
 
-def resolve(
+def given_settings(
     file_path: str | Path | None, overrides: dict[str, object]
 ) -> dict[str, object]:
-    """Defaults, then file values, then non-None overrides."""
-    resolved = default_config()
-    if file_path is not None:
-        resolved.update(load_config_file(file_path))
+    """File values, then non-None overrides; keys that neither sets are absent."""
+    given = {} if file_path is None else load_config_file(file_path)
     for name, value in overrides.items():
         if name not in REGISTRY:
             raise ConfigError(f"unknown config key {name!r}")
         if value is not None:
-            resolved[name] = value
-    return resolved
+            given[name] = value
+    return given
 
 
-def _format_value(value: object) -> str:
+def resolve(
+    file_path: str | Path | None, overrides: dict[str, object]
+) -> dict[str, object]:
+    """Defaults, then file values, then non-None overrides."""
+    return {**default_config(), **given_settings(file_path, overrides)}
+
+
+def format_value(value: object) -> str:
     if value is None:
         return "none"
     if isinstance(value, bool):
@@ -275,7 +291,7 @@ def _format_value(value: object) -> str:
 def render_config(values: dict[str, object]) -> str:
     """Deterministic 'key = value' text that parses back to the same values."""
     lines = [
-        f"{name} = {_format_value(values[name])}"
+        f"{name} = {format_value(values[name])}"
         for name in sorted(values)
         if name in REGISTRY
     ]

@@ -223,9 +223,7 @@ def train_step(
     """One clipped gradient step on a single batch; returns the updated model."""
     loss, grad = batch_loss_and_grad(model, x, targets)
     if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
-        raise TrainingDivergedError(
-            f"non-finite loss or gradient at step (loss={loss!r})"
-        )
+        raise TrainingDivergedError(f"non-finite loss or gradient (loss={loss!r})")
     grad = clip_gradient(grad, config.clip_norm)
     if config.optimizer == "adam":
         assert state is not None
@@ -254,7 +252,8 @@ def fit(
     `x` is (N, W, D); `targets` is (N,) integer classes for softmax heads or
     (N,) 0/1 floats for sigmoid heads.  Batch order reshuffles every epoch
     from a seeded generator, so identical inputs and config reproduce the
-    identical parameter trajectory.
+    identical parameter trajectory.  A `TrainingDivergedError` names the
+    epoch and the step within it, both counted from 1.
     """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets)
@@ -270,13 +269,18 @@ def fit(
     rng = np.random.default_rng(np.random.SeedSequence(config.shuffle_seed))
     state = AdamState.zeros(model.values.size) if config.optimizer == "adam" else None
     losses: list[float] = []
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
         n_batches = 0
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            model, loss = train_step(model, x[batch], targets[batch], config, state)
+            try:
+                model, loss = train_step(model, x[batch], targets[batch], config, state)
+            except TrainingDivergedError as exc:
+                raise TrainingDivergedError(
+                    f"epoch {epoch}, step {n_batches + 1}: {exc}"
+                ) from None
             epoch_loss += loss
             n_batches += 1
         losses.append(epoch_loss / n_batches)

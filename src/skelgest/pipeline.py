@@ -51,6 +51,7 @@ from .neuralnet import (
     ModelParameters,
     TcnSpec,
     TrainConfig,
+    TrainingDivergedError,
     fit,
     forward,
     init_parameters,
@@ -151,6 +152,19 @@ class RunConfig:
             n_classes=n_classes,
         )
 
+    def routes(self) -> tuple[dict[str, PrepSettings], int | None]:
+        """Each route's feature settings, by route name, and the frame-count
+        threshold of the length router (None without length routing)."""
+        if self.long_window is None:
+            return {"main": self.prep}, None
+        long_prep = replace(
+            self.prep, window=WindowSpec(self.long_window, self.prep.window.stride)
+        )
+        threshold = (
+            self.prep.window.length if self.route_threshold is None else self.route_threshold
+        )
+        return {"short": self.prep, "long": long_prep}, threshold
+
 
 @dataclass(frozen=True)
 class LengthRouter:
@@ -245,7 +259,10 @@ def network_factory(config: RunConfig) -> ClassifierFactory:
         spec = config.arch_spec(n_classes)
         model = init_parameters(spec, job.head, seed=job.init_seed)
         train_cfg = replace(config.train, shuffle_seed=job.shuffle_seed)
-        result = fit(model, job.x, job.targets, train_cfg)
+        try:
+            result = fit(model, job.x, job.targets, train_cfg)
+        except TrainingDivergedError as exc:
+            raise TrainingDivergedError(f"{job.name}: {exc}") from None
         return NetworkClassifier(labels=job.labels, model=result.model)
 
     return build
@@ -426,32 +443,15 @@ def train_protocol(
     """Train every model the configured protocol requires on one split."""
     if factory is None:
         factory = network_factory(config)
-    routes: dict[str, ProtocolModelSet] = {}
-    if config.long_window is None:
-        routes["main"] = _train_route(
-            train_seqs, config, config.prep, joint_map, factory, fold, 0, fold_name
+    preps, threshold = config.routes()
+    routes = {
+        route: _train_route(
+            train_seqs, config, prep, joint_map, factory, fold, route_tag,
+            fold_name if route == "main" else f"{fold_name}-{route}",
         )
-        router = None
-    else:
-        short_prep = config.prep
-        long_prep = replace(
-            config.prep,
-            window=WindowSpec(config.long_window, config.prep.window.stride),
-        )
-        routes["short"] = _train_route(
-            train_seqs, config, short_prep, joint_map, factory, fold, 0,
-            f"{fold_name}-short",
-        )
-        routes["long"] = _train_route(
-            train_seqs, config, long_prep, joint_map, factory, fold, 1,
-            f"{fold_name}-long",
-        )
-        threshold = (
-            config.route_threshold
-            if config.route_threshold is not None
-            else config.prep.window.length
-        )
-        router = LengthRouter(threshold)
+        for route_tag, (route, prep) in enumerate(preps.items())
+    }
+    router = None if threshold is None else LengthRouter(threshold)
     return TrainedProtocol(config=config, routes=routes, router=router, joint_map=joint_map)
 
 
@@ -516,48 +516,23 @@ def score_sequences(
     return scores
 
 
-def _multiclass_predictions(
-    trained: TrainedProtocol,
-    seqs: Sequence[GestureSequence],
-    joint_map: JointIndexMap,
-) -> list[str]:
-    """Each sequence's argmax label under the model of its kind."""
-    preds = []
-    for seq, scores in zip(seqs, score_sequences(trained, seqs, joint_map)):
-        key = ProtocolModelSet.KIND_KEYS[seq.label.kind]
-        labels = trained.route_for(seq).classifiers[key].labels
-        preds.append(predict_label(scores[key], labels))
-    return preds
-
-
-def predict_sequence(
-    trained: TrainedProtocol, seq: GestureSequence, joint_map: JointIndexMap
-) -> str:
-    """Predicted gesture id for one sequence under the MULTICLASS protocol."""
-    return _multiclass_predictions(trained, [seq], joint_map)[0]
-
-
 def evaluate_multiclass(
     trained: TrainedProtocol,
     test_seqs: Sequence[GestureSequence],
     joint_map: JointIndexMap,
 ) -> tuple[ConfusionMatrix, ConfusionMatrix]:
-    """Static and dynamic confusion matrices over the test sequences."""
+    """Static and dynamic confusion matrices over the test sequences, each
+    sequence predicted by the argmax label of the model of its kind."""
     true_by_kind: dict[GestureKind, list[str]] = {k: [] for k in GestureKind}
     pred_by_kind: dict[GestureKind, list[str]] = {k: [] for k in GestureKind}
-    preds = _multiclass_predictions(trained, test_seqs, joint_map)
-    for seq, pred in zip(test_seqs, preds):
+    for seq, scores in zip(test_seqs, score_sequences(trained, test_seqs, joint_map)):
+        key = ProtocolModelSet.KIND_KEYS[seq.label.kind]
+        labels = trained.route_for(seq).classifiers[key].labels
         true_by_kind[seq.label.kind].append(seq.label.id)
-        pred_by_kind[seq.label.kind].append(pred)
-    static_cm = confusion(
-        true_by_kind[GestureKind.STATIC],
-        pred_by_kind[GestureKind.STATIC],
-        STATIC_GESTURE_IDS,
-    )
-    dynamic_cm = confusion(
-        true_by_kind[GestureKind.DYNAMIC],
-        pred_by_kind[GestureKind.DYNAMIC],
-        DYNAMIC_GESTURE_IDS,
+        pred_by_kind[seq.label.kind].append(predict_label(scores[key], labels))
+    static_cm, dynamic_cm = (
+        confusion(true_by_kind[kind], pred_by_kind[kind], _kind_labels(kind))
+        for kind in (GestureKind.STATIC, GestureKind.DYNAMIC)
     )
     return static_cm, dynamic_cm
 
@@ -709,37 +684,99 @@ def config_to_dict(config: RunConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> RunConfig:
-    savgol = d.get("savgol")
-    prep = PrepSettings(
-        method=NormMethod(d["method"]),
-        window=WindowSpec(d["window"], d.get("stride", 1)),
-        savgol=None if savgol is None else SavgolSpec(savgol["m"], savgol["order"]),
-        include_confidence=bool(d.get("include_confidence", False)),
-    )
-    t = d.get("train", {})
+    """Inverse of `config_to_dict`; absent keys take the values of `RunConfig()`."""
+    defaults = config_to_dict(RunConfig())
+    t = {**defaults["train"], **d.get("train", {})}
+    d = {**defaults, **d}
+    savgol = d["savgol"]
     return RunConfig(
         protocol=Protocol(d["protocol"]),
         net=NetKind(d["net"]),
-        prep=prep,
-        long_window=d.get("long_window"),
-        route_threshold=d.get("route_threshold"),
-        lstm_hidden=d.get("lstm_hidden", 128),
-        tcn_channels=d.get("tcn_channels", 64),
-        tcn_kernel=d.get("tcn_kernel", 3),
-        tcn_dilations=tuple(d.get("tcn_dilations", (1, 2, 4, 8))),
-        train=TrainConfig(
-            optimizer=t.get("optimizer", "adam"),
-            learning_rate=t.get("learning_rate", 1e-3),
-            beta1=t.get("beta1", 0.9),
-            beta2=t.get("beta2", 0.999),
-            adam_eps=t.get("adam_eps", 1e-8),
-            clip_norm=t.get("clip_norm", 5.0),
-            epochs=t.get("epochs", 20),
-            batch_size=t.get("batch_size", 32),
+        prep=PrepSettings(
+            method=NormMethod(d["method"]),
+            window=WindowSpec(d["window"], d["stride"]),
+            savgol=None if savgol is None else SavgolSpec(savgol["m"], savgol["order"]),
+            include_confidence=d["include_confidence"],
         ),
-        rebalance=bool(d.get("rebalance", False)),
-        seed=int(d.get("seed", 0)),
+        long_window=d["long_window"],
+        route_threshold=d["route_threshold"],
+        lstm_hidden=d["lstm_hidden"],
+        tcn_channels=d["tcn_channels"],
+        tcn_kernel=d["tcn_kernel"],
+        tcn_dilations=tuple(d["tcn_dilations"]),
+        train=TrainConfig(**{key: t[key] for key in defaults["train"]}),
+        rebalance=d["rebalance"],
+        seed=d["seed"],
     )
+
+
+def config_from_settings(settings: dict, seed: int) -> RunConfig:
+    """The run that config-registry settings (``preprocess.window``,
+    ``train.epochs``, ...) describe; `config_to_settings` is its inverse."""
+    window = settings["preprocess.window"]
+    return RunConfig(
+        protocol=(
+            Protocol.MULTICLASS
+            if settings["model.protocol"] == "multiclass"
+            else Protocol.MULTICLASS_BINARY
+        ),
+        net=NetKind(settings["model.net"]),
+        prep=PrepSettings(
+            method=NormMethod(settings["preprocess.method"]),
+            window=WindowSpec(window[0], settings["preprocess.stride"]),
+            savgol=(
+                SavgolSpec(settings["preprocess.savgol.m"], settings["preprocess.savgol.order"])
+                if settings["preprocess.smooth"]
+                else None
+            ),
+            include_confidence=settings["preprocess.include_confidence"],
+        ),
+        long_window=window[1] if len(window) == 2 else None,
+        route_threshold=settings["preprocess.route_threshold"],
+        lstm_hidden=settings["model.lstm_hidden"],
+        tcn_channels=settings["model.tcn_channels"],
+        tcn_kernel=settings["model.tcn_kernel"],
+        tcn_dilations=tuple(settings["model.tcn_dilations"]),
+        train=TrainConfig(
+            optimizer=settings["train.optimizer"],
+            learning_rate=settings["train.learning_rate"],
+            clip_norm=settings["train.clip_norm"],
+            epochs=settings["train.epochs"],
+            batch_size=settings["train.batch_size"],
+        ),
+        rebalance=settings["train.rebalance"],
+        seed=seed,
+    )
+
+
+def config_to_settings(config: RunConfig) -> dict[str, object]:
+    """The config-registry settings that describe ``config``, all but its
+    seed; without smoothing, the smoothing width and order are the defaults."""
+    prep = config.prep
+    savgol = prep.savgol or SavgolSpec()
+    long_window = () if config.long_window is None else (config.long_window,)
+    return {
+        "model.protocol": config.protocol.value,
+        "model.net": config.net.value,
+        "preprocess.method": int(prep.method),
+        "preprocess.window": (prep.window.length, *long_window),
+        "preprocess.stride": prep.window.stride,
+        "preprocess.route_threshold": config.route_threshold,
+        "preprocess.smooth": prep.savgol is not None,
+        "preprocess.savgol.m": savgol.m,
+        "preprocess.savgol.order": savgol.order,
+        "preprocess.include_confidence": prep.include_confidence,
+        "model.lstm_hidden": config.lstm_hidden,
+        "model.tcn_channels": config.tcn_channels,
+        "model.tcn_kernel": config.tcn_kernel,
+        "model.tcn_dilations": config.tcn_dilations,
+        "train.optimizer": config.train.optimizer,
+        "train.learning_rate": config.train.learning_rate,
+        "train.epochs": config.train.epochs,
+        "train.batch_size": config.train.batch_size,
+        "train.clip_norm": config.train.clip_norm,
+        "train.rebalance": config.rebalance,
+    }
 
 
 def config_digest(config: RunConfig) -> str:
@@ -803,23 +840,18 @@ def load_model_set(model_dir: str | Path) -> TrainedProtocol:
     if index.get("format") != "skelgest-modelset":
         raise ValueError(f"{model_dir} does not contain a model-set index")
     config = config_from_dict(index["config"])
+    preps, threshold = config.routes()
     routes: dict[str, ProtocolModelSet] = {}
     for entry in index["models"]:
         model, extra = load_checkpoint(model_dir / entry["file"])
         route = entry["route"]
         if route not in routes:
-            prep = config.prep
-            if route == "long":
-                prep = replace(
-                    prep, window=WindowSpec(config.long_window, prep.window.stride)
-                )
             routes[route] = ProtocolModelSet(
-                protocol=config.protocol, prep=prep, classifiers={}
+                protocol=config.protocol, prep=preps[route], classifiers={}
             )
         routes[route].classifiers[entry["key"]] = NetworkClassifier(
             labels=tuple(extra["labels"]), model=model
         )
-    threshold = index.get("router_threshold")
     router = None if threshold is None else LengthRouter(threshold)
     joint_map = replace(
         DEFAULT_JOINT_MAP,

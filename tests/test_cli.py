@@ -15,6 +15,7 @@ import pytest
 
 from skelgest.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from skelgest.config import (
+    REGISTRY,
     ConfigError,
     default_config,
     load_config_file,
@@ -519,6 +520,139 @@ class TestReplayInputs:
                        "--out", str(tmp_path / "x"), "--chin-index", "1")
         assert code == EXIT_USAGE
         assert "--chin-index" in capsys.readouterr().err
+
+
+# For each setting that a model set records, a value other than the one that
+# ``model_dir`` and ``eval_out`` ran with (TINY_TRAIN_FLAGS and defaults).
+OTHER_MODEL_SET_VALUES = {
+    "model.protocol": "binary",
+    "model.net": "tcn",
+    "preprocess.method": "5",
+    "preprocess.window": "32,48",
+    "preprocess.stride": "1",
+    "preprocess.route_threshold": "20",
+    "preprocess.smooth": "false",
+    "preprocess.savgol.m": "7",
+    "preprocess.savgol.order": "3",
+    "preprocess.include_confidence": "true",
+    "model.lstm_hidden": "64",
+    "model.tcn_channels": "8",
+    "model.tcn_kernel": "2",
+    "model.tcn_dilations": "1,2",
+    "train.optimizer": "sgd",
+    "train.learning_rate": "0.01",
+    "train.epochs": "2",
+    "train.batch_size": "16",
+    "train.clip_norm": "1.0",
+    "train.rebalance": "true",
+    "joints.chin_index": "4",
+}
+# A run manifest also records the seed and the fold boundaries.
+OTHER_RUN_VALUES = {**OTHER_MODEL_SET_VALUES, "run.seed": "7", "folds.boundaries": "1,3"}
+
+
+class TestReplayRule:
+    """``evaluate --models`` and ``--from-manifest`` run what was recorded: a
+    flag or a config file that sets a recorded setting to another value is a
+    usage error naming the flag, and ``config.txt`` echoes the recorded
+    values."""
+
+    @pytest.mark.parametrize("via", ["flag", "config", "env"])
+    @pytest.mark.parametrize(
+        "mode,name",
+        [("models", name) for name in OTHER_MODEL_SET_VALUES]
+        + [("manifest", name) for name in OTHER_RUN_VALUES],
+    )
+    def test_other_value_than_recorded_is_usage_error(
+        self, mode, name, via, model_dir, eval_out, dataset_dir, tmp_path, capsys,
+        monkeypatch,
+    ):
+        value = OTHER_RUN_VALUES[name]
+        flags = [REGISTRY[name].flag, value]
+        if via != "flag":
+            conf = tmp_path / "run.conf"
+            conf.write_text(f"{name} = {value}\n")
+            if via == "config":
+                flags = ["--config", str(conf)]
+            else:
+                flags = []
+                monkeypatch.setenv("SKELGEST_CONFIG", str(conf))
+        source = (["--models", str(model_dir / "models")] if mode == "models"
+                  else ["--from-manifest", str(eval_out / "run_manifest.json")])
+        code = run_cli("evaluate", *source, "--dataset", str(dataset_dir),
+                       "--out", str(tmp_path / "x"), *flags)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "mismatch" in err and REGISTRY[name].flag in err
+        assert not (tmp_path / "x").exists()
+
+    def test_recorded_values_are_accepted(self, model_dir, eval_out, dataset_dir,
+                                          tmp_path):
+        same = [*TINY_TRAIN_FLAGS, "--protocol", "multiclass", "--chin-index", "1"]
+        # Scoring a model set draws no random numbers and uses no folds.
+        code = run_cli(
+            "evaluate", "--models", str(model_dir / "models"), "--dataset",
+            str(dataset_dir), "--out", str(tmp_path / "fixed"), *same,
+            "--seed", "99", "--fold-boundaries", "3,4",
+        )
+        assert code == EXIT_OK
+        conf = tmp_path / "run.conf"
+        conf.write_text("train.epochs = 1\nrun.seed = 6\n")
+        code = run_cli(
+            "evaluate", "--from-manifest", str(eval_out / "run_manifest.json"),
+            "--dataset", str(dataset_dir), "--out", str(tmp_path / "replay"),
+            "--config", str(conf), *same, "--fold-boundaries", "1,2",
+        )
+        assert code == EXIT_OK
+        assert (tmp_path / "replay" / "report.json").read_bytes() == (
+            eval_out / "report.json"
+        ).read_bytes()
+
+    def test_binary_is_multiclass_binary(self, dataset_dir, tmp_path):
+        trained = tmp_path / "trained"
+        code = run_cli(
+            "train", "--dataset", str(dataset_dir), "--out", str(trained),
+            "--seed", "5", "--protocol", "binary", *TINY_TRAIN_FLAGS,
+        )
+        assert code == EXIT_OK
+        for protocol in ("binary", "multiclass-binary"):
+            code = run_cli(
+                "evaluate", "--models", str(trained / "models"), "--dataset",
+                str(dataset_dir), "--out", str(tmp_path / protocol),
+                "--protocol", protocol,
+            )
+            assert code == EXIT_OK
+        code = run_cli(
+            "evaluate", "--models", str(trained / "models"), "--dataset",
+            str(dataset_dir), "--out", str(tmp_path / "x"), "--protocol", "multiclass",
+        )
+        assert code == EXIT_USAGE
+
+    def test_models_config_txt_records_the_model_set(self, model_dir, dataset_dir,
+                                                     tmp_path):
+        out = tmp_path / "fixed"
+        code = run_cli(
+            "evaluate", "--models", str(model_dir / "models"),
+            "--dataset", str(dataset_dir), "--out", str(out), "--seed", "99",
+        )
+        assert code == EXIT_OK
+        echoed = parse_config_text((out / "config.txt").read_text())
+        trained = parse_config_text((model_dir / "config.txt").read_text())
+        for name in OTHER_MODEL_SET_VALUES:
+            assert echoed[name] == trained[name], name
+        assert echoed["run.seed"] == 99
+
+    def test_replay_config_txt_records_the_run(self, eval_out, dataset_dir, tmp_path):
+        out = tmp_path / "replay"
+        code = run_cli(
+            "evaluate", "--from-manifest", str(eval_out / "run_manifest.json"),
+            "--dataset", str(dataset_dir), "--out", str(out),
+        )
+        assert code == EXIT_OK
+        echoed = parse_config_text((out / "config.txt").read_text())
+        recorded = parse_config_text((eval_out / "config.txt").read_text())
+        del echoed["output.dir"], recorded["output.dir"]
+        assert echoed == recorded
 
 
 def _cut_in_header_length(data):

@@ -5,6 +5,7 @@ pipeline correctness from training quality: any metric below 1.0 with the
 oracle substituted would mean the plumbing itself loses information.
 """
 
+import dataclasses
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from skelgest.neuralnet import (
     LstmSpec,
     TcnSpec,
     TrainConfig,
+    TrainingDivergedError,
     forward,
     init_parameters,
 )
@@ -40,14 +42,16 @@ from skelgest.pipeline import (
     aggregate_windows,
     config_digest,
     config_from_dict,
+    config_from_settings,
     config_to_dict,
+    config_to_settings,
     cross_validate,
     evaluate_binary,
     evaluate_multiclass,
     load_model_set,
+    network_factory,
     oracle_factory,
     predict_label,
-    predict_sequence,
     save_model_set,
     score_sequences,
     stack_windows,
@@ -115,6 +119,44 @@ class TestRunConfig:
         )
         rebuilt = config_from_dict(config_to_dict(config))
         assert rebuilt == config
+
+    def test_dict_absent_keys_take_defaults(self):
+        assert config_from_dict({}) == RunConfig()
+        partial = {"net": "tcn", "train": {"epochs": 3}}
+        assert config_from_dict(partial) == RunConfig(
+            net=NetKind.TCN, train=TrainConfig(epochs=3)
+        )
+
+    def test_settings_round_trip(self):
+        from skelgest.config import default_config
+
+        assert config_from_settings(default_config(), 0) == RunConfig()
+        settings = {
+            "model.protocol": "multiclass-binary",
+            "model.net": "tcn",
+            "preprocess.method": 5,
+            "preprocess.window": (24, 48),
+            "preprocess.stride": 2,
+            "preprocess.route_threshold": 30,
+            "preprocess.smooth": True,
+            "preprocess.savgol.m": 7,
+            "preprocess.savgol.order": 3,
+            "preprocess.include_confidence": True,
+            "model.lstm_hidden": 17,
+            "model.tcn_channels": 12,
+            "model.tcn_kernel": 2,
+            "model.tcn_dilations": (1, 3),
+            "train.optimizer": "sgd",
+            "train.learning_rate": 0.05,
+            "train.epochs": 3,
+            "train.batch_size": 16,
+            "train.clip_norm": 2.5,
+            "train.rebalance": True,
+        }
+        config = config_from_settings(settings, 99)
+        assert config.seed == 99
+        assert config_to_settings(config) == settings
+        assert config_from_settings({**settings, "model.protocol": "binary"}, 99) == config
 
     def test_digest_stable_and_sensitive(self):
         a = RunConfig(seed=1)
@@ -451,13 +493,47 @@ class TestRealTrainingSmoke:
         ds = _dataset(n_patients=2, seed=10)
         trained = train_protocol(ds.sequences, _tiny_net_config(), ds.joint_map)
         seq = ds.sequences[0]
-        pred = predict_sequence(trained, seq, ds.joint_map)
+        (scores,) = score_sequences(trained, [seq], ds.joint_map)
+        key = ProtocolModelSet.KIND_KEYS[seq.label.kind]
+        assert list(scores) == [key]
         labels = (
             STATIC_GESTURE_IDS
             if seq.label.kind is GestureKind.STATIC
             else DYNAMIC_GESTURE_IDS
         )
-        assert pred in labels
+        assert trained.routes["main"].classifiers[key].labels == labels
+        assert predict_label(scores[key], labels) in labels
+
+    def test_divergence_names_model_epoch_and_step(self):
+        ds = _dataset(n_patients=2, seed=10)
+        seqs = list(ds.sequences)
+        victim = [i for i, s in enumerate(seqs) if s.label.kind is GestureKind.DYNAMIC][5]
+        coords = np.array(seqs[victim].coords)
+        coords[3:6] = np.nan
+        seqs[victim] = dataclasses.replace(seqs[victim], coords=coords)
+        config = _tiny_net_config(train=TrainConfig(epochs=2, batch_size=8))
+        jobs = []
+        build = network_factory(config)
+
+        def factory(job):
+            jobs.append(job)
+            return build(job)
+
+        with pytest.raises(TrainingDivergedError) as raised:
+            train_protocol(seqs, config, ds.joint_map, factory=factory, fold=2,
+                           fold_name="fold2")
+        job = jobs[-1]
+        assert job.name == "fold2-dynamic"
+        # The first batch of the first epoch's shuffled order holding a bad window.
+        order = np.random.default_rng(np.random.SeedSequence(job.shuffle_seed)).permutation(
+            len(job.x)
+        )
+        bad = np.flatnonzero(np.isnan(job.x[order]).any(axis=(1, 2)))
+        step = bad[0] // 8 + 1
+        assert step > 1
+        assert str(raised.value).startswith(
+            f"fold2-dynamic: epoch 1, step {step}: non-finite loss or gradient"
+        )
 
 
 def _untrained_factory(config):
@@ -571,10 +647,12 @@ class TestModelSetSerialization:
         loaded = load_model_set(tmp_path)
         assert loaded.config == config
         assert loaded.router is None
-        for seq in ds.sequences[:8]:
-            assert predict_sequence(loaded, seq, ds.joint_map) == predict_sequence(
-                trained, seq, ds.joint_map
-            )
+        seqs = ds.sequences[:8]
+        for got, want in zip(score_sequences(loaded, seqs, ds.joint_map),
+                             score_sequences(trained, seqs, ds.joint_map)):
+            assert got.keys() == want.keys()
+            for key in want:
+                assert np.array_equal(got[key], want[key])
 
     def test_round_trip_with_length_routing(self, tmp_path):
         ds = _dataset(n_patients=2, seed=14)

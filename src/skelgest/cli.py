@@ -382,6 +382,7 @@ def _evaluate_from_manifest(args: argparse.Namespace) -> int:
             f"{root} has {dataset['checksum']}"
         )
     ds = load_dataset(root, data_manifest, joint_map=_joint_map(chin_index))
+    settings = {**settings, "dataset.root": str(root), "dataset.manifest": data_manifest}
     return _cross_validate(settings, ds, rc, boundaries, dataset)
 
 

@@ -7,15 +7,24 @@ import numpy as np
 from .params import HeadKind
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function.
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable logistic function, optionally into ``out``.
 
-    Both branches read ``exp(-|z|)``, which never overflows; they are the
-    ``1/(1+exp(-z))`` and ``exp(z)/(1+exp(z))`` forms, selected by sign.
-    ``-|z|`` is spelled ``min(z, -z)`` so that a NaN keeps its sign bit.
+    ``exp(min(z, 0)) / (1 + exp(-|z|))`` is ``1/(1+exp(-z))`` for z >= 0 and
+    ``exp(z)/(1+exp(z))`` below, bit for bit, with no select, and neither
+    exponential overflows.  ``-|z|`` is spelled ``min(z, -z)`` so that a NaN
+    keeps its sign bit.  ``out`` may be ``z`` itself.
     """
-    e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    den = np.negative(z, out=np.empty(np.shape(z)))
+    np.minimum(z, den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    if out is None:
+        out = np.empty(np.shape(z))
+    np.minimum(z, 0.0, out=out)
+    np.exp(out, out=out)
+    out /= den
+    return out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ optimizer can treat the whole model as a single array.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -104,13 +105,13 @@ def param_slots(spec: ArchSpec) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def param_count(spec: ArchSpec) -> int:
-    return sum(int(np.prod(shape)) for _, shape in param_slots(spec))
+    return sum(math.prod(shape) for _, shape in param_slots(spec))
 
 
 def param_views(spec: ArchSpec, flat: np.ndarray) -> dict[str, np.ndarray]:
     """Name -> reshaped view into ``flat``; writes through to the vector."""
     slots = param_slots(spec)
-    needed = sum(int(np.prod(shape)) for _, shape in slots)
+    needed = sum(math.prod(shape) for _, shape in slots)
     if flat.size != needed:
         raise ValueError(
             f"parameter vector has {flat.size} values, layout needs {needed}"
@@ -118,7 +119,7 @@ def param_views(spec: ArchSpec, flat: np.ndarray) -> dict[str, np.ndarray]:
     views: dict[str, np.ndarray] = {}
     offset = 0
     for name, shape in slots:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         views[name] = flat[offset : offset + size].reshape(shape)
         offset += size
     return views

@@ -37,7 +37,7 @@ from .skeleton import (
     GestureSequence,
     JointIndexMap,
 )
-from .ingest import Dataset, FoldSplit
+from .ingest import DataError, Dataset, FoldSplit
 from .preprocess import (
     NormMethod,
     SavgolSpec,
@@ -836,15 +836,21 @@ def save_model_set(
 def load_model_set(model_dir: str | Path) -> TrainedProtocol:
     """Rebuild a TrainedProtocol from `save_model_set` output."""
     model_dir = Path(model_dir)
-    index = json.loads((model_dir / "modelset.json").read_text())
+    index_path = model_dir / "modelset.json"
+    index = json.loads(index_path.read_text())
     if index.get("format") != "skelgest-modelset":
         raise ValueError(f"{model_dir} does not contain a model-set index")
     config = config_from_dict(index["config"])
     preps, threshold = config.routes()
     routes: dict[str, ProtocolModelSet] = {}
     for entry in index["models"]:
-        model, extra = load_checkpoint(model_dir / entry["file"])
         route = entry["route"]
+        if route not in preps:
+            raise DataError(
+                f"{index_path}: unknown route {route!r}; its configuration has "
+                f"{', '.join(sorted(preps))}"
+            )
+        model, extra = load_checkpoint(model_dir / entry["file"])
         if route not in routes:
             routes[route] = ProtocolModelSet(
                 protocol=config.protocol, prep=preps[route], classifiers={}

@@ -654,6 +654,19 @@ class TestReplayRule:
         del echoed["output.dir"], recorded["output.dir"]
         assert echoed == recorded
 
+    def test_replay_without_dataset_flag_records_the_loaded_root(self, eval_out,
+                                                                 tmp_path):
+        out = tmp_path / "replay"
+        code = run_cli(
+            "evaluate", "--from-manifest", str(eval_out / "run_manifest.json"),
+            "--out", str(out),
+        )
+        assert code == EXIT_OK
+        echoed = parse_config_text((out / "config.txt").read_text())
+        recorded = parse_config_text((eval_out / "config.txt").read_text())
+        assert echoed["dataset.root"] == recorded["dataset.root"]
+        assert echoed["dataset.manifest"] == recorded["dataset.manifest"]
+
 
 def _cut_in_header_length(data):
     return data[:10]
@@ -691,6 +704,21 @@ def test_corrupt_checkpoint_is_data_error(corrupt, model_dir, dataset_dir, tmp_p
                    "--out", str(tmp_path / "out"))
     assert code == EXIT_DATA
     assert str(victim) in capsys.readouterr().err
+
+
+def test_unknown_route_in_model_set_index_is_data_error(model_dir, dataset_dir,
+                                                         tmp_path, capsys):
+    models = tmp_path / "models"
+    shutil.copytree(model_dir / "models", models)
+    index_path = models / "modelset.json"
+    index = json.loads(index_path.read_text())
+    index["models"][0]["route"] = "bogus"
+    index_path.write_text(json.dumps(index))
+    code = run_cli("evaluate", "--models", str(models), "--dataset", str(dataset_dir),
+                   "--out", str(tmp_path / "out"))
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(index_path) in err and "'bogus'" in err
 
 
 class TestGradcheck:

@@ -7,6 +7,11 @@ LSTM recurrent-weight gradient, and ``einsum`` contractions for the
 input-weight, convolution and projection gradients.  Forward arithmetic is
 unchanged, so losses and probabilities must match exactly; the gradients sum
 the same terms in another order, so they must match to a relative 1e-12.
+
+The LSTM kernel runs its per-step elementwise work feature-major, with every
+matrix product on the operands of the plain batch-major kernel.  That kernel
+is kept here verbatim (``batch_major_*``) as a byte-level oracle at the
+model's real sizes.
 """
 
 import numpy as np
@@ -95,6 +100,103 @@ def reference_lstm(model, x, targets=None):
     return loss, grad
 
 
+# The batch-major LSTM kernel that the feature-major one replaced.  Its
+# arithmetic is verbatim; names, annotations and input checks differ.
+# ``batch_major_sigmoid`` is the select form of the logistic that it called.
+
+
+def batch_major_sigmoid(z):
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _batch_major_gate_slices(h):
+    return (slice(0, h), slice(h, 2 * h), slice(2 * h, 3 * h), slice(3 * h, 4 * h))
+
+
+def _batch_major_run_recurrence(p, x, h_dim, keep_caches=False):
+    b, w, _ = x.shape
+    si, sf, sg, so = _batch_major_gate_slices(h_dim)
+    pre_x = x @ p["w_x"].T + p["b"]
+    w_h_t = p["w_h"].T
+    caches = None
+    if keep_caches:
+        caches = (
+            np.empty((w, b, 4 * h_dim)),
+            np.empty((w, b, h_dim)),
+            np.empty((w, b, h_dim)),
+            np.empty((w, b, h_dim)),
+        )
+    h = np.zeros((b, h_dim))
+    c = np.zeros((b, h_dim))
+    for t in range(w):
+        z = pre_x[:, t, :] + h @ w_h_t
+        gate = batch_major_sigmoid(z)
+        gate[:, sg] = np.tanh(z[:, sg])
+        c = gate[:, sf] * c + gate[:, si] * gate[:, sg]
+        tc = np.tanh(c)
+        h = gate[:, so] * tc
+        if caches is not None:
+            for cache, value in zip(caches, (gate, c, tc, h)):
+                cache[t] = value
+    return h, caches
+
+
+def batch_major_forward(model, x):
+    p = model.unpack()
+    h_final, _ = _batch_major_run_recurrence(p, x, model.spec.hidden_dim)
+    return head_forward(h_final, p["w_head"], p["b_head"], model.head)
+
+
+def batch_major_loss_and_grad(model, x, targets):
+    spec = model.spec
+    h_dim = spec.hidden_dim
+    b, w, d = x.shape
+    p = model.unpack()
+    si, sf, sg, so = _batch_major_gate_slices(h_dim)
+
+    h_final, (gates, cells, tanh_cells, hiddens) = _batch_major_run_recurrence(
+        p, x, h_dim, keep_caches=True
+    )
+    logits = h_final @ p["w_head"].T + p["b_head"]
+    loss, d_logits = head_loss(logits, targets, model.head)
+
+    grad_flat = np.zeros_like(model.values)
+    g = param_views(spec, grad_flat)
+    dh = head_backward(d_logits, h_final, p["w_head"], g["w_head"], g["b_head"])
+
+    dz_all = np.empty((w, b, 4 * h_dim))
+    dc = np.zeros((b, h_dim))
+    for t in range(w - 1, -1, -1):
+        i_g = gates[t, :, si]
+        f_g = gates[t, :, sf]
+        g_g = gates[t, :, sg]
+        o_g = gates[t, :, so]
+        tc = tanh_cells[t]
+
+        d_o = dh * tc
+        dc = dc + dh * o_g * (1.0 - tc * tc)
+        d_i = dc * g_g
+        d_g = dc * i_g
+
+        dz = dz_all[t]
+        dz[:, si] = d_i * i_g * (1.0 - i_g)
+        dz[:, sg] = d_g * (1.0 - g_g * g_g)
+        dz[:, so] = d_o * o_g * (1.0 - o_g)
+        if t == 0:
+            dz[:, sf] = 0.0
+            break
+        d_f = dc * cells[t - 1]
+        dz[:, sf] = d_f * f_g * (1.0 - f_g)
+        dh = dz @ p["w_h"]
+        dc = dc * f_g
+
+    g["w_h"] += dz_all[1:].reshape(-1, 4 * h_dim).T @ hiddens[:-1].reshape(-1, h_dim)
+    g["w_x"] += dz_all.reshape(-1, 4 * h_dim).T @ x.transpose(1, 0, 2).reshape(-1, d)
+    g["b"] += dz_all.sum(axis=(0, 1))
+    return loss, grad_flat
+
+
 def reference_tcn_loss_and_grad(model, x, targets):
     """The TCN backward pass with every weight gradient as an ``einsum``."""
     spec = model.spec
@@ -156,7 +258,20 @@ class TestSigmoid:
              np.random.default_rng(0).normal(scale=20.0, size=4000)]
         )
         for z in (grid, grid.reshape(-1, 4), specials[8:]):
-            assert sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+            want = masked_sigmoid(z).tobytes()
+            assert sigmoid(z).tobytes() == want
+            out = np.empty_like(z)
+            assert sigmoid(z, out=out) is out
+            assert out.tobytes() == want
+            in_place = z.copy()
+            sigmoid(in_place, out=in_place)
+            assert in_place.tobytes() == want
+
+    @pytest.mark.parametrize("z", [-3.5, 0.0, 2.0, np.float64(-40.0), np.array(750.0)])
+    def test_scalar_gives_a_0d_array(self, z):
+        got = sigmoid(z)
+        assert got.shape == ()
+        assert got.tobytes() == masked_sigmoid(np.array(z, dtype=np.float64)).tobytes()
 
 
 LSTM_CASES = [
@@ -195,6 +310,27 @@ class TestLstmAgainstReference:
         model = init_parameters(spec, head, seed=23)
         x, _ = _batch(spec, head, b=7, w=w, seed=24)
         assert lstm_forward(model, x).tobytes() == reference_lstm(model, x).tobytes()
+
+
+class TestLstmAgainstBatchMajorKernel:
+    """Byte equality at the model's real width, batch sizes on and off the
+    BLAS kernels' block edges, and one, two and a full window of steps."""
+
+    @pytest.mark.parametrize("w", [1, 2, 32])
+    @pytest.mark.parametrize("b", [1, 7, 17, 33, 64])
+    @pytest.mark.parametrize("d", [28, 42])
+    @pytest.mark.parametrize("head", [HeadKind.SOFTMAX, HeadKind.SIGMOID],
+                             ids=["softmax", "sigmoid"])
+    def test_byte_identical(self, head, d, b, w):
+        n_classes = 5 if head is HeadKind.SOFTMAX else 1
+        spec = LstmSpec(input_dim=d, hidden_dim=32, n_classes=n_classes)
+        model = init_parameters(spec, head, seed=41)
+        x, targets = _batch(spec, head, b=b, w=w, seed=42 + b + w)
+        assert lstm_forward(model, x).tobytes() == batch_major_forward(model, x).tobytes()
+        loss, grad = lstm_loss_and_grad(model, x, targets)
+        want_loss, want_grad = batch_major_loss_and_grad(model, x, targets)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
 
 
 class TestTcnAgainstReference:

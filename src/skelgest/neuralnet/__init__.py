@@ -34,9 +34,7 @@ from .train import (
     TrainingDivergedError,
     adam_update,
     batch_loss_and_grad,
-    binary_cross_entropy,
     clip_gradient,
-    cross_entropy,
     finite_difference_gradient,
     fit,
     forward,
@@ -60,9 +58,7 @@ __all__ = [
     "TrainingDivergedError",
     "adam_update",
     "batch_loss_and_grad",
-    "binary_cross_entropy",
     "clip_gradient",
-    "cross_entropy",
     "finite_difference_gradient",
     "fit",
     "forward",

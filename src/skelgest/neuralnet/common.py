@@ -1,10 +1,47 @@
-"""Numerics shared by both architectures: activations, heads, losses."""
+"""Numerics shared by both architectures: BLAS threads, activations, heads, losses."""
 
 from __future__ import annotations
+
+import ctypes
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
 from .params import HeadKind
+
+
+def _openblas_thread_calls():
+    """numpy's OpenBLAS ``get_num_threads`` and ``set_num_threads``, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get, put = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+
+
+_OPENBLAS_THREADS = _openblas_thread_calls()
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with one OpenBLAS thread, then restore the caller's count.
+
+    Results are defined at one thread: OpenBLAS's threads change the bits of
+    some products.  The count is process-wide; another BLAS is left alone.
+    """
+    get, put = _OPENBLAS_THREADS or (lambda: 1, lambda threads: None)
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

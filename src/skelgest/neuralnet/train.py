@@ -1,4 +1,4 @@
-"""Training loop, optimizers, losses, and the finite-difference gradient check.
+"""Training loop, optimizers, and the finite-difference gradient check.
 
 Everything runs in float64.  The analytic gradients live next to the forward
 passes (`lstm.loss_and_grad`, `tcn.loss_and_grad`); this module wraps them
@@ -13,37 +13,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lstm, tcn
+from .common import one_blas_thread
 from .params import HeadKind, LstmSpec, ModelParameters, TcnSpec
-
-EPS_PROB = 1e-12
 
 
 class TrainingDivergedError(RuntimeError):
     """Raised when a non-finite loss or gradient appears during training."""
 
 
-def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean negative log-likelihood of integer targets under (B, K) probs.
-
-    Probabilities are clamped at 1e-12 before the log so that a confidently
-    wrong model yields a large finite loss rather than an infinity.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    targets = np.asarray(targets)
-    if probs.ndim == 1:
-        probs = probs[None]
-        targets = np.atleast_1d(targets)
-    picked = probs[np.arange(probs.shape[0]), targets.astype(int)]
-    return float(-np.log(np.maximum(picked, EPS_PROB)).mean())
-
-
-def binary_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean binary cross-entropy between probabilities and 0/1 targets."""
-    p = np.clip(np.asarray(probs, dtype=np.float64).reshape(-1), EPS_PROB, 1.0 - EPS_PROB)
-    y = np.asarray(targets, dtype=np.float64).reshape(-1)
-    return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean())
-
-
+@one_blas_thread()
 def forward(model: ModelParameters, x: np.ndarray) -> np.ndarray:
     """Dispatch to the architecture's forward pass."""
     if isinstance(model.spec, LstmSpec):
@@ -113,6 +91,7 @@ class GradCheckReport:
         return self.max_rel_error <= self.tolerance
 
 
+@one_blas_thread()
 def grad_check(
     model: ModelParameters,
     x: np.ndarray,
@@ -241,6 +220,7 @@ class FitResult:
     epoch_losses: list[float] = field(default_factory=list)
 
 
+@one_blas_thread()
 def fit(
     model: ModelParameters,
     x: np.ndarray,

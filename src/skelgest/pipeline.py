@@ -844,6 +844,8 @@ def load_model_set(model_dir: str | Path) -> TrainedProtocol:
     preps, threshold = config.routes()
     routes: dict[str, ProtocolModelSet] = {}
     for entry in index["models"]:
+        if missing := next((f for f in ("file", "route", "key") if f not in entry), None):
+            raise DataError(f"{index_path}: a model entry has no {missing!r} field")
         route = entry["route"]
         if route not in preps:
             raise DataError(

@@ -7,7 +7,26 @@ survives pytest's output capturing.
 
 from __future__ import annotations
 
+import os
 import re
+
+import pytest
+
+from skelgest.neuralnet import common
+
+
+def needs_two_blas_threads(test):
+    """Skip a test that compares results at one and two OpenBLAS threads
+    where the comparison cannot be made."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    test = pytest.mark.skipif(
+        common._OPENBLAS_THREADS is None,
+        reason="numpy links no OpenBLAS, whose thread count skelgest sets",
+    )(test)
+    return pytest.mark.skipif(
+        (cpus or 1) < 2, reason="one CPU: OpenBLAS runs one thread at any setting"
+    )(test)
+
 
 _ACCEPTANCE_PATTERN = re.compile(r"test_criterion_(\d+)")
 

@@ -5,6 +5,7 @@ stdout/stderr can be asserted directly.
 """
 
 import json
+import os
 import shutil
 import struct
 import subprocess
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import needs_two_blas_threads
 from skelgest.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from skelgest.config import (
     REGISTRY,
@@ -719,6 +721,45 @@ def test_unknown_route_in_model_set_index_is_data_error(model_dir, dataset_dir,
     assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert str(index_path) in err and "'bogus'" in err
+
+
+@pytest.mark.parametrize("field", ["file", "route", "key"])
+def test_model_set_entry_without_a_field_is_data_error(field, model_dir, dataset_dir,
+                                                       tmp_path, capsys):
+    models = tmp_path / "models"
+    shutil.copytree(model_dir / "models", models)
+    index_path = models / "modelset.json"
+    index = json.loads(index_path.read_text())
+    del index["models"][0][field]
+    index_path.write_text(json.dumps(index))
+    code = run_cli("evaluate", "--models", str(models), "--dataset", str(dataset_dir),
+                   "--out", str(tmp_path / "out"))
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(index_path) in err and f"{field!r}" in err
+
+
+@needs_two_blas_threads
+def test_train_does_not_depend_on_the_blas_thread_count(dataset_dir, tmp_path):
+    """Every checkpoint and the index are byte-identical at one and two threads."""
+    models = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "skelgest", "train", "--dataset", str(dataset_dir),
+             "--out", str(out), "--seed", "5", "--protocol", "binary",
+             "--lstm-hidden", "32", "--frames", "32", "--stride", "16", "--epochs", "1",
+             "--batch-size", "16", "--rebalance", "true"],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        models.append(out / "models")
+    names = sorted(path.name for path in models[0].iterdir())
+    assert len(names) == 30 and "modelset.json" in names
+    assert sorted(path.name for path in models[1].iterdir()) == names
+    for name in names:
+        assert (models[0] / name).read_bytes() == (models[1] / name).read_bytes(), name
 
 
 class TestGradcheck:

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import needs_two_blas_threads
 from skelgest.neuralnet import (
     AdamState,
     GradCheckReport,
@@ -21,9 +22,7 @@ from skelgest.neuralnet import (
     TrainingDivergedError,
     adam_update,
     batch_loss_and_grad,
-    binary_cross_entropy,
     clip_gradient,
-    cross_entropy,
     finite_difference_gradient,
     fit,
     forward,
@@ -41,6 +40,7 @@ from skelgest.neuralnet import (
     tcn_level_outputs,
     train_step,
 )
+from skelgest.neuralnet import common
 
 LSTM_SMALL = LstmSpec(input_dim=3, hidden_dim=4, n_classes=2)
 TCN_SMALL = TcnSpec(input_dim=3, channels=4, kernel=2, dilations=(1, 2), n_classes=2)
@@ -184,6 +184,31 @@ class TestActivations:
         z = np.linspace(-20, 20, 41)
         expected = 1.0 / (1.0 + np.exp(-z))
         assert np.max(np.abs(sigmoid(z) - expected)) <= 1e-12
+
+
+EPS_PROB = 1e-12
+
+
+def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
+    """Mean negative log-likelihood of integer targets under (B, K) probs.
+
+    Probabilities are clamped at 1e-12 before the log so that a confidently
+    wrong model yields a large finite loss rather than an infinity.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    targets = np.asarray(targets)
+    if probs.ndim == 1:
+        probs = probs[None]
+        targets = np.atleast_1d(targets)
+    picked = probs[np.arange(probs.shape[0]), targets.astype(int)]
+    return float(-np.log(np.maximum(picked, EPS_PROB)).mean())
+
+
+def binary_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
+    """Mean binary cross-entropy between probabilities and 0/1 targets."""
+    p = np.clip(np.asarray(probs, dtype=np.float64).reshape(-1), EPS_PROB, 1.0 - EPS_PROB)
+    y = np.asarray(targets, dtype=np.float64).reshape(-1)
+    return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean())
 
 
 class TestLosses:
@@ -498,6 +523,26 @@ class TestFit:
                 model, rng.normal(size=(2, 6, 3)), np.array([0, 1]),
                 TrainConfig(), AdamState.zeros(values.size),
             )
+
+
+@needs_two_blas_threads
+def test_fit_does_not_depend_on_the_callers_blas_thread_count():
+    get, put = common._OPENBLAS_THREADS
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(40, 32, 28))
+    targets = (rng.random(40) < 0.5).astype(np.float64)
+    config = TrainConfig(epochs=1, batch_size=16, learning_rate=0.01)
+    before = get()
+    trained = []
+    try:
+        for threads in (2, 1):
+            put(threads)
+            model = init_parameters(LstmSpec(28, 32, 1), HeadKind.SIGMOID, seed=3)
+            trained.append(fit(model, x, targets, config).model.values.tobytes())
+            assert get() == threads
+    finally:
+        put(before)
+    assert trained[0] == trained[1]
 
 
 class TestCheckpoints:

@@ -20,7 +20,6 @@ from .skeleton import (
     JointIndexMap,
     UnknownLabelError,
     class_counts,
-    label_description,
     label_kind,
     validate_sequence,
 )
@@ -30,7 +29,6 @@ from .ingest import (
     Dataset,
     FoldSplit,
     ParseError,
-    Provenance,
     SynthConfig,
     assign_folds,
     dataset_checksum,

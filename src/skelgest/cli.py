@@ -63,7 +63,6 @@ from .pipeline import (
     FoldCoverageError,
     MissingClassError,
     RunConfig,
-    config_from_dict,
     config_from_settings,
     config_to_dict,
     config_to_settings,
@@ -72,6 +71,7 @@ from .pipeline import (
     evaluate_fold,
     evaluate_multiclass,  # noqa: F401 -- looked up here by perfbench/tracing.py
     load_model_set,
+    read_index,
     save_model_set,
     train_protocol,
 )
@@ -297,7 +297,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     _echo_config(out, resolved)
     _write_run_manifest(out, "train", rc, tuple(resolved["folds.boundaries"]), dataset,
                         ds.joint_map.chin_index)
-    n_models = sum(len(ms.classifiers) for ms in trained.routes.values())
+    n_models = sum(len(by_key) for by_key in trained.classifiers.values())
     print(f"trained {n_models} model(s); index at {index_path}")
     return EXIT_OK
 
@@ -356,13 +356,10 @@ def _evaluate_model_set(args: argparse.Namespace) -> int:
 
 def _evaluate_from_manifest(args: argparse.Namespace) -> int:
     """Replay a recorded run exactly; the dataset must match its checksum."""
-    manifest_path = Path(args.from_manifest)
-    if not manifest_path.is_file():
-        raise DataError(f"run manifest not found: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format") != "skelgest-run":
-        raise DataError(f"{manifest_path} is not a run manifest")
-    rc = config_from_dict(manifest["config"])
+    manifest, rc = read_index(
+        Path(args.from_manifest), "skelgest-run",
+        ("fold_boundaries", "dataset.root", "dataset.checksum"),
+    )
     boundaries = tuple(manifest["fold_boundaries"])
     # Runs recorded before the chin index was stored used the default chin.
     chin_index = manifest.get("chin_index", DEFAULT_JOINT_MAP.chin_index)

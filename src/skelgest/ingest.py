@@ -19,7 +19,6 @@ import hashlib
 import logging
 import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -51,11 +50,6 @@ class DataError(Exception):
 
 class ParseError(DataError):
     """A frames file violates the block format; message carries the line number."""
-
-
-class Provenance(Enum):
-    REAL = "real"
-    SYNTHETIC = "synthetic"
 
 
 def parse_skeletal_file(
@@ -129,7 +123,6 @@ class Dataset:
 
     sequences: tuple[GestureSequence, ...]
     joint_map: JointIndexMap
-    provenance: Provenance
 
     @property
     def patients(self) -> tuple[int, ...]:
@@ -139,7 +132,6 @@ class Dataset:
 def _build_dataset(
     sequences: list[GestureSequence],
     joint_map: JointIndexMap,
-    provenance: Provenance,
 ) -> Dataset:
     kept = [s for s in sequences if s.correct]
     if not kept:
@@ -150,7 +142,7 @@ def _build_dataset(
             raise DataError(
                 f"patient {seq.patient_id} gesture {seq.label.id}: " + "; ".join(problems)
             )
-    return Dataset(sequences=tuple(kept), joint_map=joint_map, provenance=provenance)
+    return Dataset(sequences=tuple(kept), joint_map=joint_map)
 
 
 def load_dataset(
@@ -158,7 +150,6 @@ def load_dataset(
     manifest: str | Path | None = None,
     *,
     joint_map: JointIndexMap = DEFAULT_JOINT_MAP,
-    provenance: Provenance = Provenance.REAL,
 ) -> Dataset:
     """Load a dataset directory through its manifest.
 
@@ -204,7 +195,7 @@ def load_dataset(
             sequences.append(
                 GestureSequence(patient_id, label, correct, coords, conf, aux)
             )
-    ds = _build_dataset(sequences, joint_map, provenance)
+    ds = _build_dataset(sequences, joint_map)
     logger.info("loaded %d sequences from %d patients (%s)",
                 len(ds.sequences), len(ds.patients), manifest_path)
     return ds
@@ -409,7 +400,7 @@ def generate_synthetic(
                     conf=np.ones((n_frames, N_JOINTS)),
                 )
             )
-    return _build_dataset(sequences, joint_map, Provenance.SYNTHETIC)
+    return _build_dataset(sequences, joint_map)
 
 
 def write_dataset(ds: Dataset, root: str | Path) -> Path:

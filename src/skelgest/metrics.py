@@ -63,14 +63,6 @@ class ConfusionMatrix:
             raise ValueError("confusion matrix is empty; accuracy is undefined")
         return self.n_correct / total
 
-    def per_class_recall(self) -> dict[str, float | None]:
-        """Recall per true class; None when that class never occurred."""
-        out: dict[str, float | None] = {}
-        for i, label in enumerate(self.labels):
-            row = int(self.counts[i].sum())
-            out[label] = None if row == 0 else int(self.counts[i, i]) / row
-        return out
-
     def to_csv(self) -> str:
         """Header row then one row per true class, first column the label."""
         buf = io.StringIO()

@@ -17,14 +17,12 @@ from .params import (
     param_count,
     param_slots,
     param_views,
-    receptive_field,
     save_checkpoint,
 )
 from .common import sigmoid, softmax
 from .lstm import forward as lstm_forward
 from .lstm import loss_and_grad as lstm_loss_and_grad
 from .tcn import forward as tcn_forward
-from .tcn import level_outputs as tcn_level_outputs
 from .tcn import loss_and_grad as tcn_loss_and_grad
 from .train import (
     AdamState,
@@ -71,13 +69,11 @@ __all__ = [
     "param_count",
     "param_slots",
     "param_views",
-    "receptive_field",
     "save_checkpoint",
     "sgd_update",
     "sigmoid",
     "softmax",
     "tcn_forward",
-    "tcn_level_outputs",
     "tcn_loss_and_grad",
     "train_step",
 ]

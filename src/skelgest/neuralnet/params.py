@@ -75,11 +75,6 @@ class TcnSpec:
 ArchSpec = LstmSpec | TcnSpec
 
 
-def receptive_field(spec: TcnSpec) -> int:
-    """Frames of input visible to the last time step: 1 + (k-1) * sum(dilations)."""
-    return 1 + (spec.kernel - 1) * sum(spec.dilations)
-
-
 def param_slots(spec: ArchSpec) -> list[tuple[str, tuple[int, ...]]]:
     """Ordered (name, shape) layout of the flat parameter vector."""
     if isinstance(spec, LstmSpec):

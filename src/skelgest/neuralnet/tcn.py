@@ -72,16 +72,6 @@ def _run_levels(model: ModelParameters, x: np.ndarray):
     return current, caches
 
 
-def level_outputs(model: ModelParameters, x: np.ndarray) -> list[np.ndarray]:
-    """Per-level outputs (B, W, C) for inspection; used by causality checks."""
-    if x.ndim == 2:
-        x = x[None]
-    _check_input(model, x)
-    top, caches = _run_levels(model, x)
-    # Each level's input is the previous level's output.
-    return [inp for inp, _, _ in caches[1:]] + [top]
-
-
 def forward(model: ModelParameters, x: np.ndarray) -> np.ndarray:
     """Class probabilities from the last-time-step representation.
 

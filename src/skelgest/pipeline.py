@@ -139,6 +139,8 @@ class RunConfig:
             )
         if self.route_threshold is not None and self.long_window is None:
             raise ValueError("route_threshold is only meaningful with long_window set")
+        if self.route_threshold is not None and self.route_threshold < 1:
+            raise ValueError(f"route_threshold must be >= 1, got {self.route_threshold}")
 
     def arch_spec(self, n_classes: int):
         d = self.prep.feature_dim
@@ -152,42 +154,32 @@ class RunConfig:
             n_classes=n_classes,
         )
 
-    def routes(self) -> tuple[dict[str, PrepSettings], int | None]:
-        """Each route's feature settings, by route name, and the frame-count
-        threshold of the length router (None without length routing)."""
+    def routes(self) -> dict[str, PrepSettings]:
+        """Each route's feature settings, by route name: ``main``, or ``short``
+        and ``long`` with length routing."""
         if self.long_window is None:
-            return {"main": self.prep}, None
+            return {"main": self.prep}
         long_prep = replace(
             self.prep, window=WindowSpec(self.long_window, self.prep.window.stride)
         )
-        threshold = (
-            self.prep.window.length if self.route_threshold is None else self.route_threshold
-        )
-        return {"short": self.prep, "long": long_prep}, threshold
+        return {"short": self.prep, "long": long_prep}
 
-
-@dataclass(frozen=True)
-class LengthRouter:
-    """Send short sequences to one model set and long ones to another.
-
-    A sequence of T raw frames (before smoothing or windowing) goes to the
-    ``short`` route when T <= threshold, else to ``long``.
-    """
-
-    threshold: int
-
-    def __post_init__(self):
-        if self.threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {self.threshold}")
-
-    def route(self, n_frames: int) -> str:
-        return "short" if n_frames <= self.threshold else "long"
+    @property
+    def router_threshold(self) -> int | None:
+        """The largest raw frame count (before smoothing or windowing) that
+        takes the ``short`` route; None without length routing."""
+        if self.long_window is None:
+            return None
+        return self.prep.window.length if self.route_threshold is None else self.route_threshold
 
 
 @dataclass(frozen=True)
 class TrainJob:
-    """One model's training inputs, handed to a classifier factory."""
+    """One model's training inputs, handed to a classifier factory; its
+    classifier fills ``TrainedProtocol.classifiers[route][key]``."""
 
+    route: str
+    key: str
     name: str
     labels: tuple[str, ...]
     head: HeadKind
@@ -303,38 +295,28 @@ def _assert_patient_disjoint(
 
 
 @dataclass
-class ProtocolModelSet:
-    """All classifiers for one protocol at one window length."""
+class TrainedProtocol:
+    """A run's trained classifiers by route and key, the run config, which
+    defines the routes, and the joint map whose chin the models' features
+    were referenced to."""
 
-    protocol: Protocol
-    prep: PrepSettings
-    classifiers: dict[str, SequenceClassifier]
+    config: RunConfig
+    classifiers: dict[str, dict[str, SequenceClassifier]]
+    joint_map: JointIndexMap = DEFAULT_JOINT_MAP
 
-    KIND_KEYS = {GestureKind.STATIC: "static", GestureKind.DYNAMIC: "dynamic"}
+    def route_name(self, seq: GestureSequence) -> str:
+        """``main``, or by the sequence's raw frame count ``short`` or ``long``."""
+        threshold = self.config.router_threshold
+        if threshold is None:
+            return "main"
+        return "short" if seq.n_frames <= threshold else "long"
 
     def keys_for(self, seq: GestureSequence) -> tuple[str, ...]:
         """The classifiers that score ``seq``: the model of its kind, or all
         29 one-vs-rest models."""
-        if self.protocol is Protocol.MULTICLASS:
-            return (self.KIND_KEYS[seq.label.kind],)
+        if self.config.protocol is Protocol.MULTICLASS:
+            return (seq.label.kind.value,)
         return ALL_GESTURE_IDS
-
-
-@dataclass
-class TrainedProtocol:
-    """One or two window-length routes of trained models plus the run config
-    and the joint map whose chin the models' features were referenced to."""
-
-    config: RunConfig
-    routes: dict[str, ProtocolModelSet]
-    router: LengthRouter | None = None
-    joint_map: JointIndexMap = DEFAULT_JOINT_MAP
-
-    def route_name(self, seq: GestureSequence) -> str:
-        return "main" if self.router is None else self.router.route(seq.n_frames)
-
-    def route_for(self, seq: GestureSequence) -> ProtocolModelSet:
-        return self.routes[self.route_name(seq)]
 
 
 def _kind_labels(kind: GestureKind) -> tuple[str, ...]:
@@ -360,17 +342,48 @@ def _rebalanced_indices(targets: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([neg, upsampled]))
 
 
-def _train_route(
+def _train_jobs(
+    train_seqs: Sequence[GestureSequence],
+    config: RunConfig,
+    joint_map: JointIndexMap,
+    fold: int,
+    fold_name: str,
+) -> Iterator[TrainJob]:
+    """Every model's training job on one split, drawn lazily in fitting order:
+    route by route (`RunConfig.routes`), then each route's jobs.  Each route
+    is a generator of its own, so its windows are freed before the next
+    route's are stacked."""
+    for route_tag, (route, prep) in enumerate(config.routes().items()):
+        prefix = fold_name if route == "main" else f"{fold_name}-{route}"
+        seed_parts = (config.seed, fold, route_tag)
+        yield from _route_jobs(train_seqs, config, prep, joint_map, route, prefix, seed_parts)
+
+
+def _route_jobs(
     train_seqs: Sequence[GestureSequence],
     config: RunConfig,
     prep: PrepSettings,
     joint_map: JointIndexMap,
-    factory: ClassifierFactory,
-    fold: int,
-    route_tag: int,
-    fold_name: str,
-) -> ProtocolModelSet:
-    classifiers: dict[str, SequenceClassifier] = {}
+    route: str,
+    prefix: str,
+    seed_parts: tuple[int, int, int],
+) -> Iterator[TrainJob]:
+    """One route's jobs: static then dynamic, or one per gesture in
+    ``ALL_GESTURE_IDS`` order.  A job's windows are stacked when it is drawn."""
+
+    def job(key, idx, labels, head, x, targets):
+        return TrainJob(
+            route=route,
+            key=key,
+            name=f"{prefix}-{key}",
+            labels=labels,
+            head=head,
+            x=x,
+            targets=targets,
+            init_seed=_derived_seed(*seed_parts, idx, 0),
+            shuffle_seed=_derived_seed(*seed_parts, idx, 1),
+        )
+
     if config.protocol is Protocol.MULTICLASS:
         for kind_idx, kind in enumerate((GestureKind.STATIC, GestureKind.DYNAMIC)):
             labels = _kind_labels(kind)
@@ -379,7 +392,7 @@ def _train_route(
             missing = [gid for gid in labels if gid not in present]
             if missing:
                 raise MissingClassError(
-                    f"{fold_name}: training split has no examples of {missing} "
+                    f"{prefix}: training split has no examples of {missing} "
                     f"for the {kind.value} model"
                 )
             x, gids = _stack_features(
@@ -387,49 +400,24 @@ def _train_route(
             )
             index = {gid: i for i, gid in enumerate(labels)}
             targets = np.array([index[gid] for gid in gids], dtype=np.int64)
-            key = ProtocolModelSet.KIND_KEYS[kind]
-            classifiers[key] = factory(
-                TrainJob(
-                    name=f"{fold_name}-{key}",
-                    labels=labels,
-                    head=HeadKind.SOFTMAX,
-                    x=x,
-                    targets=targets,
-                    init_seed=_derived_seed(config.seed, fold, route_tag, kind_idx, 0),
-                    shuffle_seed=_derived_seed(config.seed, fold, route_tag, kind_idx, 1),
-                )
+            yield job(kind.value, kind_idx, labels, HeadKind.SOFTMAX, x, targets)
+        return
+    if not train_seqs:
+        raise MissingClassError(f"{prefix}: training split produced no windows")
+    x, gids = _stack_features(
+        train_seqs, [prep.features(s, joint_map) for s in train_seqs]
+    )
+    for class_idx, gid in enumerate(ALL_GESTURE_IDS):
+        targets = (gids == gid).astype(np.float64)
+        n_pos = int(targets.sum())
+        if n_pos == 0 or n_pos == len(targets):
+            raise MissingClassError(
+                f"{prefix}: one-vs-rest model for {gid} needs both positive "
+                f"and negative training examples (got {n_pos} positives "
+                f"of {len(targets)})"
             )
-    else:
-        if not train_seqs:
-            raise MissingClassError(f"{fold_name}: training split produced no windows")
-        x, gids = _stack_features(
-            train_seqs, [prep.features(s, joint_map) for s in train_seqs]
-        )
-        for class_idx, gid in enumerate(ALL_GESTURE_IDS):
-            targets = (gids == gid).astype(np.float64)
-            n_pos = int(targets.sum())
-            if n_pos == 0 or n_pos == len(targets):
-                raise MissingClassError(
-                    f"{fold_name}: one-vs-rest model for {gid} needs both positive "
-                    f"and negative training examples (got {n_pos} positives "
-                    f"of {len(targets)})"
-                )
-            job_x, job_targets = x, targets
-            if config.rebalance:
-                keep = _rebalanced_indices(targets)
-                job_x, job_targets = x[keep], targets[keep]
-            classifiers[gid] = factory(
-                TrainJob(
-                    name=f"{fold_name}-{gid}",
-                    labels=(gid,),
-                    head=HeadKind.SIGMOID,
-                    x=job_x,
-                    targets=job_targets,
-                    init_seed=_derived_seed(config.seed, fold, route_tag, class_idx, 0),
-                    shuffle_seed=_derived_seed(config.seed, fold, route_tag, class_idx, 1),
-                )
-            )
-    return ProtocolModelSet(protocol=config.protocol, prep=prep, classifiers=classifiers)
+        keep = _rebalanced_indices(targets) if config.rebalance else slice(None)
+        yield job(gid, class_idx, (gid,), HeadKind.SIGMOID, x[keep], targets[keep])
 
 
 def train_protocol(
@@ -443,16 +431,11 @@ def train_protocol(
     """Train every model the configured protocol requires on one split."""
     if factory is None:
         factory = network_factory(config)
-    preps, threshold = config.routes()
-    routes = {
-        route: _train_route(
-            train_seqs, config, prep, joint_map, factory, fold, route_tag,
-            fold_name if route == "main" else f"{fold_name}-{route}",
-        )
-        for route_tag, (route, prep) in enumerate(preps.items())
-    }
-    router = None if threshold is None else LengthRouter(threshold)
-    return TrainedProtocol(config=config, routes=routes, router=router, joint_map=joint_map)
+    classifiers: dict[str, dict[str, SequenceClassifier]] = {r: {} for r in config.routes()}
+    for job in _train_jobs(train_seqs, config, joint_map, fold, fold_name):
+        classifiers[job.route][job.key] = factory(job)
+        del job  # free its windows before the next job's are stacked
+    return TrainedProtocol(config=config, classifiers=classifiers, joint_map=joint_map)
 
 
 # Scoring holds at most this many windows at once, so its memory does not grow
@@ -488,7 +471,7 @@ def score_sequences(
     joint_map: JointIndexMap,
 ) -> list[dict[str, np.ndarray]]:
     """Per test sequence, in order, the mean window probabilities under each
-    classifier that scores it (``ProtocolModelSet.keys_for``).
+    classifier that scores it (``TrainedProtocol.keys_for``).
 
     Sequences are grouped by route and by the classifiers they need, then
     featurized in blocks (``_feature_blocks``); each classifier runs once per
@@ -496,19 +479,18 @@ def score_sequences(
     """
     groups: dict[tuple[str, tuple[str, ...]], list[int]] = {}
     for i, seq in enumerate(test_seqs):
-        route = trained.route_name(seq)
-        groups.setdefault((route, trained.routes[route].keys_for(seq)), []).append(i)
+        groups.setdefault((trained.route_name(seq), trained.keys_for(seq)), []).append(i)
 
+    preps = trained.config.routes()
     scores: list[dict[str, np.ndarray]] = [{} for _ in test_seqs]
     for (route, keys), members in groups.items():
-        model_set = trained.routes[route]
         indexed = ((i, test_seqs[i]) for i in members)
-        for block in _feature_blocks(indexed, model_set.prep, joint_map):
+        for block in _feature_blocks(indexed, preps[route], joint_map):
             x, gids = _stack_features(
                 [seq for _, seq, _ in block], [feats for _, _, feats in block]
             )
             for key in keys:
-                probs = model_set.classifiers[key].predict_windows(x, gids)
+                probs = trained.classifiers[route][key].predict_windows(x, gids)
                 start = 0
                 for i, _, feats in block:
                     scores[i][key] = aggregate_windows(probs[start : start + len(feats)])
@@ -526,8 +508,8 @@ def evaluate_multiclass(
     true_by_kind: dict[GestureKind, list[str]] = {k: [] for k in GestureKind}
     pred_by_kind: dict[GestureKind, list[str]] = {k: [] for k in GestureKind}
     for seq, scores in zip(test_seqs, score_sequences(trained, test_seqs, joint_map)):
-        key = ProtocolModelSet.KIND_KEYS[seq.label.kind]
-        labels = trained.route_for(seq).classifiers[key].labels
+        key = seq.label.kind.value
+        labels = trained.classifiers[trained.route_name(seq)][key].labels
         true_by_kind[seq.label.kind].append(seq.label.id)
         pred_by_kind[seq.label.kind].append(predict_label(scores[key], labels))
     static_cm, dynamic_cm = (
@@ -799,8 +781,8 @@ def save_model_set(
     out.mkdir(parents=True, exist_ok=True)
     digest = config_digest(trained.config)
     entries = []
-    for route, model_set in trained.routes.items():
-        for key, clf in model_set.classifiers.items():
+    for route, by_key in trained.classifiers.items():
+        for key, clf in by_key.items():
             if not isinstance(clf, NetworkClassifier):
                 raise TypeError(
                     f"cannot checkpoint a {type(clf).__name__}; only trained "
@@ -823,7 +805,7 @@ def save_model_set(
         "format": "skelgest-modelset",
         "version": 1,
         "config": config_to_dict(trained.config),
-        "router_threshold": None if trained.router is None else trained.router.threshold,
+        "router_threshold": trained.config.router_threshold,
         "models": entries,
         "dataset": dataset,
         "chin_index": trained.joint_map.chin_index,
@@ -833,36 +815,59 @@ def save_model_set(
     return index_path
 
 
+def read_index(path: Path, fmt: str, fields: Sequence[str]) -> tuple[dict, RunConfig]:
+    """A ``modelset.json`` or ``run_manifest.json`` index of format ``fmt``
+    and the run config that it records.  Each of ``fields`` must be present;
+    ``dataset.checksum`` names a field of ``dataset``.  A missing file, bad
+    JSON, another format, a missing field or a config that no run has is a
+    `DataError` that names the file."""
+    try:
+        index = json.loads(path.read_text())
+    except FileNotFoundError:
+        raise DataError(f"{path}: no such file") from None
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise DataError(f"{path}: not a readable JSON index ({exc})") from None
+    found = index.get("format") if isinstance(index, dict) else None
+    if found != fmt:
+        raise DataError(f"{path} is not a {fmt} index (format {found!r})")
+    for name in ("config", *fields):
+        node = index
+        for part in name.split("."):
+            if not isinstance(node, dict) or part not in node:
+                raise DataError(f"{path}: no {name!r} field")
+            node = node[part]
+    try:
+        config = config_from_dict(index["config"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad 'config' ({exc!r})") from None
+    return index, config
+
+
 def load_model_set(model_dir: str | Path) -> TrainedProtocol:
     """Rebuild a TrainedProtocol from `save_model_set` output."""
     model_dir = Path(model_dir)
     index_path = model_dir / "modelset.json"
-    index = json.loads(index_path.read_text())
-    if index.get("format") != "skelgest-modelset":
-        raise ValueError(f"{model_dir} does not contain a model-set index")
-    config = config_from_dict(index["config"])
-    preps, threshold = config.routes()
-    routes: dict[str, ProtocolModelSet] = {}
+    index, config = read_index(index_path, "skelgest-modelset", ("models",))
+    classifiers: dict[str, dict[str, SequenceClassifier]] = {r: {} for r in config.routes()}
     for entry in index["models"]:
         if missing := next((f for f in ("file", "route", "key") if f not in entry), None):
             raise DataError(f"{index_path}: a model entry has no {missing!r} field")
         route = entry["route"]
-        if route not in preps:
+        if route not in classifiers:
             raise DataError(
                 f"{index_path}: unknown route {route!r}; its configuration has "
-                f"{', '.join(sorted(preps))}"
+                f"{', '.join(sorted(classifiers))}"
             )
         model, extra = load_checkpoint(model_dir / entry["file"])
-        if route not in routes:
-            routes[route] = ProtocolModelSet(
-                protocol=config.protocol, prep=preps[route], classifiers={}
-            )
-        routes[route].classifiers[entry["key"]] = NetworkClassifier(
+        classifiers[route][entry["key"]] = NetworkClassifier(
             labels=tuple(extra["labels"]), model=model
         )
-    router = None if threshold is None else LengthRouter(threshold)
+    keys = ("static", "dynamic") if config.protocol is Protocol.MULTICLASS else ALL_GESTURE_IDS
+    for route, by_key in classifiers.items():
+        if missing := [key for key in keys if key not in by_key]:
+            raise DataError(f"{index_path}: no {route!r} model for {missing[0]!r}")
     joint_map = replace(
         DEFAULT_JOINT_MAP,
         chin_index=index.get("chin_index", DEFAULT_JOINT_MAP.chin_index),
     )
-    return TrainedProtocol(config=config, routes=routes, router=router, joint_map=joint_map)
+    return TrainedProtocol(config=config, classifiers=classifiers, joint_map=joint_map)

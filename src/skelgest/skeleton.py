@@ -64,7 +64,6 @@ _TAXONOMY: tuple[tuple[str, GestureKind, str], ...] = (
 )
 
 _KIND_BY_ID: dict[str, GestureKind] = {gid: kind for gid, kind, _ in _TAXONOMY}
-_DESC_BY_ID: dict[str, str] = {gid: desc for gid, _, desc in _TAXONOMY}
 
 ALL_GESTURE_IDS: tuple[str, ...] = tuple(gid for gid, _, _ in _TAXONOMY)
 STATIC_GESTURE_IDS: tuple[str, ...] = tuple(
@@ -87,13 +86,6 @@ def label_kind(gesture_id: str) -> GestureKind:
         return _KIND_BY_ID[gesture_id]
     except KeyError:
         raise UnknownLabelError(f"unknown gesture id {gesture_id!r}") from None
-
-
-def label_description(gesture_id: str) -> str:
-    """Human-readable gloss for a gesture id."""
-    if gesture_id not in _DESC_BY_ID:
-        raise UnknownLabelError(f"unknown gesture id {gesture_id!r}")
-    return _DESC_BY_ID[gesture_id]
 
 
 def class_counts() -> ClassCounts:

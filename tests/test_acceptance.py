@@ -32,7 +32,6 @@ from skelgest.pipeline import (
     NetKind,
     PrepSettings,
     Protocol,
-    ProtocolModelSet,
     RunConfig,
     TrainedProtocol,
     _assert_patient_disjoint,
@@ -250,12 +249,10 @@ def test_criterion_6_one_vs_rest_accuracy_skew():
     ds = generate_synthetic(SynthConfig(n_patients=1, seed=66))
     prep = PrepSettings(method=NormMethod.M3, window=WindowSpec(32, stride=4))
     config = RunConfig(protocol=Protocol.MULTICLASS_BINARY, prep=prep, seed=0)
-    model_set = ProtocolModelSet(
-        protocol=Protocol.MULTICLASS_BINARY,
-        prep=prep,
-        classifiers={gid: _ConstantNegative() for gid in ALL_GESTURE_IDS},
+    trained = TrainedProtocol(
+        config=config,
+        classifiers={"main": {gid: _ConstantNegative() for gid in ALL_GESTURE_IDS}},
     )
-    trained = TrainedProtocol(config=config, routes={"main": model_set})
 
     suite = evaluate_binary(trained, ds.sequences, DEFAULT_JOINT_MAP)
 

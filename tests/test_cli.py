@@ -739,6 +739,88 @@ def test_model_set_entry_without_a_field_is_data_error(field, model_dir, dataset
     assert str(index_path) in err and f"{field!r}" in err
 
 
+@pytest.mark.parametrize("entry", [0, 1])
+def test_model_set_index_without_a_model_is_data_error(entry, model_dir, dataset_dir,
+                                                       tmp_path, capsys):
+    models = tmp_path / "models"
+    shutil.copytree(model_dir / "models", models)
+    index_path = models / "modelset.json"
+    index = json.loads(index_path.read_text())
+    key = index["models"].pop(entry)["key"]
+    index_path.write_text(json.dumps(index))
+    code = run_cli("evaluate", "--models", str(models), "--dataset", str(dataset_dir),
+                   "--out", str(tmp_path / "out"))
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(index_path) in err and f"'main' model for {key!r}" in err
+
+
+def _index_copy(kind, model_dir, eval_out, dataset_dir, tmp_path):
+    """A copy of a model set's ``modelset.json`` or of a run's
+    ``run_manifest.json``, and the ``evaluate`` arguments that read it."""
+    if kind == "modelset":
+        models = tmp_path / "models"
+        shutil.copytree(model_dir / "models", models)
+        path = models / "modelset.json"
+        flags = ["--models", str(models), "--dataset", str(dataset_dir)]
+    else:
+        path = tmp_path / "run_manifest.json"
+        shutil.copy(eval_out / "run_manifest.json", path)
+        flags = ["--from-manifest", str(path)]
+    return path, ["evaluate", *flags, "--out", str(tmp_path / "out")]
+
+
+def _damaged_index_exits_3(path, argv, capsys, *fragments):
+    code = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA, err
+    assert str(path) in err and all(f in err for f in fragments), err
+    assert not Path(argv[-1]).exists()  # nothing written
+
+
+@pytest.mark.parametrize(
+    "kind,field",
+    [("modelset", "config"), ("modelset", "models"),
+     ("manifest", "config"), ("manifest", "fold_boundaries"),
+     ("manifest", "dataset.root"), ("manifest", "dataset.checksum")],
+)
+def test_index_without_a_required_field_is_data_error(kind, field, model_dir, eval_out,
+                                                      dataset_dir, tmp_path, capsys):
+    path, argv = _index_copy(kind, model_dir, eval_out, dataset_dir, tmp_path)
+    index = json.loads(path.read_text())
+    *parents, last = field.split(".")
+    node = index
+    for part in parents:
+        node = node[part]
+    del node[last]
+    path.write_text(json.dumps(index))
+    _damaged_index_exits_3(path, argv, capsys, f"{field!r}")
+
+
+@pytest.mark.parametrize("kind", ["modelset", "manifest"])
+@pytest.mark.parametrize(
+    "text,fragment",
+    [('{"not json', "JSON"), ('{"format": "something-else"}', "'something-else'"),
+     ("[1, 2]", "format None")],
+    ids=["bad-json", "other-format", "not-an-object"],
+)
+def test_unreadable_index_is_data_error(kind, text, fragment, model_dir, eval_out,
+                                        dataset_dir, tmp_path, capsys):
+    path, argv = _index_copy(kind, model_dir, eval_out, dataset_dir, tmp_path)
+    path.write_text(text)
+    _damaged_index_exits_3(path, argv, capsys, fragment)
+
+
+@pytest.mark.parametrize("kind", ["modelset", "manifest"])
+def test_index_with_a_config_no_run_has_is_data_error(kind, model_dir, eval_out,
+                                                      dataset_dir, tmp_path, capsys):
+    path, argv = _index_copy(kind, model_dir, eval_out, dataset_dir, tmp_path)
+    index = json.loads(path.read_text())
+    index["config"]["protocol"] = "bogus"
+    path.write_text(json.dumps(index))
+    _damaged_index_exits_3(path, argv, capsys, "'config'", "bogus")
+
+
 @needs_two_blas_threads
 def test_train_does_not_depend_on_the_blas_thread_count(dataset_dir, tmp_path):
     """Every checkpoint and the index are byte-identical at one and two threads."""

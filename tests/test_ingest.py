@@ -7,7 +7,6 @@ from skelgest.ingest import (
     DEFAULT_FOLD_BOUNDARIES,
     DataError,
     ParseError,
-    Provenance,
     SynthConfig,
     assign_folds,
     dataset_checksum,
@@ -126,7 +125,6 @@ class TestLoadDataset:
         ds = load_dataset(tmp_path)
         assert len(ds.sequences) == 2
         assert all(s.correct for s in ds.sequences)
-        assert ds.provenance is Provenance.REAL
 
     def test_unknown_gesture_id(self, tmp_path):
         _write_tiny_dataset(tmp_path, [(1, "Z9_9", 1, "a.txt")])
@@ -236,7 +234,6 @@ class TestGenerateSynthetic:
         counts = Counter(s.label.id for s in ds.sequences)
         assert all(counts[gid] == 6 for gid in ALL_GESTURE_IDS)
         assert all(s.correct for s in ds.sequences)
-        assert ds.provenance is Provenance.SYNTHETIC
 
     def test_zero_noise_static_frames_identical(self):
         """noise 0, offset 0: every frame of one static class is the same pose
@@ -299,7 +296,7 @@ class TestWriteAndChecksum:
     def test_write_load_round_trip(self, tmp_path):
         ds = generate_synthetic(SynthConfig(n_patients=2, seed=21))
         write_dataset(ds, tmp_path)
-        loaded = load_dataset(tmp_path, provenance=Provenance.SYNTHETIC)
+        loaded = load_dataset(tmp_path)
         assert len(loaded.sequences) == len(ds.sequences)
         key = lambda s: (s.patient_id, s.label.id)
         for a, b in zip(

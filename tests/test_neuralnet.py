@@ -32,18 +32,28 @@ from skelgest.neuralnet import (
     max_relative_error,
     param_count,
     param_views,
-    receptive_field,
     save_checkpoint,
     sgd_update,
     sigmoid,
     softmax,
-    tcn_level_outputs,
     train_step,
 )
-from skelgest.neuralnet import common
+from skelgest.neuralnet import common, tcn
 
 LSTM_SMALL = LstmSpec(input_dim=3, hidden_dim=4, n_classes=2)
 TCN_SMALL = TcnSpec(input_dim=3, channels=4, kernel=2, dilations=(1, 2), n_classes=2)
+
+
+def receptive_field(spec):
+    """Frames of input visible to a TCN's last time step."""
+    return 1 + (spec.kernel - 1) * sum(spec.dilations)
+
+
+def tcn_level_outputs(model, x):
+    """A TCN's per-level outputs (B, W, C) on (B, W, D) input: each level's
+    input is the previous level's output."""
+    top, caches = tcn._run_levels(model, x)
+    return [inp for inp, _, _ in caches[1:]] + [top]
 
 
 class TestParamLayout:

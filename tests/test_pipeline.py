@@ -6,13 +6,22 @@ oracle substituted would mean the plumbing itself loses information.
 """
 
 import dataclasses
+import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from skelgest.ingest import FoldSplit, SynthConfig, assign_folds, generate_synthetic
+from skelgest import pipeline
+from skelgest.ingest import (
+    DataError,
+    FoldSplit,
+    SynthConfig,
+    assign_folds,
+    generate_synthetic,
+)
 from skelgest.metrics import ConfusionMatrix
 from skelgest.neuralnet import (
     HeadKind,
@@ -25,7 +34,6 @@ from skelgest.neuralnet import (
 )
 from skelgest.pipeline import (
     FoldCoverageError,
-    LengthRouter,
     SCORE_BLOCK_WINDOWS,
     MissingClassError,
     NetKind,
@@ -33,7 +41,6 @@ from skelgest.pipeline import (
     OracleClassifier,
     PrepSettings,
     Protocol,
-    ProtocolModelSet,
     RunConfig,
     TrainedProtocol,
     _assert_patient_disjoint,
@@ -168,16 +175,18 @@ class TestRunConfig:
         assert all(ch in "0123456789abcdef" for ch in config_digest(a))
 
 
-class TestLengthRouter:
+class TestLengthRouting:
     def test_boundary_inclusive_on_short_side(self):
-        router = LengthRouter(threshold=40)
-        assert router.route(39) == "short"
-        assert router.route(40) == "short"
-        assert router.route(41) == "long"
+        config = RunConfig(prep=_fast_prep(), long_window=32, route_threshold=40)
+        trained = TrainedProtocol(config=config, classifiers={})
+        assert config.router_threshold == 40
+        assert trained.route_name(SimpleNamespace(n_frames=39)) == "short"
+        assert trained.route_name(SimpleNamespace(n_frames=40)) == "short"
+        assert trained.route_name(SimpleNamespace(n_frames=41)) == "long"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            LengthRouter(threshold=0)
+        with pytest.raises(ValueError, match="route_threshold must be >= 1"):
+            RunConfig(prep=_fast_prep(), long_window=32, route_threshold=0)
 
 
 class TestAggregation:
@@ -304,11 +313,11 @@ class TestTrainProtocolStructure:
         trained = train_protocol(
             ds.sequences, config, ds.joint_map, factory=oracle_factory
         )
-        assert set(trained.routes) == {"main"}
-        assert set(trained.routes["main"].classifiers) == {"static", "dynamic"}
-        assert trained.routes["main"].classifiers["static"].labels == STATIC_GESTURE_IDS
-        assert trained.routes["main"].classifiers["dynamic"].labels == DYNAMIC_GESTURE_IDS
-        assert trained.router is None
+        assert set(trained.classifiers) == {"main"}
+        assert set(trained.classifiers["main"]) == {"static", "dynamic"}
+        assert trained.classifiers["main"]["static"].labels == STATIC_GESTURE_IDS
+        assert trained.classifiers["main"]["dynamic"].labels == DYNAMIC_GESTURE_IDS
+        assert trained.config.router_threshold is None
 
     def test_binary_builds_29_models(self):
         ds = _dataset()
@@ -318,7 +327,7 @@ class TestTrainProtocolStructure:
         trained = train_protocol(
             ds.sequences, config, ds.joint_map, factory=oracle_factory
         )
-        assert set(trained.routes["main"].classifiers) == set(ALL_GESTURE_IDS)
+        assert set(trained.classifiers["main"]) == set(ALL_GESTURE_IDS)
 
     def test_length_routing_builds_two_routes(self):
         ds = _dataset()
@@ -328,15 +337,14 @@ class TestTrainProtocolStructure:
         trained = train_protocol(
             ds.sequences, config, ds.joint_map, factory=oracle_factory
         )
-        assert set(trained.routes) == {"short", "long"}
-        assert trained.router is not None
+        assert set(trained.classifiers) == {"short", "long"}
         # the short route keeps the base window, the long route the long one
-        assert trained.routes["short"].prep.window.length == 16
-        assert trained.routes["long"].prep.window.length == 32
+        assert trained.config.routes()["short"].window.length == 16
+        assert trained.config.routes()["long"].window.length == 32
         # default threshold is the base window length
-        assert trained.router.threshold == 16
+        assert trained.config.router_threshold == 16
 
-    def test_route_for_dispatches_by_frame_count(self):
+    def test_route_name_dispatches_by_frame_count(self):
         ds = _dataset()
         config = RunConfig(
             prep=_fast_prep(window=WindowSpec(16, stride=4)),
@@ -350,8 +358,8 @@ class TestTrainProtocolStructure:
         short_seq = min(ds.sequences, key=lambda s: s.n_frames)
         long_seq = max(ds.sequences, key=lambda s: s.n_frames)
         assert short_seq.n_frames <= 50 < long_seq.n_frames
-        assert trained.route_for(short_seq) is trained.routes["short"]
-        assert trained.route_for(long_seq) is trained.routes["long"]
+        assert trained.route_name(short_seq) == "short"
+        assert trained.route_name(long_seq) == "long"
 
     def test_missing_static_class_raises(self):
         ds = _dataset()
@@ -368,6 +376,74 @@ class TestTrainProtocolStructure:
         )
         with pytest.raises(MissingClassError, match="P2_3"):
             train_protocol(pruned, config, ds.joint_map, factory=oracle_factory)
+
+
+def _n_windows(seq, window):
+    """Windows of a sequence: floor((T - W) / stride) + 1, or one padded window."""
+    if seq.n_frames < window.length:
+        return 1
+    return (seq.n_frames - window.length) // window.stride + 1
+
+
+class TestJobStream:
+    """The jobs that `train_protocol` hands its factory, one after another:
+    their order, names, seeds and rows.  Fitting them elsewhere must keep all
+    of these, so that models and their checkpoints do not change."""
+
+    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+    def test_length_routed_run(self, protocol, monkeypatch):
+        ds = _dataset(n_patients=3, seed=31)
+        binary = protocol is Protocol.MULTICLASS_BINARY
+        config = RunConfig(protocol=protocol, prep=_fast_prep(), long_window=32,
+                           rebalance=binary, seed=17)
+        stacks = []
+        stack = pipeline.stack_windows
+        monkeypatch.setattr(pipeline, "stack_windows",
+                            lambda per_sequence: stacks.append(1) or stack(per_sequence))
+        received, built = [], []
+
+        def factory(job):
+            received.append((job, len(stacks)))
+            built.append(oracle_factory(job))
+            return built[-1]
+
+        trained = train_protocol(ds.sequences, config, ds.joint_map, factory=factory,
+                                 fold=2, fold_name="fold2")
+
+        keys = ALL_GESTURE_IDS if binary else ("static", "dynamic")
+        expected = [(route, key) for route in ("short", "long") for key in keys]
+        assert [(job.route, job.key) for job, _ in received] == expected
+        # The factory ran once per job, and each classifier fills its job's slot.
+        assert len(built) == len(expected)
+        assert trained.classifiers == {
+            "short": dict(zip(keys, built[: len(keys)])),
+            "long": dict(zip(keys, built[len(keys) :])),
+        }
+        for n, (job, n_stacks) in enumerate(received):
+            route_tag, idx = divmod(n, len(keys))
+            assert job.name == f"fold2-{job.route}-{job.key}"
+            assert job.init_seed == _derived_seed(17, 2, route_tag, idx, 0)
+            assert job.shuffle_seed == _derived_seed(17, 2, route_tag, idx, 1)
+            window = config.routes()[job.route].window
+            rows = {gid: 0 for gid in ALL_GESTURE_IDS}
+            for seq in ds.sequences:
+                rows[seq.label.id] += _n_windows(seq, window)
+            assert job.x.shape == (len(job.targets), window.length, 28)
+            if binary:
+                # Drawn lazily: one stack per route, made when its first job is drawn.
+                assert n_stacks == route_tag + 1
+                n_pos = rows[job.key]
+                n_neg = sum(rows.values()) - n_pos
+                assert n_pos < n_neg  # so the positives are upsampled to n_neg
+                assert len(job.targets) == 2 * n_neg
+                assert job.targets.sum() == n_neg
+            else:
+                # Drawn lazily: one stack per kind, made when its job is drawn.
+                assert n_stacks == n + 1
+                labels = STATIC_GESTURE_IDS if job.key == "static" else DYNAMIC_GESTURE_IDS
+                assert job.labels == labels
+                assert np.array_equal(np.bincount(job.targets, minlength=len(labels)),
+                                      [rows[gid] for gid in labels])
 
 
 class TestOracleEvaluation:
@@ -477,7 +553,7 @@ class TestRealTrainingSmoke:
         runs = []
         for _ in range(2):
             trained = train_protocol(ds.sequences, config, ds.joint_map)
-            static = trained.routes["main"].classifiers["static"]
+            static = trained.classifiers["main"]["static"]
             runs.append(static.model.values.copy())
         assert np.array_equal(runs[0], runs[1])
 
@@ -485,8 +561,8 @@ class TestRealTrainingSmoke:
         ds = _dataset(n_patients=2, seed=10)
         a = train_protocol(ds.sequences, _tiny_net_config(seed=11), ds.joint_map)
         b = train_protocol(ds.sequences, _tiny_net_config(seed=12), ds.joint_map)
-        va = a.routes["main"].classifiers["static"].model.values
-        vb = b.routes["main"].classifiers["static"].model.values
+        va = a.classifiers["main"]["static"].model.values
+        vb = b.classifiers["main"]["static"].model.values
         assert not np.array_equal(va, vb)
 
     def test_predict_sequence_returns_known_label(self):
@@ -494,14 +570,14 @@ class TestRealTrainingSmoke:
         trained = train_protocol(ds.sequences, _tiny_net_config(), ds.joint_map)
         seq = ds.sequences[0]
         (scores,) = score_sequences(trained, [seq], ds.joint_map)
-        key = ProtocolModelSet.KIND_KEYS[seq.label.kind]
-        assert list(scores) == [key]
+        key = seq.label.kind.value
+        assert list(scores) == [key] == list(trained.keys_for(seq))
         labels = (
             STATIC_GESTURE_IDS
             if seq.label.kind is GestureKind.STATIC
             else DYNAMIC_GESTURE_IDS
         )
-        assert trained.routes["main"].classifiers[key].labels == labels
+        assert trained.classifiers["main"][key].labels == labels
         assert predict_label(scores[key], labels) in labels
 
     def test_divergence_names_model_epoch_and_step(self):
@@ -590,24 +666,20 @@ class TestBlockScoring:
         scores = score_sequences(trained, ds.sequences, ds.joint_map)
         assert len(scores) == len(ds.sequences)
         for seq, got in zip(ds.sequences, scores):
-            model_set = trained.route_for(seq)
-            assert tuple(got) == model_set.keys_for(seq)
-            x = model_set.prep.features(seq, ds.joint_map)
+            route = trained.route_name(seq)
+            assert tuple(got) == trained.keys_for(seq)
+            x = config.routes()[route].features(seq, ds.joint_map)
             for key, mean in got.items():
-                want = forward(model_set.classifiers[key].model, x).mean(axis=0)
+                want = forward(trained.classifiers[route][key].model, x).mean(axis=0)
                 assert np.max(np.abs(mean - want)) <= 1e-12
 
     def test_blocks_hold_at_most_a_block_of_windows(self):
         ds = self._long_and_short(seed=22)
         calls = {gid: [] for gid in ALL_GESTURE_IDS}
-        model_set = ProtocolModelSet(
-            protocol=Protocol.MULTICLASS_BINARY,
-            prep=self.PREP,
-            classifiers={gid: _RecordingOracle((gid,), calls[gid])
-                         for gid in ALL_GESTURE_IDS},
-        )
         config = RunConfig(protocol=Protocol.MULTICLASS_BINARY, prep=self.PREP)
-        trained = TrainedProtocol(config=config, routes={"main": model_set})
+        trained = TrainedProtocol(config=config, classifiers={
+            "main": {gid: _RecordingOracle((gid,), calls[gid]) for gid in ALL_GESTURE_IDS}
+        })
 
         # The dataset lists static gestures first; reversed, the short static
         # sequences come last and end in a partial block.
@@ -646,7 +718,8 @@ class TestModelSetSerialization:
         assert index_path.name == "modelset.json"
         loaded = load_model_set(tmp_path)
         assert loaded.config == config
-        assert loaded.router is None
+        assert set(loaded.classifiers) == {"main"}
+        assert set(loaded.classifiers["main"]) == {"static", "dynamic"}
         seqs = ds.sequences[:8]
         for got, want in zip(score_sequences(loaded, seqs, ds.joint_map),
                              score_sequences(trained, seqs, ds.joint_map)):
@@ -662,9 +735,16 @@ class TestModelSetSerialization:
         trained = train_protocol(ds.sequences, config, ds.joint_map)
         save_model_set(trained, tmp_path)
         loaded = load_model_set(tmp_path)
-        assert set(loaded.routes) == {"short", "long"}
-        assert loaded.router.threshold == trained.router.threshold
-        assert loaded.routes["long"].prep.window.length == 32
+        assert loaded.config == config
+        assert loaded.config.routes()["long"].window.length == 32
+        assert list(loaded.classifiers) == ["short", "long"]
+        assert all(set(by_key) == {"static", "dynamic"}
+                   for by_key in loaded.classifiers.values())
+        index = json.loads((tmp_path / "modelset.json").read_text())
+        assert index["router_threshold"] == config.router_threshold == 16
+        assert [(e["route"], e["key"]) for e in index["models"]] == [
+            ("short", "static"), ("short", "dynamic"), ("long", "static"), ("long", "dynamic")
+        ]
         ckpts = sorted(p.name for p in tmp_path.glob("*.ckpt"))
         assert ckpts == ["long_dynamic.ckpt", "long_static.ckpt",
                         "short_dynamic.ckpt", "short_static.ckpt"]
@@ -680,5 +760,5 @@ class TestModelSetSerialization:
 
     def test_load_rejects_non_modelset_dir(self, tmp_path):
         (tmp_path / "modelset.json").write_text('{"format": "something-else"}')
-        with pytest.raises(ValueError, match="model-set"):
+        with pytest.raises(DataError, match="not a skelgest-modelset index"):
             load_model_set(tmp_path)

@@ -16,11 +16,16 @@ from skelgest.skeleton import (
     GestureSequence,
     JointIndexMap,
     UnknownLabelError,
+    _TAXONOMY,
     class_counts,
-    label_description,
     label_kind,
     validate_sequence,
 )
+
+
+def label_description(gesture_id):
+    """The taxonomy's human-readable gloss for a gesture id."""
+    return {gid: desc for gid, _, desc in _TAXONOMY}[gesture_id]
 
 
 def _coords(t=3, n=N_JOINTS):

@@ -18,6 +18,7 @@ import csv
 import hashlib
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,14 +59,36 @@ def parse_skeletal_file(
     """Parse frames-file text into coordinates, confidences and aux rows.
 
     Returns arrays of shapes (T, 14, 2), (T, 14) and (T, 2, 14); every value
-    is read with ``float``, so the numbers round-trip exactly.  Blank lines
-    may separate blocks and are ignored.  Raises :class:`ParseError` naming
-    the offending line for a row with the wrong number of values, a
+    is read exactly as ``float`` reads it, so the numbers round-trip.  Blank
+    lines may separate blocks and are ignored.  Raises :class:`ParseError`
+    naming the offending line for a row with the wrong number of values, a
     non-numeric token, or a truncated final block.
+
+    The rows are converted in one ``np.loadtxt`` call.  Where that call
+    fails or warns (a bad row, an empty file, or a token such as ``1_000``
+    that ``float`` reads and ``loadtxt`` does not), or the result is not
+    whole 5-row blocks, :func:`_parse_lines` reads the same lines one at a
+    time; only it writes the errors.
     """
+    lines = text.splitlines()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except (ValueError, UserWarning):
+        rows = None
+    if rows is None or rows.shape[1] != N_JOINTS or len(rows) % ROWS_PER_FRAME:
+        rows = _parse_lines(lines, source)
+    blocks = rows.reshape(-1, ROWS_PER_FRAME, N_JOINTS)
+    return blocks[:, :2].transpose(0, 2, 1), blocks[:, 2], blocks[:, 3:]
+
+
+def _parse_lines(lines: list[str], source: str) -> np.ndarray:
+    """The exact parser: every value of ``lines`` read with ``float``, as
+    (rows, 14), or the :class:`ParseError` of the first bad line."""
     values: list[float] = []
     row_lines: list[int] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if not tokens:
             continue
@@ -86,8 +109,7 @@ def parse_skeletal_file(
             f"{source}:{row_lines[-partial]}: truncated final block "
             f"({partial} of {ROWS_PER_FRAME} rows)"
         )
-    blocks = np.array(values, dtype=np.float64).reshape(-1, ROWS_PER_FRAME, N_JOINTS)
-    return blocks[:, :2].transpose(0, 2, 1), blocks[:, 2], blocks[:, 3:]
+    return np.array(values, dtype=np.float64).reshape(-1, N_JOINTS)
 
 
 def _is_number(token: str) -> bool:
@@ -154,8 +176,9 @@ def load_dataset(
     """Load a dataset directory through its manifest.
 
     Incorrect performances are excluded; every kept sequence is validated.
-    Raises :class:`DataError` for a missing frames file, an unknown gesture
-    id, a malformed manifest row, or an empty post-filter dataset.
+    Raises :class:`DataError` for a frames file that is missing, unreadable
+    or not text in the locale's encoding, an unknown gesture id, a malformed
+    manifest row, or an empty post-filter dataset.
     """
     root = Path(root)
     manifest_path = Path(manifest) if manifest is not None else root / "manifest.csv"
@@ -182,16 +205,21 @@ def load_dataset(
                 raise DataError(f"{manifest_path}:{rownum}: {exc}") from None
             correct = _parse_correct(row["correct"], manifest_path, rownum)
             frames_path = root / row["frames_path"]
-            if not frames_path.exists():
-                raise DataError(f"{manifest_path}:{rownum}: frames file not found: "
-                                f"{frames_path}")
-            if not correct:
-                continue  # skip before paying the parse cost
-            coords, conf, aux = parse_skeletal_file(
-                frames_path.read_text(), source=str(frames_path)
-            )
+            where = f"{manifest_path}:{rownum}"
+            if not correct:  # skip before paying the read and parse cost
+                if not frames_path.exists():
+                    raise DataError(f"{where}: frames file not found: {frames_path}")
+                continue
+            try:
+                text = frames_path.read_text()
+            except FileNotFoundError:
+                raise DataError(f"{where}: frames file not found: {frames_path}") from None
+            except (OSError, UnicodeDecodeError) as exc:
+                raise DataError(f"{where}: cannot read frames file {frames_path}: "
+                                f"{exc}") from None
+            coords, conf, aux = parse_skeletal_file(text, source=str(frames_path))
             if not len(coords):
-                raise DataError(f"{manifest_path}:{rownum}: {frames_path} holds no frames")
+                raise DataError(f"{where}: {frames_path} holds no frames")
             sequences.append(
                 GestureSequence(patient_id, label, correct, coords, conf, aux)
             )

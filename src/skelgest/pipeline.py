@@ -815,12 +815,43 @@ def save_model_set(
     return index_path
 
 
+def _int_pair(value: object) -> str | None:
+    ok = isinstance(value, list) and len(value) == 2 and all(type(b) is int for b in value)
+    return None if ok else "is not a list of two integers"
+
+
+def _string(value: object) -> str | None:
+    return None if isinstance(value, str) else "is not a string"
+
+
+def _model_entries(value: object) -> str | None:
+    if not isinstance(value, list):
+        return "is not a list"
+    for i, entry in enumerate(value):
+        if not isinstance(entry, dict):
+            return f"entry {i} is not an object"
+        if name := next((f for f in ("file", "route", "key")
+                         if not isinstance(entry.get(f), str)), None):
+            return f"entry {i} has no string {name!r} field"
+    return None
+
+
+# What an index field must hold, as a check that returns the problem or None.
+# `config` is checked by `config_from_dict`.
+_INDEX_FIELD_CHECKS: dict[str, Callable[[object], str | None]] = {
+    "models": _model_entries,
+    "fold_boundaries": _int_pair,
+    "dataset.root": _string,
+    "dataset.checksum": _string,
+}
+
+
 def read_index(path: Path, fmt: str, fields: Sequence[str]) -> tuple[dict, RunConfig]:
     """A ``modelset.json`` or ``run_manifest.json`` index of format ``fmt``
-    and the run config that it records.  Each of ``fields`` must be present;
-    ``dataset.checksum`` names a field of ``dataset``.  A missing file, bad
-    JSON, another format, a missing field or a config that no run has is a
-    `DataError` that names the file."""
+    and the run config that it records.  Each of ``fields`` must be present
+    and of its type; ``dataset.checksum`` names a field of ``dataset``.  A
+    missing file, bad JSON, another format, a missing or mistyped field or a
+    config that no run has is a `DataError` that names the file."""
     try:
         index = json.loads(path.read_text())
     except FileNotFoundError:
@@ -836,6 +867,8 @@ def read_index(path: Path, fmt: str, fields: Sequence[str]) -> tuple[dict, RunCo
             if not isinstance(node, dict) or part not in node:
                 raise DataError(f"{path}: no {name!r} field")
             node = node[part]
+        if name in _INDEX_FIELD_CHECKS and (problem := _INDEX_FIELD_CHECKS[name](node)):
+            raise DataError(f"{path}: {name!r} {problem}")
     try:
         config = config_from_dict(index["config"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -850,8 +883,6 @@ def load_model_set(model_dir: str | Path) -> TrainedProtocol:
     index, config = read_index(index_path, "skelgest-modelset", ("models",))
     classifiers: dict[str, dict[str, SequenceClassifier]] = {r: {} for r in config.routes()}
     for entry in index["models"]:
-        if missing := next((f for f in ("file", "route", "key") if f not in entry), None):
-            raise DataError(f"{index_path}: a model entry has no {missing!r} field")
         route = entry["route"]
         if route not in classifiers:
             raise DataError(

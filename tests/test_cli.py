@@ -278,6 +278,22 @@ class TestIngest:
     def test_missing_dataset_is_data_error(self, tmp_path):
         assert run_cli("ingest", "--dataset", str(tmp_path / "void")) == EXIT_DATA
 
+    @pytest.mark.parametrize("damage", ["not-utf8", "directory"])
+    def test_unreadable_frames_file_is_data_error(self, damage, dataset_dir, tmp_path,
+                                                  capsys):
+        root = tmp_path / "ds"
+        shutil.copytree(dataset_dir, root)
+        manifest = root / "manifest.csv"
+        victim = root / manifest.read_text().splitlines()[3].split(",")[3]
+        victim.unlink()
+        if damage == "not-utf8":
+            victim.write_bytes(b"\xff\xfe 1.0\n")
+        else:
+            victim.mkdir()
+        assert run_cli("ingest", "--dataset", str(root)) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{manifest}:4:" in err and str(victim) in err, err
+
 
 class TestTrain:
     def test_multiclass_writes_two_checkpoints(self, dataset_dir, tmp_path):
@@ -809,6 +825,32 @@ def test_unreadable_index_is_data_error(kind, text, fragment, model_dir, eval_ou
     path, argv = _index_copy(kind, model_dir, eval_out, dataset_dir, tmp_path)
     path.write_text(text)
     _damaged_index_exits_3(path, argv, capsys, fragment)
+
+
+@pytest.mark.parametrize(
+    "kind,where,value,message",
+    [("manifest", ("fold_boundaries",), 5, "'fold_boundaries' is not a list of two integers"),
+     ("manifest", ("fold_boundaries",), [1, "2"], "'fold_boundaries' is not a list of two"),
+     ("manifest", ("fold_boundaries",), [1, 2, 3], "'fold_boundaries' is not a list of two"),
+     ("manifest", ("dataset", "root"), 5, "'dataset.root' is not a string"),
+     ("manifest", ("dataset", "checksum"), None, "'dataset.checksum' is not a string"),
+     ("modelset", ("models",), 5, "'models' is not a list"),
+     ("modelset", ("models", 0), 5, "'models' entry 0 is not an object"),
+     ("modelset", ("models", 0, "file"), 5, "'models' entry 0 has no string 'file' field"),
+     ("modelset", ("models", 1, "route"), ["main"], "'models' entry 1 has no string 'route'"),
+     ("modelset", ("models", 0, "key"), None, "'models' entry 0 has no string 'key' field")],
+)
+def test_index_with_a_mistyped_field_is_data_error(kind, where, value, message, model_dir,
+                                                   eval_out, dataset_dir, tmp_path, capsys):
+    path, argv = _index_copy(kind, model_dir, eval_out, dataset_dir, tmp_path)
+    index = json.loads(path.read_text())
+    *parents, last = where
+    node = index
+    for part in parents:
+        node = node[part]
+    node[last] = value
+    path.write_text(json.dumps(index))
+    _damaged_index_exits_3(path, argv, capsys, message)
 
 
 @pytest.mark.parametrize("kind", ["modelset", "manifest"])

@@ -1,8 +1,11 @@
 """File parsing, dataset loading, fold assignment, and synthetic generation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from skelgest import ingest
 from skelgest.ingest import (
     DEFAULT_FOLD_BOUNDARIES,
     DataError,
@@ -88,6 +91,143 @@ class TestParseSkeletalFile:
         # without aux rows, zero aux rows are written
         _, _, zero_aux = parse_skeletal_file(serialize_frames(coords, conf))
         assert np.array_equal(zero_aux, np.zeros((4, 2, N_JOINTS)))
+
+
+def _exact(text, source="<string>"):
+    """The per-line parser's result, split as `parse_skeletal_file` splits it."""
+    blocks = ingest._parse_lines(text.splitlines(), source).reshape(-1, 5, N_JOINTS)
+    return blocks[:, :2].transpose(0, 2, 1), blocks[:, 2], blocks[:, 3:]
+
+
+def _outcome(parse, text):
+    try:
+        return [(a.shape, a.tobytes()) for a in parse(text)]
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def _frames_text(sep=" ", end="\n"):
+    """Two frames of random values, each written with ``repr``."""
+    rng = np.random.default_rng(0)
+    rows = rng.normal(size=(10, N_JOINTS)) * 10.0 ** rng.integers(-5, 6, (1, N_JOINTS))
+    return "".join(sep.join(map(repr, row)) + end for row in rows.tolist())
+
+
+def _with_token(token, row=3, col=5):
+    """A valid two-frame text with one value replaced by ``token``."""
+    lines = _frames_text().splitlines()
+    tokens = lines[row].split()
+    tokens[col] = token
+    lines[row] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+EDGE_VALUES = ["-0.0", "4.9e-324", "2.2250738585072014e-308", "1e500", "-1e-400",
+               "nan", "-nan", "+nan", "NaN", "inF", "-iNfInItY"]
+MALFORMED_TOKENS = ["oops", "1_000", "\uff11", "nan(1)", "0x1p3", "1.5\x00"]
+
+
+def _differential_inputs():
+    rng = np.random.default_rng(2024)
+    values = rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, 200)
+    cases = {
+        "repr": "".join(" ".join(map(repr, chunk)) + "\n"
+                        for chunk in values[:140].reshape(10, N_JOINTS).tolist()),
+        "17-digit": "".join(" ".join(f"{v:.17g}" for v in chunk) + "\n"
+                            for chunk in values[60:200].reshape(10, N_JOINTS).tolist()),
+    }
+    for token in EDGE_VALUES + MALFORMED_TOKENS:
+        cases[f"token {token!r}"] = _with_token(token)
+    for sep in ["\t", "\x0c", "\xa0", "\u3000", "\x1c"]:
+        cases[f"separator {sep!r}"] = _frames_text(sep=sep)
+    cases["trailing spaces"] = _frames_text(sep=" ", end="   \n")
+    cases["CRLF"] = _frames_text(end="\r\n")
+    lines = _frames_text().splitlines()
+    cases["blank lines between blocks"] = "\n".join(lines[:5] + ["", "  \t"] + lines[5:])
+    cases["empty"] = ""
+    cases["whitespace only"] = "  \n\t\n \r\n"
+    for width in (13, 15):
+        bad = list(lines)
+        bad[7] = " ".join(bad[7].split()[:13] + ["1.0", "2.0"][: width - 13])
+        cases[f"{width} columns"] = "\n".join(bad)
+    cases["truncated final block"] = "\n".join(lines[:8])
+    # 10 rows of 7 hold as many values as one 5x14 block
+    cases["7 columns in every row"] = "".join(
+        " ".join(line.split()[:7]) + "\n" for line in lines)
+    return cases
+
+
+DIFFERENTIAL_INPUTS = _differential_inputs()
+
+
+class TestParserFastPath:
+    """`parse_skeletal_file` against the per-line parser, called directly."""
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_INPUTS))
+    def test_same_bits_or_same_error(self, name):
+        text = DIFFERENTIAL_INPUTS[name]
+        assert _outcome(parse_skeletal_file, text) == _outcome(_exact, text)
+
+    def test_nan_sign_bit_is_kept(self):
+        for token, negative in [("nan", False), ("-nan", True), ("+nan", False)]:
+            _, conf, _ = parse_skeletal_file(_with_token(token, row=2, col=0))
+            assert np.isnan(conf[0, 0]) and np.signbit(conf[0, 0]) == negative
+
+    def test_tokens_float_reads_and_loadtxt_does_not(self):
+        """`1_000` and a fullwidth or Arabic-Indic digit take the fallback and
+        read as `float` reads them."""
+        for token, value in [("1_000", 1000.0), ("\uff11", 1.0), ("\u0663", 3.0)]:
+            _, conf, _ = parse_skeletal_file(_with_token(token, row=2, col=0))
+            assert conf[0, 0] == value
+
+    def test_random_tokens_agree(self):
+        """Rows of random tokens over an alphabet of number syntax."""
+        rng = np.random.default_rng(7)
+        alphabet = list("0123456789.eE+-_ ") + ["nan", "inf", "infinity", "\uff11",
+                                                "\t", "\xa0", "x", "(", ")"]
+        base = _frames_text().splitlines()
+        for _ in range(300):
+            token = "".join(rng.choice(alphabet, size=rng.integers(1, 6)))
+            lines = list(base)
+            row = int(rng.integers(len(lines)))
+            tokens = lines[row].split()
+            tokens[int(rng.integers(N_JOINTS))] = token
+            lines[row] = " ".join(tokens)
+            text = "\n".join(lines)
+            assert _outcome(parse_skeletal_file, text) == _outcome(_exact, text), repr(token)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("blank", [False, True])
+    def test_well_formed_files_skip_the_per_line_parser(self, end, blank, monkeypatch):
+        rng = np.random.default_rng(3)
+        coords, conf = rng.normal(size=(6, N_JOINTS, 2)), rng.random((6, N_JOINTS))
+        lines = serialize_frames(coords, conf).splitlines()
+        if blank:  # a blank line after each block
+            for i in range(len(lines) - 1, 0, -5):
+                lines.insert(i + 1, "")
+        text = end.join(lines) + end
+        expected = _outcome(_exact, text)
+
+        def per_line(lines, source):
+            raise AssertionError("the per-line parser ran on a well-formed file")
+
+        monkeypatch.setattr(ingest, "_parse_lines", per_line)
+        assert _outcome(parse_skeletal_file, text) == expected
+
+    @pytest.mark.parametrize("action", ["error", "always"])
+    def test_no_warning_reaches_the_caller(self, action):
+        """Neither as an error nor as a printed warning, whatever the
+        caller's warning filter."""
+        malformed = ["empty", "whitespace only", "13 columns", "15 columns",
+                     "truncated final block", *(f"token {t!r}" for t in MALFORMED_TOKENS)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            for name in malformed:
+                try:
+                    parse_skeletal_file(DIFFERENTIAL_INPUTS[name])
+                except ParseError:
+                    pass
+        assert caught == []
 
 
 def _valid_block():

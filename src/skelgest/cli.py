@@ -27,12 +27,17 @@ from .config import (
     REGISTRY,
     RUN_DEFAULTS,
     ConfigError,
+    RunConfig,
+    config_from_settings,
+    config_to_settings,
     default_config,
     format_value,
     given_settings,
     parse_value,
+    read_index,
     render_config,
     resolve,
+    write_index,
 )
 from .skeleton import (
     DEFAULT_JOINT_MAP,
@@ -62,16 +67,11 @@ from .neuralnet import (
 from .pipeline import (
     FoldCoverageError,
     MissingClassError,
-    RunConfig,
-    config_from_settings,
-    config_to_dict,
-    config_to_settings,
     cross_validate,
     evaluate_binary,  # noqa: F401 -- looked up here by perfbench/tracing.py
     evaluate_fold,
     evaluate_multiclass,  # noqa: F401 -- looked up here by perfbench/tracing.py
     load_model_set,
-    read_index,
     save_model_set,
     train_protocol,
 )
@@ -229,18 +229,10 @@ def _write_run_manifest(
     out: Path, command: str, rc: RunConfig, boundaries: tuple[int, int],
     dataset: dict, chin_index: int,
 ) -> Path:
-    manifest = {
-        "format": "skelgest-run",
-        "version": 1,
-        "command": command,
-        "config": config_to_dict(rc),
-        "fold_boundaries": list(boundaries),
-        "dataset": dataset,
-        "chin_index": chin_index,
-    }
-    path = out / "run_manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_index(
+        out / "run_manifest.json", "skelgest-run", rc, command=command,
+        fold_boundaries=list(boundaries), dataset=dataset, chin_index=chin_index,
+    )
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -339,14 +331,8 @@ def _evaluate_model_set(args: argparse.Namespace) -> int:
     root = _require_dataset(settings)
     ds = load_dataset(root, settings["dataset.manifest"], joint_map=trained.joint_map)
     fold = evaluate_fold(trained, ds.sequences, ds.joint_map, 0, (), ds.patients)
-    report = EvaluationReport(
-        protocol=trained.config.protocol.value,
-        arch=trained.config.net.value,
-        method=int(trained.config.prep.method),
-        window=trained.config.prep.window.length,
-        folds=(fold,),
-        extras={"models": str(args.models), "mode": "fixed-model-set"},
-    )
+    report = EvaluationReport(**trained.config.report_header(), folds=(fold,),
+                              extras={"models": str(args.models), "mode": "fixed-model-set"})
     out = Path(str(settings["output.dir"]))
     write_report_files(report, out)
     _echo_config(out, settings)
@@ -361,8 +347,7 @@ def _evaluate_from_manifest(args: argparse.Namespace) -> int:
         ("fold_boundaries", "dataset.root", "dataset.checksum"),
     )
     boundaries = tuple(manifest["fold_boundaries"])
-    # Runs recorded before the chin index was stored used the default chin.
-    chin_index = manifest.get("chin_index", DEFAULT_JOINT_MAP.chin_index)
+    chin_index = manifest["chin_index"]
     settings = _replayed(args, {
         **config_to_settings(rc),
         "run.seed": rc.seed,

@@ -1,4 +1,8 @@
-"""Layered key-value configuration shared by every CLI command.
+"""Run settings, and the layered key-value configuration of every CLI command.
+
+`RunConfig` and its one JSON form (`config_to_dict`), which the digest hashes
+and the indexes record; `REGISTRY`, whose run rows name their place in that
+form, so that the settings mappings are loops over it; and `read_index`.
 
 Resolution order (later wins): built-in defaults, then a plain-text config
 file (``--config`` flag or the ``SKELGEST_CONFIG`` environment variable),
@@ -15,13 +19,178 @@ blank lines are ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+import json
+from dataclasses import asdict, dataclass, field, replace
+from enum import Enum
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
-from .ingest import DEFAULT_FOLD_BOUNDARIES
-from .pipeline import RunConfig, config_to_settings
-from .skeleton import DEFAULT_JOINT_MAP
+from .ingest import DEFAULT_FOLD_BOUNDARIES, DataError
+from .neuralnet import LstmSpec, TcnSpec, TrainConfig
+from .preprocess import NormMethod, SavgolSpec, WindowSpec, feature_dim
+from .skeleton import DEFAULT_JOINT_MAP, N_JOINTS
+
+
+class Protocol(Enum):
+    """How the gesture set is carved into trainable models."""
+
+    MULTICLASS = "multiclass"
+    MULTICLASS_BINARY = "multiclass-binary"
+
+
+class NetKind(Enum):
+    LSTM = "lstm"
+    TCN = "tcn"
+
+
+@dataclass(frozen=True)
+class PrepSettings:
+    """Feature extraction shared by training and evaluation."""
+
+    method: NormMethod = NormMethod.M3
+    window: WindowSpec = field(default_factory=lambda: WindowSpec(32))
+    savgol: SavgolSpec | None = field(default_factory=SavgolSpec)
+    include_confidence: bool = False
+
+    @property
+    def feature_dim(self) -> int:
+        return feature_dim(self.method, self.include_confidence)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything that determines a training/evaluation run besides the data."""
+
+    protocol: Protocol = Protocol.MULTICLASS
+    net: NetKind = NetKind.LSTM
+    prep: PrepSettings = field(default_factory=PrepSettings)
+    long_window: int | None = None
+    route_threshold: int | None = None
+    lstm_hidden: int = 128
+    tcn_channels: int = 64
+    tcn_kernel: int = 3
+    tcn_dilations: tuple[int, ...] = (1, 2, 4, 8)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    rebalance: bool = False
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.long_window is not None and self.long_window <= self.prep.window.length:
+            raise ValueError(
+                f"long_window ({self.long_window}) must exceed the base window "
+                f"({self.prep.window.length})"
+            )
+        if self.route_threshold is not None and self.long_window is None:
+            raise ValueError("route_threshold is only meaningful with long_window set")
+        if self.route_threshold is not None and self.route_threshold < 1:
+            raise ValueError(f"route_threshold must be >= 1, got {self.route_threshold}")
+
+    def arch_spec(self, n_classes: int):
+        d = self.prep.feature_dim
+        if self.net is NetKind.LSTM:
+            return LstmSpec(input_dim=d, hidden_dim=self.lstm_hidden, n_classes=n_classes)
+        return TcnSpec(
+            input_dim=d,
+            channels=self.tcn_channels,
+            kernel=self.tcn_kernel,
+            dilations=self.tcn_dilations,
+            n_classes=n_classes,
+        )
+
+    def routes(self) -> dict[str, PrepSettings]:
+        """Each route's feature settings, by route name: ``main``, or ``short``
+        and ``long`` with length routing."""
+        if self.long_window is None:
+            return {"main": self.prep}
+        long_prep = replace(
+            self.prep, window=WindowSpec(self.long_window, self.prep.window.stride)
+        )
+        return {"short": self.prep, "long": long_prep}
+
+    @property
+    def router_threshold(self) -> int | None:
+        """The largest raw frame count (before smoothing or windowing) that
+        takes the ``short`` route; None without length routing."""
+        if self.long_window is None:
+            return None
+        return self.prep.window.length if self.route_threshold is None else self.route_threshold
+
+    def report_header(self) -> dict[str, object]:
+        """The fields of an `EvaluationReport` that name this run."""
+        return {"protocol": self.protocol.value, "arch": self.net.value,
+                "method": int(self.prep.method), "window": self.prep.window.length}
+
+
+def config_to_dict(config: RunConfig) -> dict:
+    """The run's one JSON form, which `config_digest` hashes and indexes record."""
+    prep = config.prep
+    return {
+        "protocol": config.protocol.value,
+        "net": config.net.value,
+        "method": int(prep.method),
+        "window": prep.window.length,
+        "stride": prep.window.stride,
+        "savgol": None if prep.savgol is None else asdict(prep.savgol),
+        "include_confidence": prep.include_confidence,
+        "long_window": config.long_window,
+        "route_threshold": config.route_threshold,
+        "lstm_hidden": config.lstm_hidden,
+        "tcn_channels": config.tcn_channels,
+        "tcn_kernel": config.tcn_kernel,
+        "tcn_dilations": list(config.tcn_dilations),
+        # The shuffle seed is derived per model from the run seed.
+        "train": {k: v for k, v in asdict(config.train).items() if k != "shuffle_seed"},
+        "rebalance": config.rebalance,
+        "seed": config.seed,
+    }
+
+
+def config_from_dict(d: dict) -> RunConfig:
+    """Inverse of `config_to_dict`; absent keys take the values of
+    `RunConfig()`, and a key that `config_to_dict` does not write is a
+    ValueError, so no recorded setting is silently dropped."""
+    defaults = config_to_dict(RunConfig())
+    unknown = [k for k in d if k not in defaults] + [
+        f"{block}.{k}" for block in ("train", "savgol")
+        for k in d.get(block) or () if k not in defaults[block]
+    ]
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}")
+    d = {**defaults, **d}
+    savgol = d["savgol"]
+    return RunConfig(
+        protocol=Protocol(d["protocol"]),
+        net=NetKind(d["net"]),
+        prep=PrepSettings(
+            method=NormMethod(d["method"]),
+            window=WindowSpec(d["window"], d["stride"]),
+            savgol=None if savgol is None else SavgolSpec(**savgol),
+            include_confidence=d["include_confidence"],
+        ),
+        long_window=d["long_window"],
+        route_threshold=d["route_threshold"],
+        lstm_hidden=d["lstm_hidden"],
+        tcn_channels=d["tcn_channels"],
+        tcn_kernel=d["tcn_kernel"],
+        tcn_dilations=tuple(d["tcn_dilations"]),
+        train=TrainConfig(**{**defaults["train"], **d["train"]}),
+        rebalance=d["rebalance"],
+        seed=d["seed"],
+    )
+
+
+def config_digest(config: RunConfig) -> str:
+    """Short stable hash of the run configuration, stamped into checkpoints."""
+    blob = json.dumps(config_to_dict(config), sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _at(d: dict, path: str) -> object:
+    """The value at dotted ``path`` in nested dicts."""
+    for part in path.split("."):
+        d = d[part]
+    return d
 
 
 class ConfigError(ValueError):
@@ -114,13 +283,15 @@ def _parse_choice(*choices: str) -> Callable[[str], str]:
 
 @dataclass(frozen=True)
 class ConfigKey:
-    """One registered setting: its flag, parser, default, and help text."""
+    """One registered setting: its flag, parser, default, and help text; a key
+    that describes a run also has its ``path`` in `config_to_dict` form."""
 
     name: str
     flag: str
     parse: Callable[[str], object]
     default: object
     help: str
+    path: str | None = None
 
     @property
     def dest(self) -> str:
@@ -128,18 +299,13 @@ class ConfigKey:
         return self.flag.lstrip("-").replace("-", "_")
 
 
-def _key(name, flag, parse, default, help_text) -> tuple[str, ConfigKey]:
-    return name, ConfigKey(name=name, flag=flag, parse=parse, default=default,
-                           help=help_text)
+def _key(name, flag, parse, default, help_text, path=None) -> tuple[str, ConfigKey]:
+    return name, ConfigKey(name, flag, parse, default, help_text, path)
 
 
-# The keys that describe a run, with the library's own defaults, so that the
-# CLI and `RunConfig` cannot disagree.
-RUN_DEFAULTS: dict[str, object] = config_to_settings(RunConfig())
-
-
-def _run_key(name, flag, parse, help_text) -> tuple[str, ConfigKey]:
-    return _key(name, flag, parse, RUN_DEFAULTS[name], help_text)
+def _run_key(name, path, flag, parse, help_text) -> tuple[str, ConfigKey]:
+    """A key that describes a run; its default is filled in from `RunConfig()`."""
+    return _key(name, flag, parse, None, help_text, path)
 
 
 REGISTRY: dict[str, ConfigKey] = dict(
@@ -149,47 +315,48 @@ REGISTRY: dict[str, ConfigKey] = dict(
         _key("dataset.manifest", "--manifest", _parse_optional_str, None,
              "manifest path inside the dataset directory (default manifest.csv)"),
         _key("output.dir", "--out", _parse_str, "skelgest_out", "output directory"),
-        _run_key("model.protocol", "--protocol",
+        _run_key("model.protocol", "protocol", "--protocol",
                  _parse_choice("multiclass", "binary", "multiclass-binary"),
                  "evaluation protocol: multiclass or binary (one-vs-rest)"),
-        _run_key("model.net", "--net", _parse_choice("lstm", "tcn"),
+        _run_key("model.net", "net", "--net", _parse_choice("lstm", "tcn"),
                  "network architecture"),
-        _run_key("preprocess.method", "--method", _parse_method,
+        _run_key("preprocess.method", "method", "--method", _parse_method,
                  "normalization method 1..5"),
-        _run_key("preprocess.window", "--frames", _parse_window,
+        _run_key("preprocess.window", "window", "--frames", _parse_window,
                  "window length in frames, or 'short,long' for length routing"),
-        _run_key("preprocess.stride", "--stride", _parse_int,
+        _run_key("preprocess.stride", "stride", "--stride", _parse_int,
                  "window stride in frames"),
-        _run_key("preprocess.route_threshold", "--route-threshold",
+        _run_key("preprocess.route_threshold", "route_threshold", "--route-threshold",
                  _parse_optional_int,
                  "frame-count threshold for length routing (default: short window)"),
-        _run_key("preprocess.smooth", "--smooth", _parse_bool,
+        _run_key("preprocess.smooth", "savgol", "--smooth", _parse_bool,
                  "apply quadratic smoothing before windowing"),
-        _run_key("preprocess.savgol.m", "--savgol-m", _parse_int,
+        _run_key("preprocess.savgol.m", "savgol.m", "--savgol-m", _parse_int,
                  "smoothing filter width (odd)"),
-        _run_key("preprocess.savgol.order", "--savgol-order", _parse_int,
+        _run_key("preprocess.savgol.order", "savgol.order", "--savgol-order", _parse_int,
                  "smoothing polynomial order"),
-        _run_key("preprocess.include_confidence", "--include-confidence",
-                 _parse_bool,
+        _run_key("preprocess.include_confidence", "include_confidence",
+                 "--include-confidence", _parse_bool,
                  "append per-joint confidence columns to the feature windows"),
-        _run_key("model.lstm_hidden", "--lstm-hidden", _parse_int,
+        _run_key("model.lstm_hidden", "lstm_hidden", "--lstm-hidden", _parse_int,
                  "LSTM hidden state size"),
-        _run_key("model.tcn_channels", "--tcn-channels", _parse_int,
+        _run_key("model.tcn_channels", "tcn_channels", "--tcn-channels", _parse_int,
                  "convolution channels per level"),
-        _run_key("model.tcn_kernel", "--tcn-kernel", _parse_int,
+        _run_key("model.tcn_kernel", "tcn_kernel", "--tcn-kernel", _parse_int,
                  "convolution kernel size"),
-        _run_key("model.tcn_dilations", "--tcn-dilations", _parse_int_list,
-                 "comma-separated dilation per level"),
-        _run_key("train.optimizer", "--optimizer", _parse_choice("adam", "sgd"),
-                 "parameter update rule"),
-        _run_key("train.learning_rate", "--learning-rate", _parse_float,
-                 "optimizer step size"),
-        _run_key("train.epochs", "--epochs", _parse_int, "training epochs"),
-        _run_key("train.batch_size", "--batch-size", _parse_int,
+        _run_key("model.tcn_dilations", "tcn_dilations", "--tcn-dilations",
+                 _parse_int_list, "comma-separated dilation per level"),
+        _run_key("train.optimizer", "train.optimizer", "--optimizer",
+                 _parse_choice("adam", "sgd"), "parameter update rule"),
+        _run_key("train.learning_rate", "train.learning_rate", "--learning-rate",
+                 _parse_float, "optimizer step size"),
+        _run_key("train.epochs", "train.epochs", "--epochs", _parse_int,
+                 "training epochs"),
+        _run_key("train.batch_size", "train.batch_size", "--batch-size", _parse_int,
                  "training batch size"),
-        _run_key("train.clip_norm", "--clip-norm", _parse_float,
+        _run_key("train.clip_norm", "train.clip_norm", "--clip-norm", _parse_float,
                  "gradient L2-norm ceiling"),
-        _run_key("train.rebalance", "--rebalance", _parse_bool,
+        _run_key("train.rebalance", "rebalance", "--rebalance", _parse_bool,
                  "upsample positives for one-vs-rest training"),
         _key("folds.boundaries", "--fold-boundaries", _parse_int_pair,
              DEFAULT_FOLD_BOUNDARIES,
@@ -217,6 +384,48 @@ REGISTRY: dict[str, ConfigKey] = dict(
 
 if len({key.dest for key in REGISTRY.values()}) != len(REGISTRY):
     raise AssertionError("flag collision in config registry")
+
+_PROTOCOL_ALIASES = {"binary": Protocol.MULTICLASS_BINARY.value}
+
+
+def config_to_settings(config: RunConfig) -> dict[str, object]:
+    """The registry settings that describe ``config``, all but its seed;
+    without smoothing, the smoothing width and order are the defaults."""
+    savgol = config.prep.savgol
+    d = {**config_to_dict(config), "savgol": asdict(savgol or SavgolSpec())}
+    settings = {}
+    for name, key in REGISTRY.items():
+        if key.path is not None:
+            value = _at(d, key.path)
+            settings[name] = tuple(value) if isinstance(value, list) else value
+    long_window = () if d["long_window"] is None else (d["long_window"],)
+    settings["preprocess.window"] = (d["window"], *long_window)
+    settings["preprocess.smooth"] = savgol is not None
+    return settings
+
+
+def config_from_settings(settings: dict, seed: int) -> RunConfig:
+    """The run that registry settings (``preprocess.window``,
+    ``train.epochs``, ...) describe; `config_to_settings` is its inverse."""
+    d: dict = {"seed": seed}
+    for name, key in REGISTRY.items():
+        if key.path is not None and name != "preprocess.smooth":
+            block, _, leaf = key.path.rpartition(".")
+            (d.setdefault(block, {}) if block else d)[leaf] = settings[name]
+    window = settings["preprocess.window"]
+    d["window"], d["long_window"] = window[0], window[1] if len(window) == 2 else None
+    if not settings["preprocess.smooth"]:
+        d["savgol"] = None
+    d["protocol"] = _PROTOCOL_ALIASES.get(d["protocol"], d["protocol"])
+    return config_from_dict(d)
+
+
+# The keys that describe a run, with the library's own defaults, so that the
+# CLI and `RunConfig` cannot disagree.
+RUN_DEFAULTS: dict[str, object] = config_to_settings(RunConfig())
+REGISTRY.update(
+    (name, replace(REGISTRY[name], default=value)) for name, value in RUN_DEFAULTS.items()
+)
 
 
 def default_config() -> dict[str, object]:
@@ -296,3 +505,92 @@ def render_config(values: dict[str, object]) -> str:
         if name in REGISTRY
     ]
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Index files: ``modelset.json`` and ``run_manifest.json``
+
+
+def _int_pair(value: object) -> str | None:
+    ok = isinstance(value, list) and len(value) == 2 and all(type(b) is int for b in value)
+    return None if ok else "is not a list of two integers"
+
+
+def _string(value: object) -> str | None:
+    return None if isinstance(value, str) else "is not a string"
+
+
+def _string_or_null(value: object) -> str | None:
+    return None if value is None or isinstance(value, str) else "is not a string or null"
+
+
+def _joint_index(value: object) -> str | None:
+    ok = type(value) is int and 0 <= value < N_JOINTS
+    return None if ok else f"is not an integer in [0, {N_JOINTS})"
+
+
+def _model_entries(value: object) -> str | None:
+    if not isinstance(value, list):
+        return "is not a list"
+    for i, entry in enumerate(value):
+        if not isinstance(entry, dict):
+            return f"entry {i} is not an object"
+        if name := next((f for f in ("file", "route", "key")
+                         if not isinstance(entry.get(f), str)), None):
+            return f"entry {i} has no string {name!r} field"
+    return None
+
+
+# What an index field must hold wherever it is present, as a check that
+# returns the problem or None.  `config` is checked by `config_from_dict`.
+_INDEX_FIELD_CHECKS: dict[str, Callable[[object], str | None]] = {
+    "models": _model_entries,
+    "fold_boundaries": _int_pair,
+    "dataset.root": _string,
+    "dataset.manifest": _string_or_null,
+    "dataset.checksum": _string,
+    "chin_index": _joint_index,
+}
+
+
+def read_index(path: Path, fmt: str, fields: Sequence[str]) -> tuple[dict, RunConfig]:
+    """A ``modelset.json`` or ``run_manifest.json`` index of format ``fmt``
+    and the run config that it records.  Each of ``fields`` must be present
+    (``dataset.checksum`` names a field of ``dataset``), and every field of
+    `_INDEX_FIELD_CHECKS` that is present must be of its type.  A missing
+    file, bad JSON, another format, a missing or mistyped field or a config
+    that no run has is a `DataError` that names the file."""
+    try:
+        index = json.loads(path.read_text())
+    except FileNotFoundError:
+        raise DataError(f"{path}: no such file") from None
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise DataError(f"{path}: not a readable JSON index ({exc})") from None
+    found = index.get("format") if isinstance(index, dict) else None
+    if found != fmt:
+        raise DataError(f"{path} is not a {fmt} index (format {found!r})")
+    required = ("config", *fields)
+    for name in (*required, *_INDEX_FIELD_CHECKS):
+        try:
+            value = _at(index, name)
+        except (KeyError, TypeError):  # absent, or under a value that is no object
+            if name in required:
+                raise DataError(f"{path}: no {name!r} field") from None
+            continue
+        if (check := _INDEX_FIELD_CHECKS.get(name)) and (problem := check(value)):
+            raise DataError(f"{path}: {name!r} {problem}")
+    try:
+        config = config_from_dict(index["config"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad 'config' ({exc!r})") from None
+    # Indexes written before the chin index was recorded used the default chin.
+    index.setdefault("chin_index", DEFAULT_JOINT_MAP.chin_index)
+    return index, config
+
+
+def write_index(path: Path, fmt: str, config: RunConfig, **fields: object) -> Path:
+    """Write an index of format ``fmt`` that records ``config`` and ``fields``
+    for `read_index`; returns ``path``."""
+    index = {"format": fmt, "version": 1, "config": config_to_dict(config), **fields}
+    path.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
+    return path

@@ -20,9 +20,7 @@ length -- and dispatches each test sequence by its raw frame count.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
-from enum import Enum
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol as TypingProtocol, Sequence
 
@@ -38,19 +36,19 @@ from .skeleton import (
     JointIndexMap,
 )
 from .ingest import DataError, Dataset, FoldSplit
-from .preprocess import (
-    NormMethod,
-    SavgolSpec,
-    WindowSpec,
-    feature_dim,
-    preprocess_sequence,
+from .preprocess import preprocess_sequence
+from .config import (
+    PrepSettings,
+    Protocol,
+    RunConfig,
+    config_digest,
+    read_index,
+    write_index,
 )
+from .config import config_from_dict  # noqa: F401 -- imported from here by perfbench/run.py
 from .neuralnet import (
     HeadKind,
-    LstmSpec,
     ModelParameters,
-    TcnSpec,
-    TrainConfig,
     TrainingDivergedError,
     fit,
     forward,
@@ -69,108 +67,12 @@ from .metrics import (
 )
 
 
-class Protocol(Enum):
-    """How the gesture set is carved into trainable models."""
-
-    MULTICLASS = "multiclass"
-    MULTICLASS_BINARY = "multiclass-binary"
-
-
-class NetKind(Enum):
-    LSTM = "lstm"
-    TCN = "tcn"
-
-
 class MissingClassError(RuntimeError):
     """A fold's training split lacks examples of a class its model must learn."""
 
 
 class FoldCoverageError(RuntimeError):
     """The fold assignment leaves some fold without usable train or test data."""
-
-
-@dataclass(frozen=True)
-class PrepSettings:
-    """Feature extraction shared by training and evaluation."""
-
-    method: NormMethod = NormMethod.M3
-    window: WindowSpec = field(default_factory=lambda: WindowSpec(32))
-    savgol: SavgolSpec | None = field(default_factory=SavgolSpec)
-    include_confidence: bool = False
-
-    @property
-    def feature_dim(self) -> int:
-        return feature_dim(self.method, self.include_confidence)
-
-    def features(self, seq: GestureSequence, joint_map: JointIndexMap) -> np.ndarray:
-        """The sequence's (n, W, D) feature windows."""
-        return preprocess_sequence(
-            seq,
-            self.method,
-            self.window,
-            joint_map,
-            savgol_spec=self.savgol,
-            include_confidence=self.include_confidence,
-        )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a training/evaluation run besides the data."""
-
-    protocol: Protocol = Protocol.MULTICLASS
-    net: NetKind = NetKind.LSTM
-    prep: PrepSettings = field(default_factory=PrepSettings)
-    long_window: int | None = None
-    route_threshold: int | None = None
-    lstm_hidden: int = 128
-    tcn_channels: int = 64
-    tcn_kernel: int = 3
-    tcn_dilations: tuple[int, ...] = (1, 2, 4, 8)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    rebalance: bool = False
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.long_window is not None and self.long_window <= self.prep.window.length:
-            raise ValueError(
-                f"long_window ({self.long_window}) must exceed the base window "
-                f"({self.prep.window.length})"
-            )
-        if self.route_threshold is not None and self.long_window is None:
-            raise ValueError("route_threshold is only meaningful with long_window set")
-        if self.route_threshold is not None and self.route_threshold < 1:
-            raise ValueError(f"route_threshold must be >= 1, got {self.route_threshold}")
-
-    def arch_spec(self, n_classes: int):
-        d = self.prep.feature_dim
-        if self.net is NetKind.LSTM:
-            return LstmSpec(input_dim=d, hidden_dim=self.lstm_hidden, n_classes=n_classes)
-        return TcnSpec(
-            input_dim=d,
-            channels=self.tcn_channels,
-            kernel=self.tcn_kernel,
-            dilations=self.tcn_dilations,
-            n_classes=n_classes,
-        )
-
-    def routes(self) -> dict[str, PrepSettings]:
-        """Each route's feature settings, by route name: ``main``, or ``short``
-        and ``long`` with length routing."""
-        if self.long_window is None:
-            return {"main": self.prep}
-        long_prep = replace(
-            self.prep, window=WindowSpec(self.long_window, self.prep.window.stride)
-        )
-        return {"short": self.prep, "long": long_prep}
-
-    @property
-    def router_threshold(self) -> int | None:
-        """The largest raw frame count (before smoothing or windowing) that
-        takes the ``short`` route; None without length routing."""
-        if self.long_window is None:
-            return None
-        return self.prep.window.length if self.route_threshold is None else self.route_threshold
 
 
 @dataclass(frozen=True)
@@ -201,6 +103,20 @@ class SequenceClassifier(TypingProtocol):
 
 
 ClassifierFactory = Callable[[TrainJob], SequenceClassifier]
+
+
+def _features(
+    prep: PrepSettings, seq: GestureSequence, joint_map: JointIndexMap
+) -> np.ndarray:
+    """The sequence's (n, W, D) feature windows."""
+    return preprocess_sequence(
+        seq,
+        prep.method,
+        prep.window,
+        joint_map,
+        savgol_spec=prep.savgol,
+        include_confidence=prep.include_confidence,
+    )
 
 
 def stack_windows(per_sequence: Sequence[np.ndarray]) -> np.ndarray:
@@ -396,7 +312,7 @@ def _route_jobs(
                     f"for the {kind.value} model"
                 )
             x, gids = _stack_features(
-                subset, [prep.features(s, joint_map) for s in subset]
+                subset, [_features(prep, s, joint_map) for s in subset]
             )
             index = {gid: i for i, gid in enumerate(labels)}
             targets = np.array([index[gid] for gid in gids], dtype=np.int64)
@@ -405,7 +321,7 @@ def _route_jobs(
     if not train_seqs:
         raise MissingClassError(f"{prefix}: training split produced no windows")
     x, gids = _stack_features(
-        train_seqs, [prep.features(s, joint_map) for s in train_seqs]
+        train_seqs, [_features(prep, s, joint_map) for s in train_seqs]
     )
     for class_idx, gid in enumerate(ALL_GESTURE_IDS):
         targets = (gids == gid).astype(np.float64)
@@ -455,7 +371,7 @@ def _feature_blocks(
     block: list[tuple[int, GestureSequence, np.ndarray]] = []
     n_windows = 0
     for i, seq in indexed:
-        feats = prep.features(seq, joint_map)
+        feats = _features(prep, seq, joint_map)
         if block and n_windows + len(feats) > SCORE_BLOCK_WINDOWS:
             yield block
             block, n_windows = [], 0
@@ -618,155 +534,7 @@ def cross_validate(
                 trained, test_seqs, ds.joint_map, test_fold, train_patients, test_patients
             )
         )
-    return EvaluationReport(
-        protocol=config.protocol.value,
-        arch=config.net.value,
-        method=int(config.prep.method),
-        window=config.prep.window.length,
-        folds=tuple(fold_reports),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Config and model-set serialization
-
-
-def config_to_dict(config: RunConfig) -> dict:
-    return {
-        "protocol": config.protocol.value,
-        "net": config.net.value,
-        "method": int(config.prep.method),
-        "window": config.prep.window.length,
-        "stride": config.prep.window.stride,
-        "savgol": (
-            None
-            if config.prep.savgol is None
-            else {"m": config.prep.savgol.m, "order": config.prep.savgol.order}
-        ),
-        "include_confidence": config.prep.include_confidence,
-        "long_window": config.long_window,
-        "route_threshold": config.route_threshold,
-        "lstm_hidden": config.lstm_hidden,
-        "tcn_channels": config.tcn_channels,
-        "tcn_kernel": config.tcn_kernel,
-        "tcn_dilations": list(config.tcn_dilations),
-        "train": {
-            "optimizer": config.train.optimizer,
-            "learning_rate": config.train.learning_rate,
-            "beta1": config.train.beta1,
-            "beta2": config.train.beta2,
-            "adam_eps": config.train.adam_eps,
-            "clip_norm": config.train.clip_norm,
-            "epochs": config.train.epochs,
-            "batch_size": config.train.batch_size,
-        },
-        "rebalance": config.rebalance,
-        "seed": config.seed,
-    }
-
-
-def config_from_dict(d: dict) -> RunConfig:
-    """Inverse of `config_to_dict`; absent keys take the values of `RunConfig()`."""
-    defaults = config_to_dict(RunConfig())
-    t = {**defaults["train"], **d.get("train", {})}
-    d = {**defaults, **d}
-    savgol = d["savgol"]
-    return RunConfig(
-        protocol=Protocol(d["protocol"]),
-        net=NetKind(d["net"]),
-        prep=PrepSettings(
-            method=NormMethod(d["method"]),
-            window=WindowSpec(d["window"], d["stride"]),
-            savgol=None if savgol is None else SavgolSpec(savgol["m"], savgol["order"]),
-            include_confidence=d["include_confidence"],
-        ),
-        long_window=d["long_window"],
-        route_threshold=d["route_threshold"],
-        lstm_hidden=d["lstm_hidden"],
-        tcn_channels=d["tcn_channels"],
-        tcn_kernel=d["tcn_kernel"],
-        tcn_dilations=tuple(d["tcn_dilations"]),
-        train=TrainConfig(**{key: t[key] for key in defaults["train"]}),
-        rebalance=d["rebalance"],
-        seed=d["seed"],
-    )
-
-
-def config_from_settings(settings: dict, seed: int) -> RunConfig:
-    """The run that config-registry settings (``preprocess.window``,
-    ``train.epochs``, ...) describe; `config_to_settings` is its inverse."""
-    window = settings["preprocess.window"]
-    return RunConfig(
-        protocol=(
-            Protocol.MULTICLASS
-            if settings["model.protocol"] == "multiclass"
-            else Protocol.MULTICLASS_BINARY
-        ),
-        net=NetKind(settings["model.net"]),
-        prep=PrepSettings(
-            method=NormMethod(settings["preprocess.method"]),
-            window=WindowSpec(window[0], settings["preprocess.stride"]),
-            savgol=(
-                SavgolSpec(settings["preprocess.savgol.m"], settings["preprocess.savgol.order"])
-                if settings["preprocess.smooth"]
-                else None
-            ),
-            include_confidence=settings["preprocess.include_confidence"],
-        ),
-        long_window=window[1] if len(window) == 2 else None,
-        route_threshold=settings["preprocess.route_threshold"],
-        lstm_hidden=settings["model.lstm_hidden"],
-        tcn_channels=settings["model.tcn_channels"],
-        tcn_kernel=settings["model.tcn_kernel"],
-        tcn_dilations=tuple(settings["model.tcn_dilations"]),
-        train=TrainConfig(
-            optimizer=settings["train.optimizer"],
-            learning_rate=settings["train.learning_rate"],
-            clip_norm=settings["train.clip_norm"],
-            epochs=settings["train.epochs"],
-            batch_size=settings["train.batch_size"],
-        ),
-        rebalance=settings["train.rebalance"],
-        seed=seed,
-    )
-
-
-def config_to_settings(config: RunConfig) -> dict[str, object]:
-    """The config-registry settings that describe ``config``, all but its
-    seed; without smoothing, the smoothing width and order are the defaults."""
-    prep = config.prep
-    savgol = prep.savgol or SavgolSpec()
-    long_window = () if config.long_window is None else (config.long_window,)
-    return {
-        "model.protocol": config.protocol.value,
-        "model.net": config.net.value,
-        "preprocess.method": int(prep.method),
-        "preprocess.window": (prep.window.length, *long_window),
-        "preprocess.stride": prep.window.stride,
-        "preprocess.route_threshold": config.route_threshold,
-        "preprocess.smooth": prep.savgol is not None,
-        "preprocess.savgol.m": savgol.m,
-        "preprocess.savgol.order": savgol.order,
-        "preprocess.include_confidence": prep.include_confidence,
-        "model.lstm_hidden": config.lstm_hidden,
-        "model.tcn_channels": config.tcn_channels,
-        "model.tcn_kernel": config.tcn_kernel,
-        "model.tcn_dilations": config.tcn_dilations,
-        "train.optimizer": config.train.optimizer,
-        "train.learning_rate": config.train.learning_rate,
-        "train.epochs": config.train.epochs,
-        "train.batch_size": config.train.batch_size,
-        "train.clip_norm": config.train.clip_norm,
-        "train.rebalance": config.rebalance,
-    }
-
-
-def config_digest(config: RunConfig) -> str:
-    """Short stable hash of the run configuration, stamped into checkpoints."""
-    import hashlib
-
-    blob = json.dumps(config_to_dict(config), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return EvaluationReport(**config.report_header(), folds=tuple(fold_reports))
 
 
 def save_model_set(
@@ -801,79 +569,11 @@ def save_model_set(
                 },
             )
             entries.append({"route": route, "key": key, "file": fname})
-    index = {
-        "format": "skelgest-modelset",
-        "version": 1,
-        "config": config_to_dict(trained.config),
-        "router_threshold": trained.config.router_threshold,
-        "models": entries,
-        "dataset": dataset,
-        "chin_index": trained.joint_map.chin_index,
-    }
-    index_path = out / "modelset.json"
-    index_path.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
-    return index_path
-
-
-def _int_pair(value: object) -> str | None:
-    ok = isinstance(value, list) and len(value) == 2 and all(type(b) is int for b in value)
-    return None if ok else "is not a list of two integers"
-
-
-def _string(value: object) -> str | None:
-    return None if isinstance(value, str) else "is not a string"
-
-
-def _model_entries(value: object) -> str | None:
-    if not isinstance(value, list):
-        return "is not a list"
-    for i, entry in enumerate(value):
-        if not isinstance(entry, dict):
-            return f"entry {i} is not an object"
-        if name := next((f for f in ("file", "route", "key")
-                         if not isinstance(entry.get(f), str)), None):
-            return f"entry {i} has no string {name!r} field"
-    return None
-
-
-# What an index field must hold, as a check that returns the problem or None.
-# `config` is checked by `config_from_dict`.
-_INDEX_FIELD_CHECKS: dict[str, Callable[[object], str | None]] = {
-    "models": _model_entries,
-    "fold_boundaries": _int_pair,
-    "dataset.root": _string,
-    "dataset.checksum": _string,
-}
-
-
-def read_index(path: Path, fmt: str, fields: Sequence[str]) -> tuple[dict, RunConfig]:
-    """A ``modelset.json`` or ``run_manifest.json`` index of format ``fmt``
-    and the run config that it records.  Each of ``fields`` must be present
-    and of its type; ``dataset.checksum`` names a field of ``dataset``.  A
-    missing file, bad JSON, another format, a missing or mistyped field or a
-    config that no run has is a `DataError` that names the file."""
-    try:
-        index = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise DataError(f"{path}: no such file") from None
-    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise DataError(f"{path}: not a readable JSON index ({exc})") from None
-    found = index.get("format") if isinstance(index, dict) else None
-    if found != fmt:
-        raise DataError(f"{path} is not a {fmt} index (format {found!r})")
-    for name in ("config", *fields):
-        node = index
-        for part in name.split("."):
-            if not isinstance(node, dict) or part not in node:
-                raise DataError(f"{path}: no {name!r} field")
-            node = node[part]
-        if name in _INDEX_FIELD_CHECKS and (problem := _INDEX_FIELD_CHECKS[name](node)):
-            raise DataError(f"{path}: {name!r} {problem}")
-    try:
-        config = config_from_dict(index["config"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: bad 'config' ({exc!r})") from None
-    return index, config
+    return write_index(
+        out / "modelset.json", "skelgest-modelset", trained.config,
+        router_threshold=trained.config.router_threshold, models=entries,
+        dataset=dataset, chin_index=trained.joint_map.chin_index,
+    )
 
 
 def load_model_set(model_dir: str | Path) -> TrainedProtocol:
@@ -897,8 +597,5 @@ def load_model_set(model_dir: str | Path) -> TrainedProtocol:
     for route, by_key in classifiers.items():
         if missing := [key for key in keys if key not in by_key]:
             raise DataError(f"{index_path}: no {route!r} model for {missing[0]!r}")
-    joint_map = replace(
-        DEFAULT_JOINT_MAP,
-        chin_index=index.get("chin_index", DEFAULT_JOINT_MAP.chin_index),
-    )
+    joint_map = replace(DEFAULT_JOINT_MAP, chin_index=index["chin_index"])
     return TrainedProtocol(config=config, classifiers=classifiers, joint_map=joint_map)

@@ -28,11 +28,8 @@ from skelgest.neuralnet import (
     init_parameters,
     param_count,
 )
+from skelgest.config import NetKind, PrepSettings, Protocol, RunConfig
 from skelgest.pipeline import (
-    NetKind,
-    PrepSettings,
-    Protocol,
-    RunConfig,
     TrainedProtocol,
     _assert_patient_disjoint,
     cross_validate,

@@ -834,6 +834,12 @@ def test_unreadable_index_is_data_error(kind, text, fragment, model_dir, eval_ou
      ("manifest", ("fold_boundaries",), [1, 2, 3], "'fold_boundaries' is not a list of two"),
      ("manifest", ("dataset", "root"), 5, "'dataset.root' is not a string"),
      ("manifest", ("dataset", "checksum"), None, "'dataset.checksum' is not a string"),
+     ("manifest", ("dataset", "manifest"), 5, "'dataset.manifest' is not a string or null"),
+     ("manifest", ("chin_index",), -1, "'chin_index' is not an integer in [0, 14)"),
+     ("modelset", ("dataset", "manifest"), ["m"], "'dataset.manifest' is not a string"),
+     ("modelset", ("chin_index",), "x", "'chin_index' is not an integer in [0, 14)"),
+     ("modelset", ("chin_index",), 99, "'chin_index' is not an integer in [0, 14)"),
+     ("modelset", ("chin_index",), True, "'chin_index' is not an integer in [0, 14)"),
      ("modelset", ("models",), 5, "'models' is not a list"),
      ("modelset", ("models", 0), 5, "'models' entry 0 is not an object"),
      ("modelset", ("models", 0, "file"), 5, "'models' entry 0 has no string 'file' field"),
@@ -861,6 +867,25 @@ def test_index_with_a_config_no_run_has_is_data_error(kind, model_dir, eval_out,
     index["config"]["protocol"] = "bogus"
     path.write_text(json.dumps(index))
     _damaged_index_exits_3(path, argv, capsys, "'config'", "bogus")
+
+
+@pytest.mark.parametrize("kind", ["modelset", "manifest"])
+@pytest.mark.parametrize("where,key", [(("lstm_hiden",), "'lstm_hiden'"),
+                                       (("train", "epoch"), "'train.epoch'"),
+                                       (("savgol", "mm"), "'savgol.mm'")])
+def test_index_with_an_unknown_config_key_is_data_error(kind, where, key, model_dir,
+                                                        eval_out, dataset_dir, tmp_path,
+                                                        capsys):
+    """A mistyped or newer recorded setting is not dropped to replay another run."""
+    path, argv = _index_copy(kind, model_dir, eval_out, dataset_dir, tmp_path)
+    index = json.loads(path.read_text())
+    *parents, last = where
+    node = index["config"]
+    for part in parents:
+        node = node[part]
+    node[last] = 3
+    path.write_text(json.dumps(index))
+    _damaged_index_exits_3(path, argv, capsys, "'config'", key)
 
 
 @needs_two_blas_threads

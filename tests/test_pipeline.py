@@ -15,6 +15,17 @@ import numpy as np
 import pytest
 
 from skelgest import pipeline
+from skelgest.config import (
+    NetKind,
+    PrepSettings,
+    Protocol,
+    RunConfig,
+    config_digest,
+    config_from_dict,
+    config_from_settings,
+    config_to_dict,
+    config_to_settings,
+)
 from skelgest.ingest import (
     DataError,
     FoldSplit,
@@ -36,22 +47,13 @@ from skelgest.pipeline import (
     FoldCoverageError,
     SCORE_BLOCK_WINDOWS,
     MissingClassError,
-    NetKind,
     NetworkClassifier,
     OracleClassifier,
-    PrepSettings,
-    Protocol,
-    RunConfig,
     TrainedProtocol,
     _assert_patient_disjoint,
     _derived_seed,
     _rebalanced_indices,
     aggregate_windows,
-    config_digest,
-    config_from_dict,
-    config_from_settings,
-    config_to_dict,
-    config_to_settings,
     cross_validate,
     evaluate_binary,
     evaluate_multiclass,
@@ -668,7 +670,7 @@ class TestBlockScoring:
         for seq, got in zip(ds.sequences, scores):
             route = trained.route_name(seq)
             assert tuple(got) == trained.keys_for(seq)
-            x = config.routes()[route].features(seq, ds.joint_map)
+            x = pipeline._features(config.routes()[route], seq, ds.joint_map)
             for key, mean in got.items():
                 want = forward(trained.classifiers[route][key].model, x).mean(axis=0)
                 assert np.max(np.abs(mean - want)) <= 1e-12
@@ -692,7 +694,7 @@ class TestBlockScoring:
             assert len(calls[gid]) == len(blocks)
             assert all(np.array_equal(a, b) for a, b in zip(calls[gid], blocks))
         # One patient: a gesture id names one sequence.
-        n_windows = {s.label.id: len(self.PREP.features(s, ds.joint_map))
+        n_windows = {s.label.id: len(pipeline._features(self.PREP, s, ds.joint_map))
                      for s in seqs}
         assert np.array_equal(
             np.concatenate(blocks),

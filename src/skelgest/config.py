@@ -148,8 +148,9 @@ def config_to_dict(config: RunConfig) -> dict:
 
 def config_from_dict(d: dict) -> RunConfig:
     """Inverse of `config_to_dict`; absent keys take the values of
-    `RunConfig()`, and a key that `config_to_dict` does not write is a
-    ValueError, so no recorded setting is silently dropped."""
+    `RunConfig()`.  A key that `config_to_dict` does not write is a
+    ValueError, so no recorded setting is silently dropped, and so is a value
+    of the wrong type (see `_check_values`)."""
     defaults = config_to_dict(RunConfig())
     unknown = [k for k in d if k not in defaults] + [
         f"{block}.{k}" for block in ("train", "savgol")
@@ -159,7 +160,7 @@ def config_from_dict(d: dict) -> RunConfig:
         raise ValueError(f"unknown config key {unknown[0]!r}")
     d = {**defaults, **d}
     savgol = d["savgol"]
-    return RunConfig(
+    config = RunConfig(
         protocol=Protocol(d["protocol"]),
         net=NetKind(d["net"]),
         prep=PrepSettings(
@@ -178,6 +179,29 @@ def config_from_dict(d: dict) -> RunConfig:
         rebalance=d["rebalance"],
         seed=d["seed"],
     )
+    _check_values(config)
+    return config
+
+
+def _check_values(config: RunConfig) -> None:
+    """A ValueError unless each run setting is exactly what its registry
+    parser gives back from the setting's own text, so that ``"32"`` or
+    ``32.0`` for a count and ``1`` for a flag are refused, and unless each
+    other training value has its default's type."""
+    settings = {**config_to_settings(config), "run.seed": config.seed}
+    for name, value in settings.items():
+        try:
+            parsed = REGISTRY[name].parse(format_value(value))
+            ok = type(parsed) is type(value) and parsed == value
+        except ConfigError:
+            ok = False
+        if not ok:
+            raise ValueError(f"mistyped config value {REGISTRY[name].path or 'seed'!r}: "
+                             f"{value!r}")
+    defaults = asdict(TrainConfig())
+    for name, value in asdict(config.train).items():
+        if type(value) is not type(defaults[name]):
+            raise ValueError(f"mistyped config value {'train.' + name!r}: {value!r}")
 
 
 def config_digest(config: RunConfig) -> str:

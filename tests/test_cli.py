@@ -844,7 +844,19 @@ def test_unreadable_index_is_data_error(kind, text, fragment, model_dir, eval_ou
      ("modelset", ("models", 0), 5, "'models' entry 0 is not an object"),
      ("modelset", ("models", 0, "file"), 5, "'models' entry 0 has no string 'file' field"),
      ("modelset", ("models", 1, "route"), ["main"], "'models' entry 1 has no string 'route'"),
-     ("modelset", ("models", 0, "key"), None, "'models' entry 0 has no string 'key' field")],
+     ("modelset", ("models", 0, "key"), None, "'models' entry 0 has no string 'key' field"),
+     ("manifest", ("config", "lstm_hidden"), "x", "mistyped config value 'lstm_hidden'"),
+     ("manifest", ("config", "train", "epochs"), 2.0, "mistyped config value 'train.epochs'"),
+     ("manifest", ("config", "tcn_dilations"), [1, "2"],
+      "mistyped config value 'tcn_dilations'"),
+     ("manifest", ("config", "train", "adam_eps"), "x",
+      "mistyped config value 'train.adam_eps'"),
+     ("modelset", ("config", "lstm_hidden"), "x", "mistyped config value 'lstm_hidden'"),
+     ("modelset", ("config", "include_confidence"), 1,
+      "mistyped config value 'include_confidence'"),
+     ("modelset", ("config", "savgol"), {"m": 5.0, "order": 2},
+      "mistyped config value 'savgol.m'"),
+     ("modelset", ("config", "seed"), "7", "mistyped config value 'seed'")],
 )
 def test_index_with_a_mistyped_field_is_data_error(kind, where, value, message, model_dir,
                                                    eval_out, dataset_dir, tmp_path, capsys):

@@ -12,6 +12,14 @@ The LSTM kernel runs its per-step elementwise work feature-major, with every
 matrix product on the operands of the plain batch-major kernel.  That kernel
 is kept here verbatim (``batch_major_*``) as a byte-level oracle at the
 model's real sizes.
+
+The TCN kernel computes each level only at the time rows in the receptive
+cone of the last step.  The full-sequence kernel that it replaced, every
+level at all W steps, is kept here verbatim (``full_*``), and the ``einsum``
+reference runs its forward pass through it.  Both kernels round each computed
+row alike except in a batch of one, where the cone's top level multiplies a
+single row: numpy sends that product to BLAS's gemv, which rounds unlike
+gemm.  The cone oracle allows a relative 1e-12 everywhere.
 """
 
 import numpy as np
@@ -26,10 +34,10 @@ from skelgest.neuralnet import (
     lstm_loss_and_grad,
     param_views,
     sigmoid,
+    tcn_forward,
     tcn_loss_and_grad,
 )
 from skelgest.neuralnet.common import head_backward, head_forward, head_loss
-from skelgest.neuralnet.tcn import _run_levels
 
 GRAD_RTOL = 1e-12
 
@@ -197,11 +205,104 @@ def batch_major_loss_and_grad(model, x, targets):
     return loss, grad_flat
 
 
+# The full-sequence TCN that the cone kernel replaced: every level at all W
+# steps.  Its arithmetic is verbatim; only the names changed.
+
+
+def full_conv_forward(x, weight, bias, dilation):
+    """Causal dilated conv: x (B, W, Cin) -> (B, W, Cout); also returns the
+    left-padded input for reuse in the backward pass."""
+    b, w, c_in = x.shape
+    kernel = weight.shape[0]
+    pad = (kernel - 1) * dilation
+    xp = np.zeros((b, w + pad, c_in), dtype=np.float64)
+    xp[:, pad:, :] = x
+    out = np.broadcast_to(bias, (b, w, weight.shape[2])).copy()
+    for k in range(kernel):
+        out += xp[:, k * dilation : k * dilation + w, :] @ weight[k]
+    return out, xp
+
+
+def full_conv_backward(d_out, xp, weight, g_weight, g_bias, dilation):
+    """Accumulate conv gradients in place; return d(loss)/d(input)."""
+    b, w, c_out = d_out.shape
+    kernel, c_in, _ = weight.shape
+    pad = (kernel - 1) * dilation
+    g_bias += d_out.sum(axis=(0, 1))
+    d_rows = d_out.reshape(b * w, c_out)
+    d_xp = np.zeros_like(xp)
+    for k in range(kernel):
+        tap = xp[:, k * dilation : k * dilation + w, :]
+        g_weight[k] += tap.reshape(b * w, c_in).T @ d_rows
+        d_xp[:, k * dilation : k * dilation + w, :] += d_out @ weight[k].T
+    return d_xp[:, pad:, :]
+
+
+def full_run_levels(model, x):
+    """All residual levels; returns the top output and per-level caches."""
+    spec = model.spec
+    p = model.unpack()
+    caches = []
+    current = x
+    for level, dilation in enumerate(spec.dilations):
+        pre, xp = full_conv_forward(
+            current, p[f"conv{level}_w"], p[f"conv{level}_b"], dilation
+        )
+        active = np.maximum(pre, 0.0)
+        proj = p.get(f"proj{level}_w")
+        residual = current @ proj if proj is not None else current
+        out = active + residual
+        caches.append((current, xp, pre))
+        current = out
+    return current, caches
+
+
+def full_tcn_forward(model, x):
+    top, _ = full_run_levels(model, x)
+    p = model.unpack()
+    return head_forward(top[:, -1, :], p["w_head"], p["b_head"], model.head)
+
+
+def full_tcn_loss_and_grad(model, x, targets):
+    spec = model.spec
+    p = model.unpack()
+
+    top, caches = full_run_levels(model, x)
+    last = top[:, -1, :]
+    logits = last @ p["w_head"].T + p["b_head"]
+    loss, d_logits = head_loss(logits, targets, model.head)
+
+    grad_flat = np.zeros_like(model.values)
+    g = param_views(spec, grad_flat)
+    d_last = head_backward(d_logits, last, p["w_head"], g["w_head"], g["b_head"])
+
+    d_out = np.zeros_like(top)
+    d_out[:, -1, :] = d_last
+    for level in range(len(spec.dilations) - 1, -1, -1):
+        inp, xp, pre = caches[level]
+        dilation = spec.dilations[level]
+        d_pre = d_out * (pre > 0.0)
+        d_inp = full_conv_backward(
+            d_pre, xp, p[f"conv{level}_w"], g[f"conv{level}_w"], g[f"conv{level}_b"],
+            dilation,
+        )
+        proj = p.get(f"proj{level}_w")
+        if proj is not None:
+            g[f"proj{level}_w"] += (
+                inp.reshape(-1, inp.shape[2]).T @ d_out.reshape(-1, d_out.shape[2])
+            )
+            d_inp += d_out @ proj.T
+        else:
+            d_inp += d_out
+        d_out = d_inp
+    return loss, grad_flat
+
+
 def reference_tcn_loss_and_grad(model, x, targets):
     """The TCN backward pass with every weight gradient as an ``einsum``."""
     spec = model.spec
     p = model.unpack()
-    top, caches = _run_levels(model, x)
+    top, caches = full_run_levels(model, x)
     last = top[:, -1, :]
     logits = last @ p["w_head"].T + p["b_head"]
     loss, d_logits = head_loss(logits, targets, model.head)
@@ -343,3 +444,35 @@ class TestTcnAgainstReference:
         ref_loss, ref_grad = reference_tcn_loss_and_grad(model, x, targets)
         assert loss == ref_loss
         assert _relative_error(grad, ref_grad) <= GRAD_RTOL
+
+
+def _cone_cases():
+    for head in (HeadKind.SOFTMAX, HeadKind.SIGMOID):
+        for input_dim in (5, 6):  # 5: a projection at level 0; 6: none
+            for kernel in (2, 3):
+                for dilations in ((1, 2), (1, 2, 4, 8)):
+                    spec = TcnSpec(input_dim=input_dim, channels=6, kernel=kernel,
+                                   dilations=dilations,
+                                   n_classes=4 if head is HeadKind.SOFTMAX else 1)
+                    name = (f"{head.value}-{'proj' if input_dim != 6 else 'no-proj'}"
+                            f"-k{kernel}-d{len(dilations)}")
+                    yield pytest.param(spec, head, id=name)
+
+
+class TestTcnConeAgainstFullSequence:
+    """The cone kernel against the full-sequence kernel: probabilities, loss
+    and gradient, for W from one step to past the receptive field (31 with
+    kernel 3 and dilations 1, 2, 4, 8)."""
+
+    @pytest.mark.parametrize("b", [1, 7, 64])
+    @pytest.mark.parametrize("spec,head", list(_cone_cases()))
+    def test_matches_to_1e12(self, spec, head, b):
+        model = init_parameters(spec, head, seed=51)
+        for w in range(1, 41):
+            x, targets = _batch(spec, head, b=b, w=w, seed=52 + w)
+            probs = tcn_forward(model, x)
+            assert _relative_error(probs, full_tcn_forward(model, x)) <= GRAD_RTOL, w
+            loss, grad = tcn_loss_and_grad(model, x, targets)
+            want_loss, want_grad = full_tcn_loss_and_grad(model, x, targets)
+            assert abs(loss - want_loss) <= GRAD_RTOL * abs(want_loss), w
+            assert _relative_error(grad, want_grad) <= GRAD_RTOL, w

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import needs_two_blas_threads
+from test_kernel_reference import full_run_levels
 from skelgest.neuralnet import (
     AdamState,
     GradCheckReport,
@@ -51,8 +52,9 @@ def receptive_field(spec):
 
 def tcn_level_outputs(model, x):
     """A TCN's per-level outputs (B, W, C) on (B, W, D) input: each level's
-    input is the previous level's output."""
-    top, caches = tcn._run_levels(model, x)
+    input is the previous level's output.  The full-sequence reference form
+    computes every step; the library computes only the last step's cone."""
+    top, caches = full_run_levels(model, x)
     return [inp for inp, _, _ in caches[1:]] + [top]
 
 
@@ -316,6 +318,28 @@ class TestTcnStructure:
         assert not np.array_equal(
             tcn_level_outputs(model, inside)[-1][0, -1], last
         )
+
+    def test_library_kernel_reads_exactly_the_receptive_field(self):
+        """The same boundary through `tcn.forward` itself, which computes
+        only the last step's cone."""
+        spec, model = self._model()
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(1, 40, 3))
+        probs = tcn.forward(model, x)
+
+        outside = x.copy()
+        outside[0, 8] += 5.0
+        assert tcn.forward(model, outside).tobytes() == probs.tobytes()
+        inside = x.copy()
+        inside[0, 9] += 5.0
+        assert tcn.forward(model, inside).tobytes() != probs.tobytes()
+
+    def test_empty_window_rejected(self):
+        spec, model = self._model()
+        with pytest.raises(ValueError, match="expected input"):
+            tcn.forward(model, np.zeros((2, 0, 3)))
+        with pytest.raises(ValueError, match="expected input"):
+            tcn.loss_and_grad(model, np.zeros((2, 0, 3)), np.array([0, 1]))
 
     def test_level_count(self):
         spec, model = self._model()

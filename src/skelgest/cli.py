@@ -78,7 +78,6 @@ from .pipeline import (
 from .metrics import (
     EvaluationReport,
     render_report,
-    render_summary,
     report_from_dict,
     write_report_files,
 )
@@ -336,7 +335,7 @@ def _evaluate_model_set(args: argparse.Namespace) -> int:
     out = Path(str(settings["output.dir"]))
     write_report_files(report, out)
     _echo_config(out, settings)
-    print(render_summary(report), end="")
+    print(render_report(report, "text"), end="")
     return EXIT_OK
 
 
@@ -378,7 +377,7 @@ def _cross_validate(
     write_report_files(report, out)
     _echo_config(out, resolved)
     _write_run_manifest(out, "evaluate", rc, boundaries, dataset, ds.joint_map.chin_index)
-    print(render_summary(report), end="")
+    print(render_report(report, "text"), end="")
     return EXIT_OK
 
 
@@ -436,11 +435,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     report_path = Path(args.from_dir) / "report.json"
     if not report_path.is_file():
         raise DataError(f"no report.json under {args.from_dir}")
-    report = report_from_dict(json.loads(report_path.read_text()))
-    if args.fmt == "text":
-        print(render_summary(report), end="")
-    else:
-        print(render_report(report, args.fmt), end="")
+    try:  # bad UTF-8 or JSON is a ValueError; a missing or mistyped field any of the three
+        text = render_report(report_from_dict(json.loads(report_path.read_text())), args.fmt)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{report_path}: not a readable report ({exc!r})") from None
+    print(text, end="")
     return EXIT_OK
 
 
@@ -471,9 +470,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDivergedError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

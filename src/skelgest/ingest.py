@@ -21,6 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -186,51 +187,61 @@ def load_dataset(
         raise DataError(f"manifest not found: {manifest_path}")
 
     sequences: list[GestureSequence] = []
-    with open(manifest_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_FIELDS:
-            raise DataError(
-                f"{manifest_path}: manifest header must be {','.join(MANIFEST_FIELDS)}"
-            )
-        for rownum, row in enumerate(reader, start=2):
-            try:
-                patient_id = int(row["patient_id"])
-            except (TypeError, ValueError):
-                raise DataError(f"{manifest_path}:{rownum}: bad patient_id "
-                                f"{row.get('patient_id')!r}") from None
-            gesture_id = (row["gesture_id"] or "").strip()
-            try:
-                label = GestureLabel.from_id(gesture_id)
-            except UnknownLabelError as exc:
-                raise DataError(f"{manifest_path}:{rownum}: {exc}") from None
-            correct = _parse_correct(row["correct"], manifest_path, rownum)
-            frames_path = root / row["frames_path"]
-            where = f"{manifest_path}:{rownum}"
-            if not correct:  # skip before paying the read and parse cost
-                if not frames_path.exists():
-                    raise DataError(f"{where}: frames file not found: {frames_path}")
-                continue
-            try:
-                text = frames_path.read_text()
-            except FileNotFoundError:
-                raise DataError(f"{where}: frames file not found: {frames_path}") from None
-            except (OSError, UnicodeDecodeError) as exc:
-                raise DataError(f"{where}: cannot read frames file {frames_path}: "
-                                f"{exc}") from None
-            coords, conf, aux = parse_skeletal_file(text, source=str(frames_path))
-            if not len(coords):
-                raise DataError(f"{where}: {frames_path} holds no frames")
-            sequences.append(
-                GestureSequence(patient_id, label, correct, coords, conf, aux)
-            )
+    for rownum, row in _manifest_rows(manifest_path):
+        try:
+            patient_id = int(row["patient_id"])
+        except ValueError:
+            raise DataError(f"{manifest_path}:{rownum}: bad patient_id "
+                            f"{row['patient_id']!r}") from None
+        try:
+            label = GestureLabel.from_id(row["gesture_id"].strip())
+        except UnknownLabelError as exc:
+            raise DataError(f"{manifest_path}:{rownum}: {exc}") from None
+        correct = _parse_correct(row["correct"], manifest_path, rownum)
+        frames_path = root / row["frames_path"]
+        where = f"{manifest_path}:{rownum}"
+        if not correct:  # skip before paying the read and parse cost
+            if not frames_path.exists():
+                raise DataError(f"{where}: frames file not found: {frames_path}")
+            continue
+        try:
+            text = frames_path.read_text()
+        except FileNotFoundError:
+            raise DataError(f"{where}: frames file not found: {frames_path}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"{where}: cannot read frames file {frames_path}: "
+                            f"{exc}") from None
+        coords, conf, aux = parse_skeletal_file(text, source=str(frames_path))
+        if not len(coords):
+            raise DataError(f"{where}: {frames_path} holds no frames")
+        sequences.append(
+            GestureSequence(patient_id, label, correct, coords, conf, aux)
+        )
     ds = _build_dataset(sequences, joint_map)
     logger.info("loaded %d sequences from %d patients (%s)",
                 len(ds.sequences), len(ds.patients), manifest_path)
     return ds
 
 
-def _parse_correct(token: str | None, path: Path, rownum: int) -> bool:
-    norm = (token or "").strip().lower()
+def _manifest_rows(manifest_path: Path) -> Iterator[tuple[int, dict[str, str]]]:
+    """Each row of a manifest as a field -> value map, with its line number.
+    A header other than ``MANIFEST_FIELDS`` or a row without exactly those
+    four fields is a :class:`DataError` naming ``manifest:line``."""
+    with open(manifest_path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_FIELDS:
+            raise DataError(
+                f"{manifest_path}:1: manifest header must be {','.join(MANIFEST_FIELDS)}"
+            )
+        for row in reader:
+            if None in row or None in row.values():  # surplus or missing fields
+                raise DataError(f"{manifest_path}:{reader.line_num}: expected "
+                                f"{len(MANIFEST_FIELDS)} comma-separated fields")
+            yield reader.line_num, row
+
+
+def _parse_correct(token: str, path: Path, rownum: int) -> bool:
+    norm = token.strip().lower()
     if norm in ("1", "true"):
         return True
     if norm in ("0", "false"):
@@ -463,7 +474,6 @@ def dataset_checksum(root: str | Path, manifest: str | Path | None = None) -> st
     manifest_path = Path(manifest) if manifest is not None else root / "manifest.csv"
     digest = hashlib.sha256()
     digest.update(manifest_path.read_bytes())
-    with open(manifest_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            digest.update((root / row["frames_path"]).read_bytes())
+    for _, row in _manifest_rows(manifest_path):
+        digest.update((root / row["frames_path"]).read_bytes())
     return digest.hexdigest()

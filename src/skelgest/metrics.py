@@ -20,9 +20,12 @@ import io
 import json
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from .skeleton import DYNAMIC_GESTURE_IDS, STATIC_GESTURE_IDS
 
 
 def percent(fraction: float, places: int = 1) -> str:
@@ -135,11 +138,15 @@ class BinaryClassResult:
 
 @dataclass(frozen=True)
 class BinarySuiteMetrics:
-    """Aggregates over the full set of one-vs-rest models."""
+    """Aggregates over the full set of one-vs-rest models; the static and
+    dynamic subsets are the taxonomy's."""
 
     results: tuple[BinaryClassResult, ...]
-    static_ids: tuple[str, ...]
-    dynamic_ids: tuple[str, ...]
+
+    def __post_init__(self):
+        seen = [r.gesture_id for r in self.results]
+        if len(set(seen)) != len(seen):
+            raise ValueError("duplicate gesture ids in binary results")
 
     @property
     def mean_accuracy(self) -> float:
@@ -154,31 +161,16 @@ class BinarySuiteMetrics:
 
     @property
     def static_accuracy(self) -> float:
-        return self._subset_mean(self.static_ids)
+        return self._subset_mean(STATIC_GESTURE_IDS)
 
     @property
     def dynamic_accuracy(self) -> float:
-        return self._subset_mean(self.dynamic_ids)
+        return self._subset_mean(DYNAMIC_GESTURE_IDS)
 
     @property
     def balanced_average(self) -> float:
         """Mean of the static-subset and dynamic-subset means."""
         return average_static_dynamic(self.static_accuracy, self.dynamic_accuracy)
-
-
-def binary_suite_metrics(
-    results: Sequence[BinaryClassResult],
-    static_ids: Sequence[str],
-    dynamic_ids: Sequence[str],
-) -> BinarySuiteMetrics:
-    seen = [r.gesture_id for r in results]
-    if len(set(seen)) != len(seen):
-        raise ValueError("duplicate gesture ids in binary results")
-    return BinarySuiteMetrics(
-        results=tuple(results),
-        static_ids=tuple(static_ids),
-        dynamic_ids=tuple(dynamic_ids),
-    )
 
 
 @dataclass(frozen=True)
@@ -202,6 +194,18 @@ class FoldReport:
             raise ValueError("fold report holds neither binary nor two-model results")
         return average_static_dynamic(self.static_accuracy, self.dynamic_accuracy)
 
+    def kind_accuracies(self) -> tuple[float | None, float | None]:
+        """The (static, dynamic) accuracy: the two models', or the one-vs-rest
+        suite's subset means; None where the fold has no such result."""
+        if self.binary is not None:
+            return self.binary.static_accuracy, self.binary.dynamic_accuracy
+        return self.static_accuracy, self.dynamic_accuracy
+
+
+def _mean_unless_missing(values: list[float | None]) -> float | None:
+    """The mean of ``values``, or None when any of them is None."""
+    return None if None in values else float(np.mean(values))
+
 
 @dataclass(frozen=True)
 class EvaluationReport:
@@ -216,17 +220,11 @@ class EvaluationReport:
 
     @property
     def mean_static_accuracy(self) -> float | None:
-        vals = [f.static_accuracy for f in self.folds]
-        if any(v is None for v in vals):
-            return None
-        return float(np.mean([v for v in vals if v is not None]))
+        return _mean_unless_missing([f.static_accuracy for f in self.folds])
 
     @property
     def mean_dynamic_accuracy(self) -> float | None:
-        vals = [f.dynamic_accuracy for f in self.folds]
-        if any(v is None for v in vals):
-            return None
-        return float(np.mean([v for v in vals if v is not None]))
+        return _mean_unless_missing([f.dynamic_accuracy for f in self.folds])
 
     @property
     def mean_average_accuracy(self) -> float:
@@ -307,14 +305,13 @@ def binary_per_class_csv(suite: BinarySuiteMetrics) -> str:
 
 
 def report_from_dict(d: dict) -> EvaluationReport:
-    """Rebuild a report from its JSON form (confusion matrices excluded)."""
-    from .skeleton import DYNAMIC_GESTURE_IDS, STATIC_GESTURE_IDS
-
+    """Rebuild a report from its JSON form (confusion matrices excluded); a
+    report without folds is a ValueError."""
     folds = []
     for fd in d["folds"]:
         binary = None
         if "binary" in fd:
-            results = tuple(
+            binary = BinarySuiteMetrics(tuple(
                 BinaryClassResult(
                     gesture_id=r["gesture_id"],
                     tp=r["tp"],
@@ -323,10 +320,7 @@ def report_from_dict(d: dict) -> EvaluationReport:
                     fn=r["fn"],
                 )
                 for r in fd["binary"]["per_class"]
-            )
-            binary = binary_suite_metrics(
-                results, STATIC_GESTURE_IDS, DYNAMIC_GESTURE_IDS
-            )
+            ))
         folds.append(
             FoldReport(
                 fold=fd["fold"],
@@ -337,6 +331,8 @@ def report_from_dict(d: dict) -> EvaluationReport:
                 binary=binary,
             )
         )
+    if not folds:
+        raise ValueError("report holds no folds")
     return EvaluationReport(
         protocol=d["protocol"],
         arch=d["arch"],
@@ -348,64 +344,32 @@ def report_from_dict(d: dict) -> EvaluationReport:
 
 
 def render_report(report: EvaluationReport, fmt: str = "json") -> str:
-    """Serialize a report as 'json' (pretty, stable keys) or 'csv' (summary)."""
+    """Serialize a report as 'json' (pretty, stable keys), 'csv' (one row per
+    fold, then the mean) or 'text' (the table the CLI prints)."""
     if fmt == "json":
         return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    if fmt not in ("csv", "text"):
+        raise ValueError(f"unknown report format {fmt!r} (expected 'json', 'csv' or 'text')")
+    rows = [
+        (fold.fold, *map(rate_text, fold.kind_accuracies()), percent(fold.average_accuracy))
+        for fold in report.folds
+    ]
+    mean = percent(report.mean_average_accuracy)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(
-            ["fold", "static_pct", "dynamic_pct", "average_pct"]
-        )
-        for fold in report.folds:
-            if fold.binary is not None:
-                s, d = fold.binary.static_accuracy, fold.binary.dynamic_accuracy
-            else:
-                s, d = fold.static_accuracy, fold.dynamic_accuracy
-            writer.writerow(
-                [
-                    fold.fold,
-                    percent(s) if s is not None else "n/a",
-                    percent(d) if d is not None else "n/a",
-                    percent(fold.average_accuracy),
-                ]
-            )
-        writer.writerow(["mean", "", "", percent(report.mean_average_accuracy)])
+        writer.writerow(["fold", "static_pct", "dynamic_pct", "average_pct"])
+        writer.writerows(rows)
+        writer.writerow(["mean", "", "", mean])
         return buf.getvalue()
-    raise ValueError(f"unknown report format {fmt!r} (expected 'json' or 'csv')")
-
-
-def render_summary(report: EvaluationReport) -> str:
-    """Human-readable table printed by the CLI after an evaluation."""
     lines = [
         f"protocol={report.protocol} arch={report.arch} "
         f"method={report.method} window={report.window}",
         f"{'fold':>4}  {'static':>7}  {'dynamic':>7}  {'average':>7}",
+        *(f"{n:>4}  {s:>7}  {d:>7}  {a:>7}" for n, s, d, a in rows),
+        f"mean average accuracy: {mean}%",
     ]
-    for fold in report.folds:
-        if fold.binary is not None:
-            s: float | None = fold.binary.static_accuracy
-            d: float | None = fold.binary.dynamic_accuracy
-        else:
-            s, d = fold.static_accuracy, fold.dynamic_accuracy
-        s_txt = percent(s) if s is not None else "n/a"
-        d_txt = percent(d) if d is not None else "n/a"
-        lines.append(
-            f"{fold.fold:>4}  {s_txt:>7}  {d_txt:>7}  {percent(fold.average_accuracy):>7}"
-        )
-    lines.append(f"mean average accuracy: {percent(report.mean_average_accuracy)}%")
     return "\n".join(lines) + "\n"
-
-
-def _pooled_confusion(matrices: list[ConfusionMatrix]) -> ConfusionMatrix | None:
-    """Element-wise sum of same-label confusion matrices (None if none given)."""
-    if not matrices:
-        return None
-    labels = matrices[0].labels
-    if any(cm.labels != labels for cm in matrices):
-        raise ValueError("cannot pool confusion matrices over different labels")
-    total = np.sum([cm.counts for cm in matrices], axis=0)
-    return ConfusionMatrix(labels=labels, counts=total)
 
 
 def write_report_files(report: EvaluationReport, out_dir) -> list[str]:
@@ -415,37 +379,24 @@ def write_report_files(report: EvaluationReport, out_dir) -> list[str]:
     plus pooled across folds (``confusion_static.csv``, the counterpart of a
     whole-cross-validation confusion figure).
     """
-    from pathlib import Path
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[str] = []
-    path = out / "report.json"
-    path.write_text(render_report(report, "json"))
-    written.append(str(path))
-    path = out / "report.csv"
-    path.write_text(render_report(report, "csv"))
-    written.append(str(path))
+    files = {"report.json": render_report(report, "json"),
+             "report.csv": render_report(report, "csv")}
     for fold in report.folds:
         if fold.binary is not None:
-            path = out / f"binary_fold{fold.fold}.csv"
-            path.write_text(binary_per_class_csv(fold.binary))
-            written.append(str(path))
-    for name, pick in (
-        ("static", lambda f: f.static_confusion),
-        ("dynamic", lambda f: f.dynamic_confusion),
-    ):
-        per_fold = []
-        for fold in report.folds:
-            cm = pick(fold)
-            if cm is not None:
-                per_fold.append(cm)
-                path = out / f"confusion_fold{fold.fold}_{name}.csv"
-                path.write_text(cm.to_csv())
-                written.append(str(path))
-        pooled = _pooled_confusion(per_fold)
-        if pooled is not None:
-            path = out / f"confusion_{name}.csv"
-            path.write_text(pooled.to_csv())
-            written.append(str(path))
-    return written
+            files[f"binary_fold{fold.fold}.csv"] = binary_per_class_csv(fold.binary)
+    for kind in ("static", "dynamic"):
+        matrices = [(fold.fold, cm) for fold in report.folds
+                    if (cm := getattr(fold, f"{kind}_confusion")) is not None]
+        for n, cm in matrices:
+            files[f"confusion_fold{n}_{kind}.csv"] = cm.to_csv()
+        if matrices:
+            labels = matrices[0][1].labels
+            if any(cm.labels != labels for _, cm in matrices):
+                raise ValueError("cannot pool confusion matrices over different labels")
+            pooled = np.sum([cm.counts for _, cm in matrices], axis=0)
+            files[f"confusion_{kind}.csv"] = ConfusionMatrix(labels, pooled).to_csv()
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
+    return [str(out / name) for name in files]

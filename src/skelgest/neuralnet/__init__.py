@@ -20,10 +20,6 @@ from .params import (
     save_checkpoint,
 )
 from .common import sigmoid, softmax
-from .lstm import forward as lstm_forward
-from .lstm import loss_and_grad as lstm_loss_and_grad
-from .tcn import forward as tcn_forward
-from .tcn import loss_and_grad as tcn_loss_and_grad
 from .train import (
     AdamState,
     FitResult,
@@ -63,8 +59,6 @@ __all__ = [
     "grad_check",
     "init_parameters",
     "load_checkpoint",
-    "lstm_forward",
-    "lstm_loss_and_grad",
     "max_relative_error",
     "param_count",
     "param_slots",
@@ -73,7 +67,5 @@ __all__ = [
     "sgd_update",
     "sigmoid",
     "softmax",
-    "tcn_forward",
-    "tcn_loss_and_grad",
     "train_step",
 ]

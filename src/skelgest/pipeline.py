@@ -20,6 +20,7 @@ length -- and dispatches each test sequence by its raw frame count.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol as TypingProtocol, Sequence
@@ -62,7 +63,6 @@ from .metrics import (
     ConfusionMatrix,
     EvaluationReport,
     FoldReport,
-    binary_suite_metrics,
     confusion,
 )
 
@@ -441,24 +441,18 @@ def evaluate_binary(
     joint_map: JointIndexMap,
 ) -> BinarySuiteMetrics:
     """Score all 29 one-vs-rest models on every test sequence."""
-    tallies = {gid: {"tp": 0, "fp": 0, "tn": 0, "fn": 0} for gid in ALL_GESTURE_IDS}
-    for seq, scores in zip(test_seqs, score_sequences(trained, test_seqs, joint_map)):
-        for gid in ALL_GESTURE_IDS:
-            predicted_pos = float(scores[gid][0]) > 0.5
-            actual_pos = seq.label.id == gid
-            cell = tallies[gid]
-            if actual_pos and predicted_pos:
-                cell["tp"] += 1
-            elif actual_pos:
-                cell["fn"] += 1
-            elif predicted_pos:
-                cell["fp"] += 1
-            else:
-                cell["tn"] += 1
-    results = [
-        BinaryClassResult(gesture_id=gid, **tallies[gid]) for gid in ALL_GESTURE_IDS
-    ]
-    return binary_suite_metrics(results, STATIC_GESTURE_IDS, DYNAMIC_GESTURE_IDS)
+    scores = score_sequences(trained, test_seqs, joint_map)
+    results = []
+    for gid in ALL_GESTURE_IDS:
+        cells = Counter(  # (actually positive, predicted positive)
+            (seq.label.id == gid, float(seq_scores[gid][0]) > 0.5)
+            for seq, seq_scores in zip(test_seqs, scores)
+        )
+        results.append(BinaryClassResult(
+            gesture_id=gid, tp=cells[True, True], fp=cells[False, True],
+            tn=cells[False, False], fn=cells[True, False],
+        ))
+    return BinarySuiteMetrics(tuple(results))
 
 
 def evaluate_fold(

@@ -295,6 +295,39 @@ class TestIngest:
         assert f"{manifest}:4:" in err and str(victim) in err, err
 
 
+class TestManifestRows:
+    """Every command reads a dataset's manifest through one checked reader."""
+
+    def _copy(self, dataset_dir, tmp_path, line, text):
+        root = tmp_path / "ds"
+        shutil.copytree(dataset_dir, root)
+        manifest = root / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        lines[line - 1] = text
+        manifest.write_text("\n".join(lines) + "\n")
+        return root, manifest
+
+    @pytest.mark.parametrize("command", ["ingest", "train", "evaluate"])
+    def test_short_row_is_data_error(self, command, dataset_dir, tmp_path, capsys):
+        root, manifest = self._copy(dataset_dir, tmp_path, 3, "1,A1_2,1")
+        argv = [command, "--dataset", str(root)]
+        if command != "ingest":
+            argv += ["--out", str(tmp_path / "out"), "--seed", "6",
+                     "--fold-boundaries", "1,2", *TINY_TRAIN_FLAGS]
+        assert run_cli(*argv) == EXIT_DATA
+        assert f"{manifest}:3:" in capsys.readouterr().err
+
+    def test_replay_against_a_bad_header_is_data_error(self, eval_out, dataset_dir,
+                                                       tmp_path, capsys):
+        root, manifest = self._copy(dataset_dir, tmp_path, 1, "patient,gesture,ok,path")
+        code = run_cli(
+            "evaluate", "--from-manifest", str(eval_out / "run_manifest.json"),
+            "--dataset", str(root), "--out", str(tmp_path / "x"),
+        )
+        assert code == EXIT_DATA
+        assert f"{manifest}:1:" in capsys.readouterr().err
+
+
 class TestTrain:
     def test_multiclass_writes_two_checkpoints(self, dataset_dir, tmp_path):
         out = tmp_path / "run"
@@ -966,6 +999,39 @@ class TestReport:
     def test_corrupt_report_is_data_error(self, tmp_path):
         (tmp_path / "report.json").write_text("{not json")
         assert run_cli("report", "--from", str(tmp_path)) == EXIT_DATA
+
+    @pytest.mark.parametrize("body", [
+        b'{"protocol": "multiclass"}',
+        b"[1, 2]",
+        json.dumps({"protocol": "multiclass", "arch": "lstm", "method": 3, "window": 32,
+                    "folds": [{"fold": 1, "train_patients": [2],
+                               "test_patients": [1]}]}).encode(),
+        b'{"protocol": "multiclass\xff"}',
+        json.dumps({"protocol": "multiclass", "arch": "lstm", "method": 3, "window": 32,
+                    "folds": []}).encode(),
+    ], ids=["missing-fields", "not-an-object", "fold-without-results", "not-utf8",
+            "no-folds"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_malformed_report_is_data_error(self, body, fmt, tmp_path, capsys):
+        (tmp_path / "report.json").write_bytes(body)
+        assert run_cli("report", "--from", str(tmp_path), "--format", fmt) == EXIT_DATA
+        assert str(tmp_path / "report.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("run", ["multiclass", "one-vs-rest", "model-set"])
+    def test_text_is_what_the_evaluation_printed(self, run, dataset_dir, model_dir,
+                                                 tmp_path, capsys):
+        if run == "model-set":
+            flags = ["--models", str(model_dir / "models")]
+        else:
+            flags = ["--seed", "6", "--fold-boundaries", "1,2", *TINY_TRAIN_FLAGS]
+            if run == "one-vs-rest":
+                flags += ["--protocol", "binary"]
+        out = tmp_path / "run"
+        assert run_cli("evaluate", "--dataset", str(dataset_dir), "--out", str(out),
+                       *flags) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert run_cli("report", "--from", str(out)) == EXIT_OK
+        assert capsys.readouterr().out == printed
 
 
 class TestModuleEntryPoint:

@@ -295,6 +295,17 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="header"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("rows,line", [
+        ("1,A1_1,1", 3), ("1,A1_1,1,frames/a.txt,extra", 3), ("\n\n1,A1_1,1", 5),
+    ])
+    @pytest.mark.parametrize("read", [load_dataset, dataset_checksum])
+    def test_row_without_four_fields(self, read, rows, line, tmp_path):
+        _write_tiny_dataset(tmp_path, [(1, "A1_1", 1, "a.txt")])
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(manifest.read_text() + rows + "\n")
+        with pytest.raises(DataError, match=f"{manifest}:{line}: expected 4"):
+            read(tmp_path)
+
     def test_bad_correct_flag(self, tmp_path):
         _write_tiny_dataset(tmp_path, [(1, "A1_1", "maybe", "a.txt")])
         with pytest.raises(DataError, match="maybe"):

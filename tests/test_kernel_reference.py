@@ -30,12 +30,10 @@ from skelgest.neuralnet import (
     LstmSpec,
     TcnSpec,
     init_parameters,
-    lstm_forward,
-    lstm_loss_and_grad,
+    lstm,
     param_views,
     sigmoid,
-    tcn_forward,
-    tcn_loss_and_grad,
+    tcn,
 )
 from skelgest.neuralnet.common import head_backward, head_forward, head_loss
 
@@ -397,7 +395,7 @@ class TestLstmAgainstReference:
     def test_loss_and_grad(self, name, spec, head, w):
         model = init_parameters(spec, head, seed=21)
         x, targets = _batch(spec, head, b=7, w=w, seed=22)
-        loss, grad = lstm_loss_and_grad(model, x, targets)
+        loss, grad = lstm.loss_and_grad(model, x, targets)
         ref_loss, ref_grad = reference_lstm(model, x, targets)
         assert loss == ref_loss
         assert _relative_error(grad, ref_grad) <= GRAD_RTOL
@@ -410,7 +408,7 @@ class TestLstmAgainstReference:
     def test_forward_is_exact(self, name, spec, head, w):
         model = init_parameters(spec, head, seed=23)
         x, _ = _batch(spec, head, b=7, w=w, seed=24)
-        assert lstm_forward(model, x).tobytes() == reference_lstm(model, x).tobytes()
+        assert lstm.forward(model, x).tobytes() == reference_lstm(model, x).tobytes()
 
 
 class TestLstmAgainstBatchMajorKernel:
@@ -427,8 +425,8 @@ class TestLstmAgainstBatchMajorKernel:
         spec = LstmSpec(input_dim=d, hidden_dim=32, n_classes=n_classes)
         model = init_parameters(spec, head, seed=41)
         x, targets = _batch(spec, head, b=b, w=w, seed=42 + b + w)
-        assert lstm_forward(model, x).tobytes() == batch_major_forward(model, x).tobytes()
-        loss, grad = lstm_loss_and_grad(model, x, targets)
+        assert lstm.forward(model, x).tobytes() == batch_major_forward(model, x).tobytes()
+        loss, grad = lstm.loss_and_grad(model, x, targets)
         want_loss, want_grad = batch_major_loss_and_grad(model, x, targets)
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
         assert grad.tobytes() == want_grad.tobytes()
@@ -440,7 +438,7 @@ class TestTcnAgainstReference:
     def test_loss_and_grad(self, name, spec, head, w):
         model = init_parameters(spec, head, seed=31)
         x, targets = _batch(spec, head, b=7, w=w, seed=32)
-        loss, grad = tcn_loss_and_grad(model, x, targets)
+        loss, grad = tcn.loss_and_grad(model, x, targets)
         ref_loss, ref_grad = reference_tcn_loss_and_grad(model, x, targets)
         assert loss == ref_loss
         assert _relative_error(grad, ref_grad) <= GRAD_RTOL
@@ -470,9 +468,9 @@ class TestTcnConeAgainstFullSequence:
         model = init_parameters(spec, head, seed=51)
         for w in range(1, 41):
             x, targets = _batch(spec, head, b=b, w=w, seed=52 + w)
-            probs = tcn_forward(model, x)
+            probs = tcn.forward(model, x)
             assert _relative_error(probs, full_tcn_forward(model, x)) <= GRAD_RTOL, w
-            loss, grad = tcn_loss_and_grad(model, x, targets)
+            loss, grad = tcn.loss_and_grad(model, x, targets)
             want_loss, want_grad = full_tcn_loss_and_grad(model, x, targets)
             assert abs(loss - want_loss) <= GRAD_RTOL * abs(want_loss), w
             assert _relative_error(grad, want_grad) <= GRAD_RTOL, w

@@ -17,17 +17,16 @@ import pytest
 
 from skelgest.metrics import (
     BinaryClassResult,
+    BinarySuiteMetrics,
     ConfusionMatrix,
     EvaluationReport,
     FoldReport,
     average_static_dynamic,
     binary_per_class_csv,
-    binary_suite_metrics,
     confusion,
     percent,
     rate_text,
     render_report,
-    render_summary,
     report_from_dict,
     report_to_dict,
     write_report_files,
@@ -261,7 +260,7 @@ class TestBinarySuite:
             )
             for gid in ALL_GESTURE_IDS
         ]
-        return binary_suite_metrics(results, STATIC_GESTURE_IDS, DYNAMIC_GESTURE_IDS)
+        return BinarySuiteMetrics(tuple(results))
 
     def test_constant_negative_scores_28_29ths(self):
         """With one positive per class against the 28 other classes, a model
@@ -283,7 +282,7 @@ class TestBinarySuite:
             BinaryClassResult(gesture_id=gid, tp=0, fp=0, tn=0, fn=1)
             for gid in DYNAMIC_GESTURE_IDS
         ]
-        suite = binary_suite_metrics(results, STATIC_GESTURE_IDS, DYNAMIC_GESTURE_IDS)
+        suite = BinarySuiteMetrics(tuple(results))
         assert suite.static_accuracy == 1.0
         assert suite.dynamic_accuracy == 0.0
         assert suite.balanced_average == 0.5
@@ -295,7 +294,7 @@ class TestBinarySuite:
             BinaryClassResult(gesture_id="A1_1", tp=1, fp=0, tn=1, fn=0),
         ]
         with pytest.raises(ValueError, match="duplicate"):
-            binary_suite_metrics(results, STATIC_GESTURE_IDS, DYNAMIC_GESTURE_IDS)
+            BinarySuiteMetrics(tuple(results))
 
     def test_per_class_csv_prints_na(self):
         suite = self._constant_negative_suite()
@@ -329,7 +328,7 @@ def _binary_report():
         BinaryClassResult(gesture_id=gid, tp=1, fp=0, tn=27, fn=1)
         for gid in ALL_GESTURE_IDS
     )
-    suite = binary_suite_metrics(results, STATIC_GESTURE_IDS, DYNAMIC_GESTURE_IDS)
+    suite = BinarySuiteMetrics(tuple(results))
     fold = FoldReport(
         fold=1, train_patients=(2,), test_patients=(1,), binary=suite
     )
@@ -381,7 +380,7 @@ class TestReports:
             render_report(_two_model_report(), "xml")
 
     def test_render_summary_mentions_run_identity(self):
-        text = render_summary(_two_model_report())
+        text = render_report(_two_model_report(), "text")
         assert "protocol=multiclass" in text
         assert "70.8" in text
 

@@ -34,9 +34,14 @@ def one_blas_thread():
 
     Results are defined at one thread: OpenBLAS's threads change the bits of
     some products.  The count is process-wide; another BLAS is left alone.
+    At a count of 1 nothing is set: each ``set_num_threads`` call wakes or
+    starts a helper thread that spin-waits, even when the count is 1.
     """
     get, put = _OPENBLAS_THREADS or (lambda: 1, lambda threads: None)
     before = get()
+    if before == 1:
+        yield
+        return
     put(1)
     try:
         yield

@@ -20,6 +20,8 @@ length -- and dispatches each test sequence by its raw frame count.
 
 from __future__ import annotations
 
+import os
+import signal
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -47,6 +49,7 @@ from .config import (
     write_index,
 )
 from .config import config_from_dict  # noqa: F401 -- imported from here by perfbench/run.py
+from . import neuralnet
 from .neuralnet import (
     HeadKind,
     ModelParameters,
@@ -57,6 +60,7 @@ from .neuralnet import (
     load_checkpoint,
     save_checkpoint,
 )
+from .neuralnet.common import one_blas_thread
 from .metrics import (
     BinaryClassResult,
     BinarySuiteMetrics,
@@ -78,7 +82,12 @@ class FoldCoverageError(RuntimeError):
 @dataclass(frozen=True)
 class TrainJob:
     """One model's training inputs, handed to a classifier factory; its
-    classifier fills ``TrainedProtocol.classifiers[route][key]``."""
+    classifier fills ``TrainedProtocol.classifiers[route][key]``.
+
+    The 29 one-vs-rest jobs of a route share one ``x`` and each names the
+    ``rows`` it trains on, so a forked worker inherits the windows instead
+    of receiving a copy of them.
+    """
 
     route: str
     key: str
@@ -86,9 +95,14 @@ class TrainJob:
     labels: tuple[str, ...]
     head: HeadKind
     x: np.ndarray  # (N, W, D) feature windows
-    targets: np.ndarray
+    targets: np.ndarray  # one per row of `windows()`
     init_seed: int
     shuffle_seed: int
+    rows: np.ndarray | None = None  # the rows of `x` to train on; None: all
+
+    def windows(self) -> np.ndarray:
+        """The (len(targets), W, D) windows this job trains on."""
+        return self.x if self.rows is None else self.x[self.rows]
 
 
 class SequenceClassifier(TypingProtocol):
@@ -168,7 +182,7 @@ def network_factory(config: RunConfig) -> ClassifierFactory:
         model = init_parameters(spec, job.head, seed=job.init_seed)
         train_cfg = replace(config.train, shuffle_seed=job.shuffle_seed)
         try:
-            result = fit(model, job.x, job.targets, train_cfg)
+            result = fit(model, job.windows(), job.targets, train_cfg)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(f"{job.name}: {exc}") from None
         return NetworkClassifier(labels=job.labels, model=result.model)
@@ -258,23 +272,6 @@ def _rebalanced_indices(targets: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([neg, upsampled]))
 
 
-def _train_jobs(
-    train_seqs: Sequence[GestureSequence],
-    config: RunConfig,
-    joint_map: JointIndexMap,
-    fold: int,
-    fold_name: str,
-) -> Iterator[TrainJob]:
-    """Every model's training job on one split, drawn lazily in fitting order:
-    route by route (`RunConfig.routes`), then each route's jobs.  Each route
-    is a generator of its own, so its windows are freed before the next
-    route's are stacked."""
-    for route_tag, (route, prep) in enumerate(config.routes().items()):
-        prefix = fold_name if route == "main" else f"{fold_name}-{route}"
-        seed_parts = (config.seed, fold, route_tag)
-        yield from _route_jobs(train_seqs, config, prep, joint_map, route, prefix, seed_parts)
-
-
 def _route_jobs(
     train_seqs: Sequence[GestureSequence],
     config: RunConfig,
@@ -285,9 +282,10 @@ def _route_jobs(
     seed_parts: tuple[int, int, int],
 ) -> Iterator[TrainJob]:
     """One route's jobs: static then dynamic, or one per gesture in
-    ``ALL_GESTURE_IDS`` order.  A job's windows are stacked when it is drawn."""
+    ``ALL_GESTURE_IDS`` order.  A job's windows are stacked when it is drawn;
+    the one-vs-rest jobs all share the stack made for the first."""
 
-    def job(key, idx, labels, head, x, targets):
+    def job(key, idx, labels, head, x, targets, rows=None):
         return TrainJob(
             route=route,
             key=key,
@@ -295,9 +293,10 @@ def _route_jobs(
             labels=labels,
             head=head,
             x=x,
-            targets=targets,
+            targets=targets if rows is None else targets[rows],
             init_seed=_derived_seed(*seed_parts, idx, 0),
             shuffle_seed=_derived_seed(*seed_parts, idx, 1),
+            rows=rows,
         )
 
     if config.protocol is Protocol.MULTICLASS:
@@ -332,8 +331,80 @@ def _route_jobs(
                 f"and negative training examples (got {n_pos} positives "
                 f"of {len(targets)})"
             )
-        keep = _rebalanced_indices(targets) if config.rebalance else slice(None)
-        yield job(gid, class_idx, (gid,), HeadKind.SIGMOID, x[keep], targets[keep])
+        rows = _rebalanced_indices(targets) if config.rebalance else None
+        yield job(gid, class_idx, (gid,), HeadKind.SIGMOID, x, targets, rows)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, which
+    ``taskset`` sets."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_size(config: RunConfig, factory: ClassifierFactory | None) -> int:
+    """How many forked workers fit each route's jobs; 1 fits them in process.
+
+    Only the one-vs-rest suite of the network factory is forked: its 29
+    jobs share one stack of windows, which the workers inherit.  The two
+    multiclass jobs stay in process, and so do fits by another factory or
+    through a wrapped ``pipeline.fit`` (a tracer or profiler sees every
+    call only in its own process).  The count does not change any result.
+    """
+    if (
+        factory is not None
+        or fit is not neuralnet.fit
+        or config.protocol is not Protocol.MULTICLASS_BINARY
+        or not hasattr(os, "fork")
+    ):
+        return 1
+    return min(_cpus(), len(ALL_GESTURE_IDS))
+
+
+# A forked worker's factory and jobs, set when the worker starts.
+_worker_jobs: tuple[ClassifierFactory, list[TrainJob]] | None = None
+
+
+def _start_worker(factory: ClassifierFactory, jobs: list[TrainJob]) -> None:
+    global _worker_jobs
+    _worker_jobs = (factory, jobs)
+    # Ctrl-C reaches the whole process group.  A worker then ends at once,
+    # which breaks the pool, instead of fitting its queued jobs first.
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
+def _fit_job(index: int) -> SequenceClassifier:
+    factory, jobs = _worker_jobs
+    return factory(jobs[index])
+
+
+def _fit_in_workers(
+    jobs: list[TrainJob], factory: ClassifierFactory, workers: int
+) -> dict[str, SequenceClassifier]:
+    """Each job's classifier by its key, in job order, fitted by ``workers``
+    forked processes.
+
+    Each worker inherits the factory and the jobs -- and so the windows the
+    jobs share -- through fork, receives job indices and sends back only
+    the classifier.  Results are read in job order, so a failure raises the
+    first failing job's error, as the in-process loop does.  The workers
+    are forked at one BLAS thread, the count that `fit` runs at, and are
+    joined before this returns or raises.
+    """
+    # Imported here, where a pool is made: these modules add about 1 MB to
+    # the peak RSS of a run that forks no worker.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with one_blas_thread(), ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker,
+        initargs=(factory, jobs),
+    ) as pool:
+        fitted = pool.map(_fit_job, range(len(jobs)))
+        return dict(zip([job.key for job in jobs], fitted))
 
 
 def train_protocol(
@@ -344,13 +415,28 @@ def train_protocol(
     fold: int = 0,
     fold_name: str = "run",
 ) -> TrainedProtocol:
-    """Train every model the configured protocol requires on one split."""
+    """Train every model the configured protocol requires on one split.
+
+    Routes (`RunConfig.routes`) are trained one after another, so a route's
+    windows are freed before the next route's are stacked.  Within a route,
+    jobs are drawn lazily and fitted in order (`_route_jobs`), or all at
+    once in forked workers (`_pool_size`).
+    """
+    workers = _pool_size(config, factory)
     if factory is None:
         factory = network_factory(config)
-    classifiers: dict[str, dict[str, SequenceClassifier]] = {r: {} for r in config.routes()}
-    for job in _train_jobs(train_seqs, config, joint_map, fold, fold_name):
-        classifiers[job.route][job.key] = factory(job)
-        del job  # free its windows before the next job's are stacked
+    classifiers: dict[str, dict[str, SequenceClassifier]] = {}
+    for route_tag, (route, prep) in enumerate(config.routes().items()):
+        prefix = fold_name if route == "main" else f"{fold_name}-{route}"
+        jobs = _route_jobs(train_seqs, config, prep, joint_map, route, prefix,
+                           (config.seed, fold, route_tag))
+        if workers > 1:
+            classifiers[route] = _fit_in_workers(list(jobs), factory, workers)
+            continue
+        classifiers[route] = {}
+        for job in jobs:
+            classifiers[route][job.key] = factory(job)
+            del job  # free its windows before the next job's are stacked
     return TrainedProtocol(config=config, classifiers=classifiers, joint_map=joint_map)
 
 

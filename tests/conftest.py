@@ -7,6 +7,7 @@ survives pytest's output capturing.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import re
 
@@ -26,6 +27,19 @@ def needs_two_blas_threads(test):
     return pytest.mark.skipif(
         (cpus or 1) < 2, reason="one CPU: OpenBLAS runs one thread at any setting"
     )(test)
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_its_test():
+    """Fail a test after which a worker process is still running: a pool
+    must be joined before the call that made it returns."""
+    yield
+    leaked = multiprocessing.active_children()
+    for child in leaked:
+        child.terminate()
+        child.join(timeout=10)
+    if leaked:
+        pytest.fail(f"worker processes outlived the test: {leaked}")
 
 
 _ACCEPTANCE_PATTERN = re.compile(r"test_criterion_(\d+)")

@@ -5,16 +5,20 @@ stdout/stderr can be asserted directly.
 """
 
 import json
+import multiprocessing
 import os
+import re
 import shutil
 import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import needs_two_blas_threads
+from skelgest import pipeline
 from skelgest.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from skelgest.config import (
     REGISTRY,
@@ -26,6 +30,7 @@ from skelgest.config import (
     render_config,
     resolve,
 )
+from skelgest.skeleton import ALL_GESTURE_IDS
 
 TINY_TRAIN_FLAGS = [
     "--lstm-hidden", "4", "--epochs", "1", "--stride", "8",
@@ -954,6 +959,78 @@ def test_train_does_not_depend_on_the_blas_thread_count(dataset_dir, tmp_path):
     assert sorted(path.name for path in models[1].iterdir()) == names
     for name in names:
         assert (models[0] / name).read_bytes() == (models[1] / name).read_bytes(), name
+
+
+class TestForkedWorkers:
+    """One-vs-rest fits in forked workers (``_cpus`` pinned to 2) write the
+    same bytes, and fail with the same message, as fits in process (1)."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker count of each pool the run makes."""
+        sizes = []
+        fit_in_workers = pipeline._fit_in_workers
+        monkeypatch.setattr(pipeline, "_fit_in_workers", lambda jobs, factory, workers: (
+            sizes.append(workers) or fit_in_workers(jobs, factory, workers)))
+        return sizes
+
+    @pytest.mark.parametrize("frames", ["16", "16,32"])
+    def test_two_workers_write_what_one_writes(self, frames, pools, dataset_dir,
+                                               tmp_path, monkeypatch):
+        flags = ["--seed", "5", "--protocol", "binary", "--lstm-hidden", "4",
+                 "--epochs", "1", "--stride", "8", "--frames", frames,
+                 "--batch-size", "128"]
+        for cpus in (1, 2):
+            monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
+            assert run_cli("evaluate", "--dataset", str(dataset_dir),
+                           "--out", str(tmp_path / f"eval{cpus}"),
+                           "--fold-boundaries", "1,2", "--rebalance", "true",
+                           *flags) == EXIT_OK
+            assert run_cli("train", "--dataset", str(dataset_dir),
+                           "--out", str(tmp_path / f"train{cpus}"), *flags) == EXIT_OK
+        routes = len(frames.split(","))
+        assert pools == [2] * (3 * routes)  # per route: two folds, then the train
+        reports = ["report.json", "report.csv", "binary_fold1.csv", "binary_fold2.csv"]
+        assert sorted(p.name for p in (tmp_path / "eval1").glob("binary_fold*.csv")) == (
+            reports[2:])
+        models = sorted(p.name for p in (tmp_path / "train1" / "models").iterdir())
+        assert len(models) == 29 * routes + 1 and "modelset.json" in models
+        assert sorted(p.name for p in (tmp_path / "train2" / "models").iterdir()) == models
+        for run, names in (("eval{}", reports), ("train{}/models", models)):
+            for name in names:
+                one, two = (tmp_path / run.format(cpus) / name for cpus in (1, 2))
+                assert one.read_bytes() == two.read_bytes(), name
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_in_a_worker_fails_as_in_process(self, pools, dataset_dir,
+                                                         tmp_path, monkeypatch, capsys):
+        """NaN windows in one job's training data: exit 1, naming the model,
+        epoch and step, with no worker left running."""
+        victim = ALL_GESTURE_IDS[4]
+        windows = pipeline.TrainJob.windows
+
+        def poisoned(job):
+            x = windows(job)
+            if job.key == victim:
+                x = x.copy()
+                x[-1] = np.nan
+            return x
+
+        monkeypatch.setattr(pipeline.TrainJob, "windows", poisoned)
+        errors = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
+            code = run_cli("evaluate", "--dataset", str(dataset_dir),
+                           "--out", str(tmp_path / f"run{cpus}"), "--seed", "5",
+                           "--fold-boundaries", "1,2", "--protocol", "binary",
+                           *TINY_TRAIN_FLAGS, "--batch-size", "16")
+            assert code == EXIT_CHECK
+            errors.append(capsys.readouterr().err)
+            assert multiprocessing.active_children() == []
+        assert pools == [2]
+        assert errors[0] == errors[1]
+        assert re.fullmatch(rf"error: fold1-{victim}: epoch 1, step \d+: non-finite "
+                            r"loss or gradient \(loss=nan\)\n", errors[0]), errors[0]
 
 
 class TestGradcheck:

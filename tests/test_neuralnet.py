@@ -559,6 +559,17 @@ class TestFit:
             )
 
 
+@pytest.mark.parametrize("count, calls", [(1, ["body"]), (2, [1, "body", 2])])
+def test_one_blas_thread_sets_the_count_only_when_it_is_not_1(count, calls, monkeypatch):
+    """At a count of 1 ``set_num_threads`` is never called; otherwise the
+    count is set to 1 around the block and then restored."""
+    seen = []
+    monkeypatch.setattr(common, "_OPENBLAS_THREADS", (lambda: count, seen.append))
+    with common.one_blas_thread():
+        seen.append("body")
+    assert seen == calls
+
+
 @needs_two_blas_threads
 def test_fit_does_not_depend_on_the_callers_blas_thread_count():
     get, put = common._OPENBLAS_THREADS

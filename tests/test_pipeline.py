@@ -430,10 +430,13 @@ class TestJobStream:
             rows = {gid: 0 for gid in ALL_GESTURE_IDS}
             for seq in ds.sequences:
                 rows[seq.label.id] += _n_windows(seq, window)
-            assert job.x.shape == (len(job.targets), window.length, 28)
+            assert job.windows().shape == (len(job.targets), window.length, 28)
             if binary:
                 # Drawn lazily: one stack per route, made when its first job is drawn.
                 assert n_stacks == route_tag + 1
+                # ... and shared by all of the route's jobs.
+                first = received[route_tag * len(keys)][0]
+                assert np.shares_memory(job.x, first.x)
                 n_pos = rows[job.key]
                 n_neg = sum(rows.values()) - n_pos
                 assert n_pos < n_neg  # so the positives are upsampled to n_neg
@@ -446,6 +449,8 @@ class TestJobStream:
                 assert job.labels == labels
                 assert np.array_equal(np.bincount(job.targets, minlength=len(labels)),
                                       [rows[gid] for gid in labels])
+        # One stack per route, or per kind within a route.
+        assert len(stacks) == (2 if binary else 4)
 
 
 class TestOracleEvaluation:
@@ -612,6 +617,46 @@ class TestRealTrainingSmoke:
         assert str(raised.value).startswith(
             f"fold2-dynamic: epoch 1, step {step}: non-finite loss or gradient"
         )
+
+
+class TestForkedFits:
+    """The one-vs-rest suite fitted by forked workers: the same models, in
+    the same order, as the in-process loop fits."""
+
+    def test_two_workers_fit_what_one_fits(self, monkeypatch):
+        ds = _dataset(n_patients=2, seed=10)
+        config = _tiny_net_config(protocol=Protocol.MULTICLASS_BINARY, long_window=32,
+                                  rebalance=True, train=TrainConfig(epochs=1, batch_size=64))
+        pools = []
+        fit_in_workers = pipeline._fit_in_workers
+        monkeypatch.setattr(pipeline, "_fit_in_workers", lambda jobs, factory, workers: (
+            pools.append(workers) or fit_in_workers(jobs, factory, workers)))
+        trained = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
+            trained[cpus] = train_protocol(ds.sequences, config, ds.joint_map, fold=1,
+                                           fold_name="fold1")
+        assert pools == [2, 2]  # one pool per route, none at one CPU
+        for route in ("short", "long"):
+            assert list(trained[2].classifiers[route]) == list(ALL_GESTURE_IDS)
+            for gid in ALL_GESTURE_IDS:
+                one, two = (trained[cpus].classifiers[route][gid] for cpus in (1, 2))
+                assert one.labels == two.labels == (gid,)
+                assert one.model.values.tobytes() == two.model.values.tobytes()
+
+    def test_a_wrapped_fit_sees_every_fit_in_process(self, monkeypatch):
+        """A caller that wraps ``pipeline.fit`` -- a tracer, a profiler --
+        keeps the fits in its own process, where the wrapper runs."""
+        ds = _dataset(n_patients=2, seed=10)
+        config = _tiny_net_config(protocol=Protocol.MULTICLASS_BINARY,
+                                  train=TrainConfig(epochs=1, batch_size=64))
+        calls = []
+        fit = pipeline.fit
+        monkeypatch.setattr(pipeline, "fit", lambda *args: calls.append(1) or fit(*args))
+        monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
+        trained = train_protocol(ds.sequences, config, ds.joint_map)
+        assert len(calls) == len(ALL_GESTURE_IDS)
+        assert list(trained.classifiers["main"]) == list(ALL_GESTURE_IDS)
 
 
 def _untrained_factory(config):

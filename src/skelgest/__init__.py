@@ -19,7 +19,6 @@ from .skeleton import (
     GestureSequence,
     JointIndexMap,
     UnknownLabelError,
-    class_counts,
     label_kind,
     validate_sequence,
 )

@@ -1,8 +1,8 @@
 """Command-line interface: synthesize, ingest, train, evaluate, check, report.
 
 Exit codes: 0 success, 1 assertion/check failure (failed gradient check,
-diverged training), 2 usage or configuration error, 3 data error (unreadable
-dataset, checksum mismatch, fold without data).
+diverged training, a lost fit worker), 2 usage or configuration error, 3
+data error (unreadable dataset, checksum mismatch, fold without data).
 
 Every command that draws random numbers requires an explicit ``--seed``;
 there is deliberately no implicit default, so each artifact records how to
@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,12 +38,7 @@ from .config import (
     resolve,
     write_index,
 )
-from .skeleton import (
-    DEFAULT_JOINT_MAP,
-    GestureKind,
-    JointIndexMap,
-    class_counts,
-)
+from .skeleton import DYNAMIC_GESTURE_IDS, STATIC_GESTURE_IDS, GestureKind, JointIndexMap
 from .ingest import (
     DataError,
     Dataset,
@@ -67,6 +61,7 @@ from .neuralnet import (
 from .pipeline import (
     FoldCoverageError,
     MissingClassError,
+    WorkerLostError,
     cross_validate,
     evaluate_binary,  # noqa: F401 -- looked up here by perfbench/tracing.py
     evaluate_fold,
@@ -196,16 +191,12 @@ def _require_dataset(resolved: dict) -> Path:
     return Path(str(root))
 
 
-def _joint_map(chin_index: int) -> JointIndexMap:
-    return replace(DEFAULT_JOINT_MAP, chin_index=int(chin_index))
-
-
 def _load_flagged_dataset(resolved: dict, root: Path) -> Dataset:
     """The dataset under ``root`` through the manifest and chin index the
     flags and config name."""
     return load_dataset(
         root, resolved["dataset.manifest"],
-        joint_map=_joint_map(resolved["joints.chin_index"]),
+        joint_map=JointIndexMap(int(resolved["joints.chin_index"])),
     )
 
 
@@ -259,7 +250,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     resolved = _resolved(args)
     root = _require_dataset(resolved)
     ds = _load_flagged_dataset(resolved, root)
-    counts = class_counts()
     by_kind = {GestureKind.STATIC: 0, GestureKind.DYNAMIC: 0}
     for seq in ds.sequences:
         by_kind[seq.label.kind] += 1
@@ -268,8 +258,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     print(f"patients: {len(ds.patients)} ({min(ds.patients)}..{max(ds.patients)})")
     print(
         f"static: {by_kind[GestureKind.STATIC]} sequences over "
-        f"{counts.n_static} classes; "
-        f"dynamic: {by_kind[GestureKind.DYNAMIC]} over {counts.n_dynamic}"
+        f"{len(STATIC_GESTURE_IDS)} classes; "
+        f"dynamic: {by_kind[GestureKind.DYNAMIC]} over {len(DYNAMIC_GESTURE_IDS)}"
     )
     print(f"dataset checksum: {dataset_checksum(root, resolved['dataset.manifest'])}")
     return EXIT_OK
@@ -362,7 +352,7 @@ def _evaluate_from_manifest(args: argparse.Namespace) -> int:
             f"dataset checksum mismatch: manifest records {recorded}, "
             f"{root} has {dataset['checksum']}"
         )
-    ds = load_dataset(root, data_manifest, joint_map=_joint_map(chin_index))
+    ds = load_dataset(root, data_manifest, joint_map=JointIndexMap(chin_index))
     settings = {**settings, "dataset.root": str(root), "dataset.manifest": data_manifest}
     return _cross_validate(settings, ds, rc, boundaries, dataset)
 
@@ -471,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (TrainingDivergedError, AssertionError) as exc:
+    except (TrainingDivergedError, WorkerLostError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK
     except ValueError as exc:

@@ -4,7 +4,7 @@ On-disk interchange format
 --------------------------
 A *frames file* holds one gesture performance as consecutive 5-line blocks of
 14 whitespace-separated decimal numbers: rows are x, y, confidence, and two
-auxiliary rows (kept at ingest, ignored by modeling).  A dataset directory
+auxiliary rows (checked at ingest, then dropped).  A dataset directory
 pairs frames files with a CSV *manifest* ``patient_id,gesture_id,correct,
 frames_path`` (paths relative to the dataset root).
 
@@ -56,11 +56,12 @@ class ParseError(DataError):
 
 def parse_skeletal_file(
     text: str, *, source: str = "<string>"
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parse frames-file text into coordinates, confidences and aux rows.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Parse frames-file text into coordinates and confidences.
 
-    Returns arrays of shapes (T, 14, 2), (T, 14) and (T, 2, 14); every value
-    is read exactly as ``float`` reads it, so the numbers round-trip.  Blank
+    Returns arrays of shapes (T, 14, 2) and (T, 14); every value is read
+    exactly as ``float`` reads it, so the numbers round-trip.  The two aux
+    rows of each block are checked like the others, then dropped.  Blank
     lines may separate blocks and are ignored.  Raises :class:`ParseError`
     naming the offending line for a row with the wrong number of values, a
     non-numeric token, or a truncated final block.
@@ -81,7 +82,7 @@ def parse_skeletal_file(
     if rows is None or rows.shape[1] != N_JOINTS or len(rows) % ROWS_PER_FRAME:
         rows = _parse_lines(lines, source)
     blocks = rows.reshape(-1, ROWS_PER_FRAME, N_JOINTS)
-    return blocks[:, :2].transpose(0, 2, 1), blocks[:, 2], blocks[:, 3:]
+    return blocks[:, :2].transpose(0, 2, 1), blocks[:, 2]
 
 
 def _parse_lines(lines: list[str], source: str) -> np.ndarray:
@@ -121,16 +122,10 @@ def _is_number(token: str) -> bool:
         return False
 
 
-def serialize_frames(
-    coords: np.ndarray, conf: np.ndarray, aux: np.ndarray | None = None
-) -> str:
-    """Inverse of :func:`parse_skeletal_file`, exact to full float precision.
-
-    Without aux rows, zero aux rows are written (the on-disk format always
-    has 5-row blocks).
-    """
-    if aux is None:
-        aux = np.zeros((len(coords), 2, N_JOINTS))
+def serialize_frames(coords: np.ndarray, conf: np.ndarray) -> str:
+    """Inverse of :func:`parse_skeletal_file`, exact to full float precision;
+    the two aux rows of each 5-row block are written as zeros."""
+    aux = np.zeros((len(coords), 2, N_JOINTS))
     blocks = np.concatenate(
         [np.transpose(coords, (0, 2, 1)), np.asarray(conf)[:, None, :], aux], axis=1
     )
@@ -156,16 +151,15 @@ def _build_dataset(
     sequences: list[GestureSequence],
     joint_map: JointIndexMap,
 ) -> Dataset:
-    kept = [s for s in sequences if s.correct]
-    if not kept:
+    if not sequences:
         raise DataError("dataset is empty after removing incorrect performances")
-    for seq in kept:
+    for seq in sequences:
         problems = validate_sequence(seq)
         if problems:
             raise DataError(
                 f"patient {seq.patient_id} gesture {seq.label.id}: " + "; ".join(problems)
             )
-    return Dataset(sequences=tuple(kept), joint_map=joint_map)
+    return Dataset(sequences=tuple(sequences), joint_map=joint_map)
 
 
 def load_dataset(
@@ -194,13 +188,13 @@ def load_dataset(
             raise DataError(f"{manifest_path}:{rownum}: bad patient_id "
                             f"{row['patient_id']!r}") from None
         try:
-            label = GestureLabel.from_id(row["gesture_id"].strip())
+            label = GestureLabel(row["gesture_id"].strip())
         except UnknownLabelError as exc:
             raise DataError(f"{manifest_path}:{rownum}: {exc}") from None
-        correct = _parse_correct(row["correct"], manifest_path, rownum)
         frames_path = root / row["frames_path"]
         where = f"{manifest_path}:{rownum}"
-        if not correct:  # skip before paying the read and parse cost
+        if not _parse_correct(row["correct"], manifest_path, rownum):
+            # an incorrect performance is skipped before it is read and parsed
             if not frames_path.exists():
                 raise DataError(f"{where}: frames file not found: {frames_path}")
             continue
@@ -211,12 +205,10 @@ def load_dataset(
         except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"{where}: cannot read frames file {frames_path}: "
                             f"{exc}") from None
-        coords, conf, aux = parse_skeletal_file(text, source=str(frames_path))
+        coords, conf = parse_skeletal_file(text, source=str(frames_path))
         if not len(coords):
             raise DataError(f"{where}: {frames_path} holds no frames")
-        sequences.append(
-            GestureSequence(patient_id, label, correct, coords, conf, aux)
-        )
+        sequences.append(GestureSequence(patient_id, label, coords, conf))
     ds = _build_dataset(sequences, joint_map)
     logger.info("loaded %d sequences from %d patients (%s)",
                 len(ds.sequences), len(ds.patients), manifest_path)
@@ -226,18 +218,21 @@ def load_dataset(
 def _manifest_rows(manifest_path: Path) -> Iterator[tuple[int, dict[str, str]]]:
     """Each row of a manifest as a field -> value map, with its line number.
     A header other than ``MANIFEST_FIELDS`` or a row without exactly those
-    four fields is a :class:`DataError` naming ``manifest:line``."""
+    four fields, or text that does not decode, is a :class:`DataError`
+    naming the manifest."""
     with open(manifest_path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_FIELDS:
-            raise DataError(
-                f"{manifest_path}:1: manifest header must be {','.join(MANIFEST_FIELDS)}"
-            )
-        for row in reader:
-            if None in row or None in row.values():  # surplus or missing fields
-                raise DataError(f"{manifest_path}:{reader.line_num}: expected "
-                                f"{len(MANIFEST_FIELDS)} comma-separated fields")
-            yield reader.line_num, row
+        try:
+            if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_FIELDS:
+                raise DataError(f"{manifest_path}:1: manifest header must be "
+                                f"{','.join(MANIFEST_FIELDS)}")
+            for row in reader:
+                if None in row or None in row.values():  # surplus or missing fields
+                    raise DataError(f"{manifest_path}:{reader.line_num}: expected "
+                                    f"{len(MANIFEST_FIELDS)} comma-separated fields")
+                yield reader.line_num, row
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{manifest_path}: cannot read manifest: {exc}") from None
 
 
 def _parse_correct(token: str, path: Path, rownum: int) -> bool:
@@ -430,15 +425,9 @@ def generate_synthetic(
                 coords = coords + rng.normal(0.0, cfg.noise_sigma, size=coords.shape)
             else:
                 rng.normal(0.0, 1.0, size=coords.shape)  # keep the draw schedule fixed
-            sequences.append(
-                GestureSequence(
-                    patient_id=patient_id,
-                    label=GestureLabel.from_id(gesture_id),
-                    correct=True,
-                    coords=coords,
-                    conf=np.ones((n_frames, N_JOINTS)),
-                )
-            )
+            sequences.append(GestureSequence(
+                patient_id, GestureLabel(gesture_id), coords, np.ones((n_frames, N_JOINTS))
+            ))
     return _build_dataset(sequences, joint_map)
 
 
@@ -461,10 +450,8 @@ def write_dataset(ds: Dataset, root: str | Path) -> Path:
         writer.writerow(MANIFEST_FIELDS)
         for seq in ordered:
             rel = f"frames/p{seq.patient_id:03d}_{seq.label.id}.txt"
-            (root / rel).write_text(serialize_frames(seq.coords, seq.conf, seq.aux))
-            writer.writerow(
-                [seq.patient_id, seq.label.id, 1 if seq.correct else 0, rel]
-            )
+            (root / rel).write_text(serialize_frames(seq.coords, seq.conf))
+            writer.writerow([seq.patient_id, seq.label.id, 1, rel])
     return manifest_path
 
 

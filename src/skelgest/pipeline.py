@@ -39,7 +39,7 @@ from .skeleton import (
     JointIndexMap,
 )
 from .ingest import DataError, Dataset, FoldSplit
-from .preprocess import preprocess_sequence
+from .preprocess import DegenerateReferenceError, preprocess_sequence
 from .config import (
     PrepSettings,
     Protocol,
@@ -77,6 +77,10 @@ class MissingClassError(RuntimeError):
 
 class FoldCoverageError(RuntimeError):
     """The fold assignment leaves some fold without usable train or test data."""
+
+
+class WorkerLostError(RuntimeError):
+    """A forked fit worker ended before sending back a classifier."""
 
 
 @dataclass(frozen=True)
@@ -122,15 +126,19 @@ ClassifierFactory = Callable[[TrainJob], SequenceClassifier]
 def _features(
     prep: PrepSettings, seq: GestureSequence, joint_map: JointIndexMap
 ) -> np.ndarray:
-    """The sequence's (n, W, D) feature windows."""
-    return preprocess_sequence(
-        seq,
-        prep.method,
-        prep.window,
-        joint_map,
-        savgol_spec=prep.savgol,
-        include_confidence=prep.include_confidence,
-    )
+    """The sequence's (n, W, D) feature windows; a zero chin coordinate
+    under a chin-ratio method is a :class:`DataError` naming the sequence."""
+    try:
+        return preprocess_sequence(
+            seq,
+            prep.method,
+            prep.window,
+            joint_map,
+            savgol_spec=prep.savgol,
+            include_confidence=prep.include_confidence,
+        )
+    except DegenerateReferenceError as exc:
+        raise DataError(f"patient {seq.patient_id} gesture {seq.label.id}: {exc}") from None
 
 
 def stack_windows(per_sequence: Sequence[np.ndarray]) -> np.ndarray:
@@ -388,23 +396,36 @@ def _fit_in_workers(
     Each worker inherits the factory and the jobs -- and so the windows the
     jobs share -- through fork, receives job indices and sends back only
     the classifier.  Results are read in job order, so a failure raises the
-    first failing job's error, as the in-process loop does.  The workers
-    are forked at one BLAS thread, the count that `fit` runs at, and are
-    joined before this returns or raises.
+    first failing job's error, as the in-process loop does; a worker that
+    dies (killed from outside, say) is a :class:`WorkerLostError` naming
+    the first job whose classifier was not received.  The workers are
+    forked at one BLAS thread, the count that `fit` runs at, and are joined
+    before this returns or raises.
     """
     # Imported here, where a pool is made: these modules add about 1 MB to
     # the peak RSS of a run that forks no worker.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
+    classifiers: dict[str, SequenceClassifier] = {}
     with one_blas_thread(), ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_start_worker,
         initargs=(factory, jobs),
     ) as pool:
-        fitted = pool.map(_fit_job, range(len(jobs)))
-        return dict(zip([job.key for job in jobs], fitted))
+        try:
+            for job, classifier in zip(jobs, pool.map(_fit_job, range(len(jobs)))):
+                classifiers[job.key] = classifier
+        except BrokenProcessPool:
+            lost = jobs[len(classifiers)]
+            raise WorkerLostError(
+                f"{lost.name}: a fit worker of route {lost.route!r} ended before "
+                f"sending back this job's classifier ({len(jobs) - len(classifiers)} "
+                f"of {len(jobs)} not received)"
+            ) from None
+    return classifiers
 
 
 def train_protocol(
@@ -677,5 +698,5 @@ def load_model_set(model_dir: str | Path) -> TrainedProtocol:
     for route, by_key in classifiers.items():
         if missing := [key for key in keys if key not in by_key]:
             raise DataError(f"{index_path}: no {route!r} model for {missing[0]!r}")
-    joint_map = replace(DEFAULT_JOINT_MAP, chin_index=index["chin_index"])
-    return TrainedProtocol(config=config, classifiers=classifiers, joint_map=joint_map)
+    return TrainedProtocol(config=config, classifiers=classifiers,
+                           joint_map=JointIndexMap(index["chin_index"]))

@@ -3,8 +3,7 @@
 A recording session yields, per video frame, the pixel coordinates of 14
 upper-body joints plus a per-joint detector confidence.  Each performance of
 a gesture by one patient is a ``GestureSequence``, which holds those values
-as read-only arrays: coordinates (T, 14, 2), confidences (T, 14) and, when
-the source file carried them, the two auxiliary rows (T, 2, 14).  The
+as read-only arrays: coordinates (T, 14, 2) and confidences (T, 14).  The
 gesture taxonomy is fixed: 29 gesture ids, 15 static (held poses) and 14
 dynamic (motions).
 """
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -74,12 +72,6 @@ DYNAMIC_GESTURE_IDS: tuple[str, ...] = tuple(
 )
 
 
-class ClassCounts(NamedTuple):
-    n_static: int
-    n_dynamic: int
-    n_total: int
-
-
 def label_kind(gesture_id: str) -> GestureKind:
     """Return whether a gesture id names a static pose or a dynamic motion."""
     try:
@@ -88,56 +80,39 @@ def label_kind(gesture_id: str) -> GestureKind:
         raise UnknownLabelError(f"unknown gesture id {gesture_id!r}") from None
 
 
-def class_counts() -> ClassCounts:
-    """Static/dynamic/total class counts of the built-in taxonomy."""
-    return ClassCounts(
-        n_static=len(STATIC_GESTURE_IDS),
-        n_dynamic=len(DYNAMIC_GESTURE_IDS),
-        n_total=len(ALL_GESTURE_IDS),
-    )
-
-
 @dataclass(frozen=True)
 class GestureLabel:
-    """One of the 29 gesture classes.
-
-    ``kind`` is stored redundantly with ``id`` so that a label constructed by
-    hand with a mismatched kind is caught by :func:`validate_sequence`.
-    """
+    """One of the 29 gesture classes; an id outside the taxonomy raises
+    :class:`UnknownLabelError`."""
 
     id: str
-    kind: GestureKind
 
-    @classmethod
-    def from_id(cls, gesture_id: str) -> "GestureLabel":
-        return cls(id=gesture_id, kind=label_kind(gesture_id))
+    def __post_init__(self) -> None:
+        label_kind(self.id)
+
+    @property
+    def kind(self) -> GestureKind:
+        return _KIND_BY_ID[self.id]
 
 
 @dataclass(frozen=True, eq=False)
 class GestureSequence:
     """All frames of one patient performing one gesture once.
 
-    ``coords`` is (T, 14, 2) pixel x/y, ``conf`` is (T, 14) detector
-    confidence, and ``aux`` is the (T, 2, 14) pair of trailing rows of the
-    raw per-frame matrix, or None.  ``aux`` is kept only for ingest
-    round-trip fidelity and never reaches a model.  The arrays are stored as
-    read-only float64 copies.
+    ``coords`` is (T, 14, 2) pixel x/y and ``conf`` is (T, 14) detector
+    confidence, both stored as read-only float64 copies.
     """
 
     patient_id: int
     label: GestureLabel
-    correct: bool
     coords: np.ndarray
     conf: np.ndarray
-    aux: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        for name in ("coords", "conf", "aux"):
-            value = getattr(self, name)
-            if value is not None:
-                array = np.array(value, dtype=np.float64, order="C")
-                array.flags.writeable = False
-                object.__setattr__(self, name, array)
+        for name in ("coords", "conf"):
+            array = np.array(getattr(self, name), dtype=np.float64, order="C")
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def n_frames(self) -> int:
@@ -146,44 +121,21 @@ class GestureSequence:
 
 @dataclass(frozen=True)
 class JointIndexMap:
-    """Names the 14 joint columns and designates which one is the chin.
+    """Designates which of the 14 joint columns is the chin.
 
     The detector that produced the source data does not fix a documented
-    column order, so the map is configuration: the default below lists the
+    column order, so the chin column is configuration; the default is the
     head-first order with the chin in column 1.
     """
 
-    names: tuple[str, ...]
     chin_index: int
 
     def __post_init__(self) -> None:
-        if len(self.names) != N_JOINTS:
-            raise ValueError(f"expected {N_JOINTS} joint names, got {len(self.names)}")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("joint names must be unique")
         if not 0 <= self.chin_index < N_JOINTS:
             raise ValueError(f"chin_index {self.chin_index} outside [0, {N_JOINTS})")
 
 
-DEFAULT_JOINT_MAP = JointIndexMap(
-    names=(
-        "head_top",
-        "chin",
-        "right_shoulder",
-        "right_elbow",
-        "right_wrist",
-        "left_shoulder",
-        "left_elbow",
-        "left_wrist",
-        "right_hip",
-        "right_knee",
-        "right_ankle",
-        "left_hip",
-        "left_knee",
-        "left_ankle",
-    ),
-    chin_index=1,
-)
+DEFAULT_JOINT_MAP = JointIndexMap(chin_index=1)
 
 
 def validate_sequence(seq: GestureSequence) -> list[str]:
@@ -195,22 +147,15 @@ def validate_sequence(seq: GestureSequence) -> list[str]:
     problems: list[str] = []
     if seq.patient_id < 1:
         problems.append(f"patient_id {seq.patient_id} must be >= 1")
-    if seq.label.id not in _KIND_BY_ID:
-        problems.append(f"unknown gesture id {seq.label.id!r}")
-    elif seq.label.kind is not _KIND_BY_ID[seq.label.id]:
-        problems.append(
-            f"label {seq.label.id} tagged {seq.label.kind.value}, "
-            f"taxonomy says {_KIND_BY_ID[seq.label.id].value}"
-        )
     if seq.n_frames < 1:
         problems.append("sequence has no frames")
 
     t = seq.n_frames
-    expected = {"coords": (t, N_JOINTS, 2), "conf": (t, N_JOINTS), "aux": (t, 2, N_JOINTS)}
+    expected = {"coords": (t, N_JOINTS, 2), "conf": (t, N_JOINTS)}
     shape_problems = [
         f"{name} has shape {array.shape}, expected {shape}"
         for name, shape in expected.items()
-        if (array := getattr(seq, name)) is not None and array.shape != shape
+        if (array := getattr(seq, name)).shape != shape
     ]
     if shape_problems:
         return problems + shape_problems

@@ -54,7 +54,7 @@ from skelgest.skeleton import (
     N_JOINTS,
 )
 
-LABEL = GestureLabel.from_id("A1_1")
+LABEL = GestureLabel("A1_1")
 
 
 def test_criterion_1_gradient_fidelity():
@@ -169,7 +169,7 @@ def test_criterion_4_windowing_contract_exhaustive():
                 + 1.0
             )
             conf = np.linspace(0.0, 1.0, t * N_JOINTS).reshape(t, N_JOINTS)
-            seq = GestureSequence(1, LABEL, True, coords, conf)
+            seq = GestureSequence(1, LABEL, coords, conf)
             windows = preprocess_sequence(
                 seq, NormMethod.M1, spec, DEFAULT_JOINT_MAP, savgol_spec=None,
                 include_confidence=True,

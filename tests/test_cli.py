@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import re
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -322,6 +323,23 @@ class TestManifestRows:
         assert run_cli(*argv) == EXIT_DATA
         assert f"{manifest}:3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["ingest", "evaluate"])
+    def test_manifest_that_does_not_decode_is_data_error(self, command, dataset_dir,
+                                                         tmp_path, capsys):
+        root = tmp_path / "ds"
+        shutil.copytree(dataset_dir, root)
+        manifest = root / "manifest.csv"
+        manifest.write_bytes(manifest.read_bytes().replace(b"A1_2", b"A1_\xff", 1))
+        argv = [command, "--dataset", str(root)]
+        if command != "ingest":
+            argv += ["--out", str(tmp_path / "out"), "--seed", "6",
+                     "--fold-boundaries", "1,2", *TINY_TRAIN_FLAGS]
+        assert run_cli(*argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {re.escape(str(manifest))}: cannot read manifest: "
+                            r"'utf-8' codec can't decode byte 0xff in position \d+: .*\n",
+                            err), err
+
     def test_replay_against_a_bad_header_is_data_error(self, eval_out, dataset_dir,
                                                        tmp_path, capsys):
         root, manifest = self._copy(dataset_dir, tmp_path, 1, "patient,gesture,ok,path")
@@ -331,6 +349,30 @@ class TestManifestRows:
         )
         assert code == EXIT_DATA
         assert f"{manifest}:1:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["2", "5"])
+def test_zero_chin_coordinate_under_a_ratio_method_is_data_error(method, dataset_dir,
+                                                                 tmp_path, capsys):
+    """Every chin x of patient 1's A1_1 set to 0.0: the chin-ratio features
+    are undefined, and the error names the sequence."""
+    root = tmp_path / "ds"
+    shutil.copytree(dataset_dir, root)
+    victim = root / "frames" / "p001_A1_1.txt"
+    lines = victim.read_text().splitlines()
+    for x_row in range(0, len(lines), 5):
+        values = lines[x_row].split()
+        values[1] = "0.0"  # the default chin column
+        lines[x_row] = " ".join(values)
+    victim.write_text("\n".join(lines) + "\n")
+    code = run_cli("evaluate", "--dataset", str(root), "--out", str(tmp_path / "out"),
+                   "--seed", "6", "--fold-boundaries", "1,2", "--method", method,
+                   *TINY_TRAIN_FLAGS)
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: patient 1 gesture A1_1: reference chin \(0\.0, [-0-9.e]+\) "
+                        r"has a zero coordinate; chin-ratio normalization is undefined\n",
+                        err), err
 
 
 class TestTrain:
@@ -961,6 +1003,11 @@ def test_train_does_not_depend_on_the_blas_thread_count(dataset_dir, tmp_path):
         assert (models[0] / name).read_bytes() == (models[1] / name).read_bytes(), name
 
 
+def _kill_own_worker(index):
+    """A fit job that ends its worker process as the OOM killer would."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 class TestForkedWorkers:
     """One-vs-rest fits in forked workers (``_cpus`` pinned to 2) write the
     same bytes, and fail with the same message, as fits in process (1)."""
@@ -1031,6 +1078,24 @@ class TestForkedWorkers:
         assert errors[0] == errors[1]
         assert re.fullmatch(rf"error: fold1-{victim}: epoch 1, step \d+: non-finite "
                             r"loss or gradient \(loss=nan\)\n", errors[0]), errors[0]
+
+
+    def test_killed_worker_is_a_check_failure(self, pools, dataset_dir, tmp_path,
+                                              monkeypatch, capsys):
+        """Exit 1 with one line naming the route and the first job lost, and
+        no worker left running."""
+        monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
+        monkeypatch.setattr(pipeline, "_fit_job", _kill_own_worker)
+        code = run_cli("evaluate", "--dataset", str(dataset_dir), "--out", str(tmp_path),
+                       "--seed", "5", "--fold-boundaries", "1,2", "--protocol", "binary",
+                       *TINY_TRAIN_FLAGS)
+        assert code == EXIT_CHECK
+        assert pools == [2]
+        assert capsys.readouterr().err == (
+            f"error: fold1-{ALL_GESTURE_IDS[0]}: a fit worker of route 'main' ended "
+            "before sending back this job's classifier (29 of 29 not received)\n"
+        )
+        assert multiprocessing.active_children() == []
 
 
 class TestGradcheck:

@@ -1,5 +1,6 @@
 """File parsing, dataset loading, fold assignment, and synthetic generation."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from skelgest import ingest
 from skelgest.ingest import (
     DEFAULT_FOLD_BOUNDARIES,
     DataError,
+    Dataset,
     ParseError,
     SynthConfig,
     assign_folds,
@@ -38,18 +40,12 @@ def _block(rows=5, cols=14, base=0.0):
 class TestParseSkeletalFile:
     def test_two_blocks(self):
         text = _block() + "\n" + _block(base=1000.0) + "\n"
-        coords, conf, aux = parse_skeletal_file(text)
+        coords, conf = parse_skeletal_file(text)
         assert coords.shape == (2, N_JOINTS, 2) and conf.shape == (2, N_JOINTS)
         assert coords[0, 0, 0] == 0.0
         assert coords[0, 0, 1] == 100.0
         assert conf[0, 0] == 200.0
         assert coords[1, 3, 0] == 1003.0
-
-    def test_aux_rows_preserved(self):
-        _, _, aux = parse_skeletal_file(_block())
-        assert aux.shape == (1, 2, N_JOINTS)
-        assert aux[0, 0, 0] == 300.0
-        assert aux[0, 1, 13] == 413.0
 
     def test_wrong_value_count_names_line(self):
         bad = _block().splitlines()
@@ -70,9 +66,8 @@ class TestParseSkeletalFile:
 
     def test_empty_input_yields_no_frames(self):
         for text in ("", "   \n\n"):
-            coords, conf, aux = parse_skeletal_file(text)
-            assert coords.shape == (0, N_JOINTS, 2)
-            assert conf.shape == (0, N_JOINTS) and aux.shape == (0, 2, N_JOINTS)
+            coords, conf = parse_skeletal_file(text)
+            assert coords.shape == (0, N_JOINTS, 2) and conf.shape == (0, N_JOINTS)
 
     def test_round_trip_exact(self):
         """serialize(parse(f)) keeps every number bit-for-bit (independent of
@@ -81,22 +76,21 @@ class TestParseSkeletalFile:
         coords = rng.normal(size=(4, N_JOINTS, 2)) * [1e3, 1e-3]
         coords[0, 0, 0] = -0.0
         conf = rng.random((4, N_JOINTS))
-        aux = rng.normal(size=(4, 2, N_JOINTS))
-        text = serialize_frames(coords, conf, aux)
+        text = serialize_frames(coords, conf)
         parsed = parse_skeletal_file(text)
-        for original, back in zip((coords, conf, aux), parsed):
+        for original, back in zip((coords, conf), parsed):
             assert back.shape == original.shape
             assert np.array_equal(back, original)
             assert back.tobytes() == original.tobytes()  # bit-for-bit, -0.0 included
-        # without aux rows, zero aux rows are written
-        _, _, zero_aux = parse_skeletal_file(serialize_frames(coords, conf))
-        assert np.array_equal(zero_aux, np.zeros((4, 2, N_JOINTS)))
+        # the two aux rows of each block are written as zeros
+        blocks = ingest._parse_lines(text.splitlines(), "<string>").reshape(4, 5, N_JOINTS)
+        assert np.array_equal(blocks[:, 3:], np.zeros((4, 2, N_JOINTS)))
 
 
 def _exact(text, source="<string>"):
     """The per-line parser's result, split as `parse_skeletal_file` splits it."""
     blocks = ingest._parse_lines(text.splitlines(), source).reshape(-1, 5, N_JOINTS)
-    return blocks[:, :2].transpose(0, 2, 1), blocks[:, 2], blocks[:, 3:]
+    return blocks[:, :2].transpose(0, 2, 1), blocks[:, 2]
 
 
 def _outcome(parse, text):
@@ -113,8 +107,9 @@ def _frames_text(sep=" ", end="\n"):
     return "".join(sep.join(map(repr, row)) + end for row in rows.tolist())
 
 
-def _with_token(token, row=3, col=5):
-    """A valid two-frame text with one value replaced by ``token``."""
+def _with_token(token, row=1, col=5):
+    """A valid two-frame text with one value replaced by ``token``; the
+    default is a y coordinate, a value that the parser returns."""
     lines = _frames_text().splitlines()
     tokens = lines[row].split()
     tokens[col] = token
@@ -138,6 +133,7 @@ def _differential_inputs():
     }
     for token in EDGE_VALUES + MALFORMED_TOKENS:
         cases[f"token {token!r}"] = _with_token(token)
+    cases["token 'oops' in an aux row"] = _with_token("oops", row=3)
     for sep in ["\t", "\x0c", "\xa0", "\u3000", "\x1c"]:
         cases[f"separator {sep!r}"] = _frames_text(sep=sep)
     cases["trailing spaces"] = _frames_text(sep=" ", end="   \n")
@@ -170,14 +166,14 @@ class TestParserFastPath:
 
     def test_nan_sign_bit_is_kept(self):
         for token, negative in [("nan", False), ("-nan", True), ("+nan", False)]:
-            _, conf, _ = parse_skeletal_file(_with_token(token, row=2, col=0))
+            _, conf = parse_skeletal_file(_with_token(token, row=2, col=0))
             assert np.isnan(conf[0, 0]) and np.signbit(conf[0, 0]) == negative
 
     def test_tokens_float_reads_and_loadtxt_does_not(self):
         """`1_000` and a fullwidth or Arabic-Indic digit take the fallback and
         read as `float` reads them."""
         for token, value in [("1_000", 1000.0), ("\uff11", 1.0), ("\u0663", 3.0)]:
-            _, conf, _ = parse_skeletal_file(_with_token(token, row=2, col=0))
+            _, conf = parse_skeletal_file(_with_token(token, row=2, col=0))
             assert conf[0, 0] == value
 
     def test_random_tokens_agree(self):
@@ -263,8 +259,7 @@ class TestLoadDataset:
             ],
         )
         ds = load_dataset(tmp_path)
-        assert len(ds.sequences) == 2
-        assert all(s.correct for s in ds.sequences)
+        assert [(s.patient_id, s.label.id) for s in ds.sequences] == [(1, "A1_1"), (2, "P2_5")]
 
     def test_unknown_gesture_id(self, tmp_path):
         _write_tiny_dataset(tmp_path, [(1, "Z9_9", 1, "a.txt")])
@@ -304,6 +299,14 @@ class TestLoadDataset:
         manifest = tmp_path / "manifest.csv"
         manifest.write_text(manifest.read_text() + rows + "\n")
         with pytest.raises(DataError, match=f"{manifest}:{line}: expected 4"):
+            read(tmp_path)
+
+    @pytest.mark.parametrize("read", [load_dataset, dataset_checksum])
+    def test_manifest_that_does_not_decode(self, read, tmp_path):
+        _write_tiny_dataset(tmp_path, [(1, "A1_1", 1, "a.txt"), (1, "A1_2", 1, "b.txt")])
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(manifest.read_bytes().replace(b"A1_2", b"A1_\xff"))
+        with pytest.raises(DataError, match=f"{manifest}: cannot read manifest: .*0xff"):
             read(tmp_path)
 
     def test_bad_correct_flag(self, tmp_path):
@@ -384,7 +387,6 @@ class TestGenerateSynthetic:
 
         counts = Counter(s.label.id for s in ds.sequences)
         assert all(counts[gid] == 6 for gid in ALL_GESTURE_IDS)
-        assert all(s.correct for s in ds.sequences)
 
     def test_zero_noise_static_frames_identical(self):
         """noise 0, offset 0: every frame of one static class is the same pose
@@ -413,7 +415,6 @@ class TestGenerateSynthetic:
         for seq in ds.sequences:
             assert seq.conf.shape == (seq.n_frames, N_JOINTS)
             assert np.all(seq.conf == 1.0)
-            assert seq.aux is None
 
     def test_frame_counts_within_ranges(self):
         cfg = SynthConfig(n_patients=4, seed=3)
@@ -444,6 +445,43 @@ class TestGenerateSynthetic:
 
 
 class TestWriteAndChecksum:
+    def test_written_bytes(self, tmp_path):
+        """A two-frame sequence written through `write_dataset`: `repr` floats,
+        two zero aux rows per frame and a correct flag of 1."""
+        coords = np.zeros((2, N_JOINTS, 2))
+        coords[:, :, 0] = np.arange(N_JOINTS) + [[0.0], [0.25]]
+        coords[:, :, 1] = 100 + np.arange(N_JOINTS) / 8 - [[0.0], [1.0]]
+        coords[0, 0, 0] = -0.0
+        coords[1, 0, 1] = 1e-05
+        coords[1, 13, 0] = 0.1 + 0.2
+        conf = np.ones((2, N_JOINTS))
+        conf[0, 0], conf[1, 13] = 0.5, 0.0
+        synthetic = generate_synthetic(SynthConfig(n_patients=1, seed=0))
+        seq = next(s for s in synthetic.sequences if s.label.id == "P2_5")
+        seq = dataclasses.replace(seq, patient_id=7, coords=coords, conf=conf)
+        manifest = write_dataset(Dataset((seq,), DEFAULT_JOINT_MAP), tmp_path)
+
+        assert manifest == tmp_path / "manifest.csv"
+        assert manifest.read_bytes() == (
+            b"patient_id,gesture_id,correct,frames_path\r\n"
+            b"7,P2_5,1,frames/p007_P2_5.txt\r\n"
+        )
+        zeros = " ".join(["0.0"] * N_JOINTS) + "\n"
+        assert sorted(p.name for p in (tmp_path / "frames").iterdir()) == ["p007_P2_5.txt"]
+        assert (tmp_path / "frames" / "p007_P2_5.txt").read_bytes().decode() == (
+            "-0.0 1.0 2.0 3.0 4.0 5.0 6.0 7.0 8.0 9.0 10.0 11.0 12.0 13.0\n"
+            "100.0 100.125 100.25 100.375 100.5 100.625 100.75 100.875 101.0 101.125 "
+            "101.25 101.375 101.5 101.625\n"
+            "0.5 1.0 1.0 1.0 1.0 1.0 1.0 1.0 1.0 1.0 1.0 1.0 1.0 1.0\n"
+            + zeros + zeros +
+            "0.25 1.25 2.25 3.25 4.25 5.25 6.25 7.25 8.25 9.25 10.25 11.25 12.25 "
+            "0.30000000000000004\n"
+            "1e-05 99.125 99.25 99.375 99.5 99.625 99.75 99.875 100.0 100.125 100.25 "
+            "100.375 100.5 100.625\n"
+            "1.0 1.0 1.0 1.0 1.0 1.0 1.0 1.0 1.0 1.0 1.0 1.0 1.0 0.0\n"
+            + zeros + zeros
+        )
+
     def test_write_load_round_trip(self, tmp_path):
         ds = generate_synthetic(SynthConfig(n_patients=2, seed=21))
         write_dataset(ds, tmp_path)
@@ -456,7 +494,6 @@ class TestWriteAndChecksum:
             assert a.n_frames == b.n_frames
             assert np.array_equal(a.coords, b.coords)
             assert np.array_equal(a.conf, b.conf)
-            assert np.array_equal(b.aux, np.zeros((a.n_frames, 2, N_JOINTS)))
 
     def test_checksum_stable_and_sensitive(self, tmp_path):
         ds = generate_synthetic(SynthConfig(n_patients=2, seed=21))

@@ -35,7 +35,7 @@ from skelgest.skeleton import (
     JointIndexMap,
 )
 
-LABEL = GestureLabel.from_id("A1_1")
+LABEL = GestureLabel("A1_1")
 CHIN = DEFAULT_JOINT_MAP.chin_index
 
 
@@ -43,7 +43,7 @@ def _make_sequence(coords, confidence=None, label=LABEL, patient_id=1):
     coords = np.asarray(coords, dtype=np.float64)
     if confidence is None:
         confidence = np.full(coords.shape[:2], 0.9)
-    return GestureSequence(patient_id, label, True, coords, confidence)
+    return GestureSequence(patient_id, label, coords, confidence)
 
 
 def _random_sequence(rng, t, **kwargs):
@@ -393,7 +393,7 @@ class TestNormalizeWindow:
     def test_custom_chin_index_respected(self):
         rng = np.random.default_rng(15)
         coords = rng.normal(size=(2, N_JOINTS, 2)) * 30 + 100
-        other_map = JointIndexMap(names=DEFAULT_JOINT_MAP.names, chin_index=5)
+        other_map = JointIndexMap(chin_index=5)
         out = _features(coords, NormMethod.M1, other_map)
         chin = coords[0, 5]
         assert out[0, 10] == 0.0 and out[0, 11] == 0.0

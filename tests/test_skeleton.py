@@ -17,7 +17,6 @@ from skelgest.skeleton import (
     JointIndexMap,
     UnknownLabelError,
     _TAXONOMY,
-    class_counts,
     label_kind,
     validate_sequence,
 )
@@ -33,27 +32,20 @@ def _coords(t=3, n=N_JOINTS):
     return np.tile(np.stack([np.arange(n), -np.arange(n)], axis=1), (t, 1, 1)).astype(float)
 
 
-def _sequence(coords=None, conf=None, patient=1, gesture="A1_1", correct=True, aux=None):
+def _sequence(coords=None, conf=None, patient=1, gesture="A1_1"):
     if coords is None:
         coords = _coords()
     if conf is None:
         conf = np.ones(coords.shape[:2])
     return GestureSequence(
         patient_id=patient,
-        label=GestureLabel.from_id(gesture),
-        correct=correct,
+        label=GestureLabel(gesture),
         coords=coords,
         conf=conf,
-        aux=aux,
     )
 
 
 class TestTaxonomy:
-    def test_class_counts(self):
-        counts = class_counts()
-        assert counts == (15, 14, 29)
-        assert counts.n_static + counts.n_dynamic == counts.n_total
-
     def test_no_duplicate_ids(self):
         assert len(set(ALL_GESTURE_IDS)) == len(ALL_GESTURE_IDS) == 29
 
@@ -88,9 +80,13 @@ class TestTaxonomy:
         for gid in ALL_GESTURE_IDS:
             assert label_description(gid).strip()
 
-    def test_from_id_sets_matching_kind(self):
+    def test_label_reads_its_kind_from_the_taxonomy(self):
         for gid in ALL_GESTURE_IDS:
-            assert GestureLabel.from_id(gid).kind is label_kind(gid)
+            assert GestureLabel(gid).kind is label_kind(gid)
+
+    def test_label_with_unknown_id(self):
+        with pytest.raises(UnknownLabelError, match="Z9_9"):
+            GestureLabel("Z9_9")
 
     def test_id_families(self):
         prefixes = {gid.split("_")[0] for gid in ALL_GESTURE_IDS}
@@ -100,16 +96,12 @@ class TestTaxonomy:
 class TestValidateSequence:
     def test_valid_sequence_is_clean(self):
         assert validate_sequence(_sequence()) == []
-        aux = np.zeros((3, 2, N_JOINTS))
-        assert validate_sequence(_sequence(aux=aux)) == []
 
     def test_wrong_joint_count(self):
         seq = _sequence(coords=_coords(t=1, n=13), conf=np.ones((1, 13)))
         violations = validate_sequence(seq)
         assert "coords has shape (1, 13, 2), expected (1, 14, 2)" in violations
         assert "conf has shape (1, 13), expected (1, 14)" in violations
-        seq = _sequence(coords=_coords(t=1), aux=np.zeros((1, 2, 13)))
-        assert validate_sequence(seq) == ["aux has shape (1, 2, 13), expected (1, 2, 14)"]
 
     def test_confidence_out_of_range_names_joint_and_value(self):
         conf = np.ones((1, N_JOINTS))
@@ -130,14 +122,6 @@ class TestValidateSequence:
         seq = _sequence(patient=0)
         assert any("patient" in v for v in violations_lower(seq))
 
-    def test_mismatched_kind(self):
-        label = GestureLabel(id="A1_1", kind=GestureKind.DYNAMIC)
-        seq = GestureSequence(
-            patient_id=1, label=label, correct=True, coords=_coords(1),
-            conf=np.ones((1, N_JOINTS)),
-        )
-        assert validate_sequence(seq)
-
 
 def violations_lower(seq):
     return [v.lower() for v in validate_sequence(seq)]
@@ -145,22 +129,12 @@ def violations_lower(seq):
 
 class TestJointIndexMap:
     def test_default_map(self):
-        assert len(DEFAULT_JOINT_MAP.names) == 14
-        assert DEFAULT_JOINT_MAP.names[DEFAULT_JOINT_MAP.chin_index] == "chin"
-
-    def test_wrong_name_count(self):
-        with pytest.raises(ValueError, match="14"):
-            JointIndexMap(names=("a", "b"), chin_index=0)
-
-    def test_duplicate_names(self):
-        names = ("x",) * 14
-        with pytest.raises(ValueError, match="unique"):
-            JointIndexMap(names=names, chin_index=0)
+        assert DEFAULT_JOINT_MAP == JointIndexMap(chin_index=1)
 
     def test_chin_index_out_of_range(self):
-        names = tuple(f"j{i}" for i in range(14))
-        with pytest.raises(ValueError, match="chin_index"):
-            JointIndexMap(names=names, chin_index=14)
+        for chin_index in (-1, 14):
+            with pytest.raises(ValueError, match="chin_index"):
+                JointIndexMap(chin_index=chin_index)
 
 
 class TestSequenceArrays:
@@ -173,7 +147,6 @@ class TestSequenceArrays:
         assert seq.coords[0, 5, 0] == 5.0
         assert seq.coords[0, 5, 1] == -5.0
         assert np.all(seq.conf == 1.0)
-        assert seq.aux is None
         # stored as read-only copies: neither the caller nor a consumer can
         # change a loaded sequence
         source[0, 5, 0] = 99.0

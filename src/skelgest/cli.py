@@ -330,11 +330,15 @@ def _evaluate_model_set(args: argparse.Namespace) -> int:
 
 
 def _evaluate_from_manifest(args: argparse.Namespace) -> int:
-    """Replay a recorded run exactly; the dataset must match its checksum."""
+    """Replay a recorded evaluation exactly; the dataset must match its checksum."""
+    path = Path(args.from_manifest)
     manifest, rc = read_index(
-        Path(args.from_manifest), "skelgest-run",
-        ("fold_boundaries", "dataset.root", "dataset.checksum"),
+        path, "skelgest-run",
+        ("command", "fold_boundaries", "dataset.root", "dataset.checksum"),
     )
+    if manifest["command"] != "evaluate":
+        raise DataError(f"{path}: records a {manifest['command']!r} run, "
+                        "and only an 'evaluate' run can be replayed")
     boundaries = tuple(manifest["fold_boundaries"])
     chin_index = manifest["chin_index"]
     settings = _replayed(args, {
@@ -394,15 +398,13 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     if tolerance < 0:
         raise UsageError(f"tolerance must be >= 0, got {tolerance}")
     checks = [
-        ("lstm", LstmSpec(input_dim=3, hidden_dim=4, n_classes=2), HeadKind.SOFTMAX),
-        ("lstm", LstmSpec(input_dim=3, hidden_dim=4, n_classes=1), HeadKind.SIGMOID),
-        ("tcn", TcnSpec(input_dim=3, channels=4, dilations=(1, 2), n_classes=2),
-         HeadKind.SOFTMAX),
-        ("tcn", TcnSpec(input_dim=3, channels=4, dilations=(1, 2), n_classes=1),
-         HeadKind.SIGMOID),
+        (LstmSpec(input_dim=3, hidden_dim=4, n_classes=2), HeadKind.SOFTMAX),
+        (LstmSpec(input_dim=3, hidden_dim=4, n_classes=1), HeadKind.SIGMOID),
+        (TcnSpec(input_dim=3, channels=4, dilations=(1, 2), n_classes=2), HeadKind.SOFTMAX),
+        (TcnSpec(input_dim=3, channels=4, dilations=(1, 2), n_classes=1), HeadKind.SIGMOID),
     ]
     all_passed = True
-    for i, (name, spec, head) in enumerate(checks):
+    for i, (spec, head) in enumerate(checks):
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
         model = init_parameters(spec, head, seed=int(rng.integers(2**32)))
         x = rng.normal(size=(2, 6, spec.input_dim))
@@ -413,7 +415,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         report = grad_check(model, x, targets, tolerance=tolerance)
         verdict = "PASS" if report.passed else "FAIL"
         print(
-            f"{name}/{head.value}: {report.n_checked} parameters, "
+            f"{report.arch}/{report.head}: {report.n_checked} parameters, "
             f"max relative error {report.max_rel_error:.3e} "
             f"(tolerance {tolerance:g}) {verdict}"
         )

@@ -40,8 +40,8 @@ class Protocol(Enum):
 
 
 class NetKind(Enum):
-    LSTM = "lstm"
-    TCN = "tcn"
+    LSTM = LstmSpec.kind
+    TCN = TcnSpec.kind
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,10 @@ class RunConfig:
     prep: PrepSettings = field(default_factory=PrepSettings)
     long_window: int | None = None
     route_threshold: int | None = None
-    lstm_hidden: int = 128
-    tcn_channels: int = 64
-    tcn_kernel: int = 3
-    tcn_dilations: tuple[int, ...] = (1, 2, 4, 8)
+    lstm_hidden: int = LstmSpec.hidden_dim
+    tcn_channels: int = TcnSpec.channels
+    tcn_kernel: int = TcnSpec.kernel
+    tcn_dilations: tuple[int, ...] = TcnSpec.dilations
     train: TrainConfig = field(default_factory=TrainConfig)
     rebalance: bool = False
     seed: int = 0
@@ -150,7 +150,8 @@ def config_from_dict(d: dict) -> RunConfig:
     """Inverse of `config_to_dict`; absent keys take the values of
     `RunConfig()`.  A key that `config_to_dict` does not write is a
     ValueError, so no recorded setting is silently dropped, and so is a value
-    of the wrong type (see `_check_values`)."""
+    of the wrong type (see `_check_values`) or a network that no model can
+    have."""
     defaults = config_to_dict(RunConfig())
     unknown = [k for k in d if k not in defaults] + [
         f"{block}.{k}" for block in ("train", "savgol")
@@ -180,6 +181,7 @@ def config_from_dict(d: dict) -> RunConfig:
         seed=d["seed"],
     )
     _check_values(config)
+    config.arch_spec(1)  # a ValueError for a network that no model can have
     return config
 
 
@@ -535,9 +537,11 @@ def render_config(values: dict[str, object]) -> str:
 # Index files: ``modelset.json`` and ``run_manifest.json``
 
 
-def _int_pair(value: object) -> str | None:
-    ok = isinstance(value, list) and len(value) == 2 and all(type(b) is int for b in value)
-    return None if ok else "is not a list of two integers"
+def _fold_boundaries(value: object) -> str | None:
+    if not (isinstance(value, list) and len(value) == 2
+            and all(type(b) is int for b in value)):
+        return "is not a list of two integers"
+    return None if value[0] < value[1] else "is not strictly increasing"
 
 
 def _string(value: object) -> str | None:
@@ -569,7 +573,7 @@ def _model_entries(value: object) -> str | None:
 # returns the problem or None.  `config` is checked by `config_from_dict`.
 _INDEX_FIELD_CHECKS: dict[str, Callable[[object], str | None]] = {
     "models": _model_entries,
-    "fold_boundaries": _int_pair,
+    "fold_boundaries": _fold_boundaries,
     "dataset.root": _string,
     "dataset.manifest": _string_or_null,
     "dataset.checksum": _string,

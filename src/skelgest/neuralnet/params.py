@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,6 +33,7 @@ class HeadKind(Enum):
 class LstmSpec:
     """Single-layer LSTM with an affine classification head."""
 
+    kind: ClassVar[str] = "lstm"
     input_dim: int
     hidden_dim: int = 128
     n_classes: int = 2
@@ -49,6 +51,7 @@ class TcnSpec:
     must be strictly increasing powers of two.
     """
 
+    kind: ClassVar[str] = "tcn"
     input_dim: int
     channels: int = 64
     kernel: int = 3
@@ -192,41 +195,15 @@ def init_parameters(spec: ArchSpec, head: HeadKind, seed: int) -> ModelParameter
 # float64 parameter array.
 
 
-def _spec_to_dict(spec: ArchSpec) -> dict:
-    if isinstance(spec, LstmSpec):
-        return {
-            "kind": "lstm",
-            "input_dim": spec.input_dim,
-            "hidden_dim": spec.hidden_dim,
-            "n_classes": spec.n_classes,
-        }
-    return {
-        "kind": "tcn",
-        "input_dim": spec.input_dim,
-        "channels": spec.channels,
-        "kernel": spec.kernel,
-        "dilations": list(spec.dilations),
-        "n_classes": spec.n_classes,
-    }
-
-
 def _spec_from_dict(data: dict) -> ArchSpec:
+    """The spec of a header's ``arch`` object: its ``kind`` picks the class,
+    whose fields are read by name; a JSON list becomes a tuple."""
     kind = data.get("kind")
-    if kind == "lstm":
-        return LstmSpec(
-            input_dim=data["input_dim"],
-            hidden_dim=data["hidden_dim"],
-            n_classes=data["n_classes"],
-        )
-    if kind == "tcn":
-        return TcnSpec(
-            input_dim=data["input_dim"],
-            channels=data["channels"],
-            kernel=data["kernel"],
-            dilations=tuple(data["dilations"]),
-            n_classes=data["n_classes"],
-        )
-    raise ValueError(f"unknown architecture kind {kind!r} in checkpoint header")
+    cls = next((c for c in (LstmSpec, TcnSpec) if c.kind == kind), None)
+    if cls is None:
+        raise ValueError(f"unknown architecture kind {kind!r} in checkpoint header")
+    values = {f.name: data[f.name] for f in fields(cls)}
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
 
 def save_checkpoint(path, model: ModelParameters, *, extra: dict | None = None) -> None:
@@ -234,7 +211,7 @@ def save_checkpoint(path, model: ModelParameters, *, extra: dict | None = None) 
     header = {
         "format": "skelgest-checkpoint",
         "version": 1,
-        "arch": _spec_to_dict(model.spec),
+        "arch": {"kind": model.spec.kind, **asdict(model.spec)},
         "head": model.head.value,
         "param_count": int(model.values.size),
     }

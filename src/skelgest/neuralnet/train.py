@@ -21,25 +21,20 @@ class TrainingDivergedError(RuntimeError):
     """Raised when a non-finite loss or gradient appears during training."""
 
 
+_KERNELS = {LstmSpec: lstm, TcnSpec: tcn}
+
+
 @one_blas_thread()
 def forward(model: ModelParameters, x: np.ndarray) -> np.ndarray:
     """Dispatch to the architecture's forward pass."""
-    if isinstance(model.spec, LstmSpec):
-        return lstm.forward(model, x)
-    if isinstance(model.spec, TcnSpec):
-        return tcn.forward(model, x)
-    raise TypeError(f"unsupported spec type {type(model.spec).__name__}")
+    return _KERNELS[type(model.spec)].forward(model, x)
 
 
 def batch_loss_and_grad(
     model: ModelParameters, x: np.ndarray, targets: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Dispatch to the architecture's loss/gradient routine."""
-    if isinstance(model.spec, LstmSpec):
-        return lstm.loss_and_grad(model, x, targets)
-    if isinstance(model.spec, TcnSpec):
-        return tcn.loss_and_grad(model, x, targets)
-    raise TypeError(f"unsupported spec type {type(model.spec).__name__}")
+    return _KERNELS[type(model.spec)].loss_and_grad(model, x, targets)
 
 
 def finite_difference_gradient(
@@ -118,7 +113,7 @@ def grad_check(
     numeric = finite_difference_gradient(model, x, targets, epsilon, indices)
     err = max_relative_error(analytic[indices], numeric[indices])
     return GradCheckReport(
-        arch=type(model.spec).__name__.removesuffix("Spec").lower(),
+        arch=model.spec.kind,
         head=model.head.value,
         n_checked=int(len(indices)),
         max_rel_error=err,
@@ -168,6 +163,8 @@ class TrainConfig:
             raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.clip_norm <= 0:
+            raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:

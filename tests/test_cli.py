@@ -877,7 +877,7 @@ def _damaged_index_exits_3(path, argv, capsys, *fragments):
 @pytest.mark.parametrize(
     "kind,field",
     [("modelset", "config"), ("modelset", "models"),
-     ("manifest", "config"), ("manifest", "fold_boundaries"),
+     ("manifest", "config"), ("manifest", "command"), ("manifest", "fold_boundaries"),
      ("manifest", "dataset.root"), ("manifest", "dataset.checksum")],
 )
 def test_index_without_a_required_field_is_data_error(kind, field, model_dir, eval_out,
@@ -936,7 +936,9 @@ def test_unreadable_index_is_data_error(kind, text, fragment, model_dir, eval_ou
       "mistyped config value 'include_confidence'"),
      ("modelset", ("config", "savgol"), {"m": 5.0, "order": 2},
       "mistyped config value 'savgol.m'"),
-     ("modelset", ("config", "seed"), "7", "mistyped config value 'seed'")],
+     ("modelset", ("config", "seed"), "7", "mistyped config value 'seed'"),
+     ("manifest", ("fold_boundaries",), [2, 2], "'fold_boundaries' is not strictly increasing"),
+     ("manifest", ("fold_boundaries",), [3, 1], "'fold_boundaries' is not strictly increasing")],
 )
 def test_index_with_a_mistyped_field_is_data_error(kind, where, value, message, model_dir,
                                                    eval_out, dataset_dir, tmp_path, capsys):
@@ -952,13 +954,56 @@ def test_index_with_a_mistyped_field_is_data_error(kind, where, value, message, 
 
 
 @pytest.mark.parametrize("kind", ["modelset", "manifest"])
-def test_index_with_a_config_no_run_has_is_data_error(kind, model_dir, eval_out,
-                                                      dataset_dir, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "config,fragment",
+    [({"protocol": "bogus"}, "bogus"),
+     ({"lstm_hidden": 0}, "hidden_dim=0"),
+     ({"net": "tcn", "tcn_dilations": [3]}, "powers of two"),
+     ({"train": {"clip_norm": 0.0}}, "clip_norm must be > 0")],
+    ids=["protocol", "lstm-hidden", "tcn-dilations", "clip-norm"],
+)
+def test_index_with_a_config_no_run_has_is_data_error(kind, config, fragment, model_dir,
+                                                      eval_out, dataset_dir, tmp_path,
+                                                      capsys):
     path, argv = _index_copy(kind, model_dir, eval_out, dataset_dir, tmp_path)
     index = json.loads(path.read_text())
-    index["config"]["protocol"] = "bogus"
+    for name, value in config.items():
+        if isinstance(value, dict):
+            index["config"][name].update(value)
+        else:
+            index["config"][name] = value
     path.write_text(json.dumps(index))
-    _damaged_index_exits_3(path, argv, capsys, "'config'", "bogus")
+    _damaged_index_exits_3(path, argv, capsys, "'config'", fragment)
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize(
+    "flags,fragment",
+    [(["--lstm-hidden", "0"], "hidden_dim=0"),
+     (["--net", "tcn", "--tcn-dilations", "3"], "powers of two"),
+     (["--clip-norm", "0"], "clip_norm must be > 0")],
+    ids=["lstm-hidden", "tcn-dilations", "clip-norm"],
+)
+def test_config_no_run_has_is_usage_error_before_the_dataset(command, flags, fragment,
+                                                             tmp_path, capsys):
+    code = run_cli(command, "--dataset", str(tmp_path / "missing"), "--seed", "1",
+                   "--out", str(tmp_path / "out"), *flags)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE, err
+    assert fragment in err and "missing" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_replaying_a_train_manifest_is_data_error(model_dir, dataset_dir, tmp_path, capsys):
+    """A train run cross-validated nothing, so there is no evaluation to replay."""
+    path = model_dir / "run_manifest.json"
+    assert json.loads(path.read_text())["command"] == "train"
+    code = run_cli("evaluate", "--from-manifest", str(path), "--dataset", str(dataset_dir),
+                   "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA, err
+    assert str(path) in err and "'train' run" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind", ["modelset", "manifest"])

@@ -119,6 +119,19 @@ def test_config_does_not_import_the_pipeline():
 # The names that the benchmark (perfbench/run.py and tracing.install) imports
 # or replaces, by module.
 BENCHMARK_NAMES = {
+    "skelgest.neuralnet": (
+        "HeadKind", "LstmSpec", "TcnSpec", "init_parameters", "lstm", "tcn",
+    ),
+    "skelgest.neuralnet.train": (
+        "batch_loss_and_grad", "clip_gradient", "adam_update", "fit",
+    ),
+    "skelgest.neuralnet.lstm": ("forward", "loss_and_grad"),
+    "skelgest.neuralnet.tcn": ("forward", "loss_and_grad"),
+    "skelgest.preprocess": (
+        "smooth_series", "normalize_window", "NormMethod", "feature_dim",
+    ),
+    "skelgest.ingest": ("assign_folds", "load_dataset"),
+    "skelgest.metrics": ("average_static_dynamic",),
     "skelgest.pipeline": (
         "config_from_dict", "cross_validate", "evaluate_multiclass", "evaluate_binary",
         "oracle_factory", "train_protocol", "preprocess_sequence", "stack_windows",

@@ -5,7 +5,9 @@ The gradient oracle throughout is central finite differences, an independent
 route from the analytic backward passes.
 """
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from conftest import needs_two_blas_threads
 from test_kernel_reference import full_run_levels
 from skelgest.neuralnet import (
     AdamState,
+    CheckpointError,
     GradCheckReport,
     HeadKind,
     LstmSpec,
@@ -626,3 +629,57 @@ class TestCheckpoints:
         path.write_bytes(data[:-16])
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "spec,head,text",
+        [(LstmSpec(3, 4, 2), HeadKind.SOFTMAX,
+          '{"arch": {"hidden_dim": 4, "input_dim": 3, "kind": "lstm", "n_classes": 2}, '
+          '"format": "skelgest-checkpoint", "head": "softmax", "param_count": 138, '
+          '"seed": 7, "version": 1}'),
+         (TcnSpec(3, 4, 2, (1, 2), 1), HeadKind.SIGMOID,
+          '{"arch": {"channels": 4, "dilations": [1, 2], "input_dim": 3, "kernel": 2, '
+          '"kind": "tcn", "n_classes": 1}, "format": "skelgest-checkpoint", '
+          '"head": "sigmoid", "param_count": 81, "seed": 7, "version": 1}')],
+        ids=["lstm-softmax", "tcn-sigmoid"],
+    )
+    def test_header_bytes(self, spec, head, text, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_parameters(spec, head, seed=1), extra={"seed": 7})
+        data = path.read_bytes()
+        (length,) = struct.unpack("<Q", data[8:16])
+        assert data[:8] == b"SKGCKPT1"
+        assert data[16 : 16 + length].decode("utf-8") == text
+        assert len(data) == 16 + length + 8 * param_count(spec)
+
+    @staticmethod
+    def _with_arch(tmp_path, edit):
+        """A checkpoint of LSTM_SMALL whose header's arch object ``edit`` changed."""
+        path = tmp_path / "edited.ckpt"
+        save_checkpoint(path, init_parameters(LSTM_SMALL, HeadKind.SOFTMAX, seed=36))
+        data = path.read_bytes()
+        (length,) = struct.unpack("<Q", data[8:16])
+        header = json.loads(data[16 : 16 + length])
+        edit(header)
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob
+                         + data[16 + length :])
+        return path
+
+    @pytest.mark.parametrize(
+        "edit,fragment",
+        [(lambda h: h["arch"].update(kind="gru"), "unknown architecture kind 'gru'"),
+         (lambda h: h["arch"].pop("kind"), "unknown architecture kind None"),
+         (lambda h: h.pop("arch"), "'arch'"),
+         (lambda h: h["arch"].pop("hidden_dim"), "'hidden_dim'")],
+        ids=["unknown-kind", "no-kind", "no-arch", "no-field"],
+    )
+    def test_unreadable_arch_names_the_file(self, tmp_path, edit, fragment):
+        path = self._with_arch(tmp_path, edit)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value) and fragment in str(info.value)
+
+    def test_extra_arch_field_is_ignored(self, tmp_path):
+        path = self._with_arch(tmp_path, lambda h: h["arch"].update(channels=9))
+        loaded, _ = load_checkpoint(path)
+        assert loaded.spec == LSTM_SMALL

@@ -154,7 +154,7 @@ class TestRunConfig:
             "model.lstm_hidden": 17,
             "model.tcn_channels": 12,
             "model.tcn_kernel": 2,
-            "model.tcn_dilations": (1, 3),
+            "model.tcn_dilations": (1, 4),
             "train.optimizer": "sgd",
             "train.learning_rate": 0.05,
             "train.epochs": 3,

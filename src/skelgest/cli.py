@@ -1,8 +1,9 @@
 """Command-line interface: synthesize, ingest, train, evaluate, check, report.
 
 Exit codes: 0 success, 1 assertion/check failure (failed gradient check,
-diverged training, a lost fit worker), 2 usage or configuration error, 3
-data error (unreadable dataset, checksum mismatch, fold without data).
+diverged training, a lost fit or scoring worker), 2 usage or configuration
+error, 3 data error (unreadable dataset, checksum mismatch, fold without
+data).
 
 Every command that draws random numbers requires an explicit ``--seed``;
 there is deliberately no implicit default, so each artifact records how to
@@ -47,6 +48,7 @@ from .ingest import (
     dataset_checksum,
     generate_synthetic,
     load_dataset,
+    manifest_entries,
     write_dataset,
 )
 from .neuralnet import (
@@ -64,7 +66,7 @@ from .pipeline import (
     WorkerLostError,
     cross_validate,
     evaluate_binary,  # noqa: F401 -- looked up here by perfbench/tracing.py
-    evaluate_fold,
+    evaluate_model_set,
     evaluate_multiclass,  # noqa: F401 -- looked up here by perfbench/tracing.py
     load_model_set,
     save_model_set,
@@ -311,15 +313,15 @@ def _replayed(args: argparse.Namespace, recorded: dict, source: str) -> dict:
 def _evaluate_model_set(args: argparse.Namespace) -> int:
     """Score an existing model set on a dataset (no training, no CV).  Scoring
     draws no random numbers and uses no folds, so the seed and the fold
-    boundaries are not checked against the training run."""
+    boundaries are not checked against the training run.  The patients are
+    read and scored in forked workers (`evaluate_model_set`)."""
     trained = load_model_set(Path(args.models))
     settings = _replayed(args, {
         **config_to_settings(trained.config),
         "joints.chin_index": trained.joint_map.chin_index,
     }, "the model set")
     root = _require_dataset(settings)
-    ds = load_dataset(root, settings["dataset.manifest"], joint_map=trained.joint_map)
-    fold = evaluate_fold(trained, ds.sequences, ds.joint_map, 0, (), ds.patients)
+    fold = evaluate_model_set(trained, manifest_entries(root, settings["dataset.manifest"]))
     report = EvaluationReport(**trained.config.report_header(), folds=(fold,),
                               extras={"models": str(args.models), "mode": "fixed-model-set"})
     out = Path(str(settings["output.dir"]))

@@ -151,8 +151,6 @@ def _build_dataset(
     sequences: list[GestureSequence],
     joint_map: JointIndexMap,
 ) -> Dataset:
-    if not sequences:
-        raise DataError("dataset is empty after removing incorrect performances")
     for seq in sequences:
         problems = validate_sequence(seq)
         if problems:
@@ -162,25 +160,52 @@ def _build_dataset(
     return Dataset(sequences=tuple(sequences), joint_map=joint_map)
 
 
-def load_dataset(
-    root: str | Path,
-    manifest: str | Path | None = None,
-    *,
-    joint_map: JointIndexMap = DEFAULT_JOINT_MAP,
-) -> Dataset:
-    """Load a dataset directory through its manifest.
+@dataclass(frozen=True)
+class ManifestEntry:
+    """A checked manifest row of a kept performance: where the manifest
+    lists it (``manifest:line``), whose and which gesture it is, and its
+    frames file."""
 
-    Incorrect performances are excluded; every kept sequence is validated.
-    Raises :class:`DataError` for a frames file that is missing, unreadable
-    or not text in the locale's encoding, an unknown gesture id, a malformed
-    manifest row, or an empty post-filter dataset.
+    where: str
+    patient_id: int
+    label: GestureLabel
+    frames_path: Path
+
+    def read(self) -> GestureSequence:
+        """The performance, read and parsed from its frames file (not yet
+        validated); a missing, unreadable or empty file is a
+        :class:`DataError` and a malformed one a :class:`ParseError`."""
+        try:
+            text = self.frames_path.read_text()
+        except FileNotFoundError:
+            raise DataError(f"{self.where}: frames file not found: "
+                            f"{self.frames_path}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"{self.where}: cannot read frames file "
+                            f"{self.frames_path}: {exc}") from None
+        coords, conf = parse_skeletal_file(text, source=str(self.frames_path))
+        if not len(coords):
+            raise DataError(f"{self.where}: {self.frames_path} holds no frames")
+        return GestureSequence(self.patient_id, self.label, coords, conf)
+
+
+def manifest_entries(
+    root: str | Path, manifest: str | Path | None = None
+) -> list[ManifestEntry]:
+    """The kept performances that a dataset's manifest lists, in its order.
+
+    Every row is checked before any frames file is read.  Incorrect
+    performances are excluded, but their frames files must exist.  Raises
+    :class:`DataError` for a missing manifest, a malformed row, an unknown
+    gesture id, a missing frames file, or a manifest that keeps no
+    performance.
     """
     root = Path(root)
     manifest_path = Path(manifest) if manifest is not None else root / "manifest.csv"
     if not manifest_path.exists():
         raise DataError(f"manifest not found: {manifest_path}")
 
-    sequences: list[GestureSequence] = []
+    entries: list[ManifestEntry] = []
     for rownum, row in _manifest_rows(manifest_path):
         try:
             patient_id = int(row["patient_id"])
@@ -191,27 +216,42 @@ def load_dataset(
             label = GestureLabel(row["gesture_id"].strip())
         except UnknownLabelError as exc:
             raise DataError(f"{manifest_path}:{rownum}: {exc}") from None
-        frames_path = root / row["frames_path"]
-        where = f"{manifest_path}:{rownum}"
-        if not _parse_correct(row["correct"], manifest_path, rownum):
+        entry = ManifestEntry(f"{manifest_path}:{rownum}", patient_id, label,
+                              root / row["frames_path"])
+        if _parse_correct(row["correct"], manifest_path, rownum):
+            entries.append(entry)
+        elif not entry.frames_path.exists():
             # an incorrect performance is skipped before it is read and parsed
-            if not frames_path.exists():
-                raise DataError(f"{where}: frames file not found: {frames_path}")
-            continue
-        try:
-            text = frames_path.read_text()
-        except FileNotFoundError:
-            raise DataError(f"{where}: frames file not found: {frames_path}") from None
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"{where}: cannot read frames file {frames_path}: "
-                            f"{exc}") from None
-        coords, conf = parse_skeletal_file(text, source=str(frames_path))
-        if not len(coords):
-            raise DataError(f"{where}: {frames_path} holds no frames")
-        sequences.append(GestureSequence(patient_id, label, coords, conf))
-    ds = _build_dataset(sequences, joint_map)
-    logger.info("loaded %d sequences from %d patients (%s)",
-                len(ds.sequences), len(ds.patients), manifest_path)
+            raise DataError(f"{entry.where}: frames file not found: {entry.frames_path}")
+    if not entries:
+        raise DataError("dataset is empty after removing incorrect performances")
+    return entries
+
+
+def load_entries(
+    entries: list[ManifestEntry], joint_map: JointIndexMap = DEFAULT_JOINT_MAP
+) -> Dataset:
+    """The performances that ``entries`` list, read in order, then validated."""
+    return _build_dataset([entry.read() for entry in entries], joint_map)
+
+
+def load_dataset(
+    root: str | Path,
+    manifest: str | Path | None = None,
+    *,
+    joint_map: JointIndexMap = DEFAULT_JOINT_MAP,
+) -> Dataset:
+    """Load a dataset directory through its manifest (`manifest_entries`,
+    then `load_entries`).
+
+    Incorrect performances are excluded; every kept sequence is validated.
+    Raises :class:`DataError` for a frames file that is missing, unreadable
+    or not text in the locale's encoding, an unknown gesture id, a malformed
+    manifest row, or an empty post-filter dataset.
+    """
+    ds = load_entries(manifest_entries(root, manifest), joint_map)
+    logger.info("loaded %d sequences from %d patients (%s)", len(ds.sequences),
+                len(ds.patients), manifest or Path(root) / "manifest.csv")
     return ds
 
 

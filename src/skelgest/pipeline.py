@@ -13,19 +13,25 @@ Two evaluation protocols:
 A sequence's prediction always aggregates its windows by averaging the
 per-window probability vectors before the argmax/threshold, so long
 sequences are not penalized for having more windows.  Scoring runs each
-classifier once per block of at most ``SCORE_BLOCK_WINDOWS`` test windows.
+classifier once per block of at most ``SCORE_BLOCK_WINDOWS`` test windows of
+one patient.
 Optional length routing trains the whole protocol twice -- once per window
 length -- and dispatches each test sequence by its raw frame count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
+import pickle
+import selectors
 import signal
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol as TypingProtocol, Sequence
+from typing import (
+    Callable, Iterable, Iterator, NoReturn, Protocol as TypingProtocol, Sequence, TypeVar,
+)
 
 import numpy as np
 
@@ -35,10 +41,12 @@ from .skeleton import (
     DYNAMIC_GESTURE_IDS,
     STATIC_GESTURE_IDS,
     GestureKind,
+    GestureLabel,
     GestureSequence,
     JointIndexMap,
 )
-from .ingest import DataError, Dataset, FoldSplit
+from .ingest import DataError, Dataset, FoldSplit, ManifestEntry, load_entries
+from . import preprocess
 from .preprocess import DegenerateReferenceError, preprocess_sequence
 from .config import (
     PrepSettings,
@@ -80,7 +88,7 @@ class FoldCoverageError(RuntimeError):
 
 
 class WorkerLostError(RuntimeError):
-    """A forked fit worker ended before sending back a classifier."""
+    """A forked worker ended before sending back an item's result."""
 
 
 @dataclass(frozen=True)
@@ -351,81 +359,155 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_size(config: RunConfig, factory: ClassifierFactory | None) -> int:
-    """How many forked workers fit each route's jobs; 1 fits them in process.
-
-    Only the one-vs-rest suite of the network factory is forked: its 29
-    jobs share one stack of windows, which the workers inherit.  The two
-    multiclass jobs stay in process, and so do fits by another factory or
-    through a wrapped ``pipeline.fit`` (a tracer or profiler sees every
-    call only in its own process).  The count does not change any result.
-    """
-    if (
-        factory is not None
-        or fit is not neuralnet.fit
-        or config.protocol is not Protocol.MULTICLASS_BINARY
-        or not hasattr(os, "fork")
-    ):
+def _pool_size(items: int, traced: bool) -> int:
+    """How many forked workers `fork_map` gets for ``items`` items: one per
+    CPU, and at most one per item.  It is 1 (in process) where the platform
+    cannot fork, and where ``traced``: a tracer or profiler that has wrapped
+    a function the workers would call sees every call only in its own
+    process.  The count does not change any result."""
+    if traced or not hasattr(os, "fork"):
         return 1
-    return min(_cpus(), len(ALL_GESTURE_IDS))
+    return min(_cpus(), items)
 
 
-# A forked worker's factory and jobs, set when the worker starts.
-_worker_jobs: tuple[ClassifierFactory, list[TrainJob]] | None = None
+S = TypeVar("S")
+R = TypeVar("R")
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's `mallopt` parameters
 
 
-def _start_worker(factory: ClassifierFactory, jobs: list[TrainJob]) -> None:
-    global _worker_jobs
-    _worker_jobs = (factory, jobs)
-    # Ctrl-C reaches the whole process group.  A worker then ends at once,
-    # which breaks the pool, instead of fitting its queued jobs first.
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
+def _keep_freed_memory() -> None:
+    """Make glibc's malloc keep freed memory in this process: no trimming of
+    the heap and no mmap below 32 MB.  A worker lives for one `fork_map`
+    call, and would otherwise fault the same pages in again for every item.
+    Without glibc nothing changes."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    for param in (_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD):
+        mallopt(param, 32 << 20)
 
 
-def _fit_job(index: int) -> SequenceClassifier:
-    factory, jobs = _worker_jobs
-    return factory(jobs[index])
+def _work(fn: Callable, state: object, tasks: int, replies: int) -> NoReturn:
+    """A forked worker's life: for each item index read from ``tasks``, the
+    item's result, or the error it raised, pickled to ``replies`` as one
+    length-prefixed frame.  It ends after an error, or when ``tasks`` is
+    closed."""
+    try:
+        # Ctrl-C reaches the whole process group.  A worker then ends at
+        # once instead of finishing its item.
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        _keep_freed_memory()
+        with open(replies, "wb") as out:
+            while len(task := os.read(tasks, 4)) == 4:
+                try:
+                    ok, value = True, fn(state, int.from_bytes(task, "little"))
+                except Exception as exc:
+                    ok, value = False, exc
+                try:
+                    frame = pickle.dumps((ok, value), pickle.HIGHEST_PROTOCOL)
+                except Exception as exc:  # a result or an error that does not pickle
+                    ok, frame = False, pickle.dumps((False, RuntimeError(repr(exc))))
+                out.write(len(frame).to_bytes(8, "little") + frame)
+                out.flush()
+                if not ok:
+                    break
+    finally:
+        os._exit(0)
 
 
-def _fit_in_workers(
-    jobs: list[TrainJob], factory: ClassifierFactory, workers: int
-) -> dict[str, SequenceClassifier]:
-    """Each job's classifier by its key, in job order, fitted by ``workers``
-    forked processes.
+def fork_map(
+    fn: Callable[[S, int], R], n: int, state: S, workers: int,
+    *, lost: Callable[[int], str],
+) -> list[R]:
+    """``[fn(state, i) for i in range(n)]``, computed by ``workers`` forked
+    processes; at one worker, by that loop in this process.
 
-    Each worker inherits the factory and the jobs -- and so the windows the
-    jobs share -- through fork, receives job indices and sends back only
-    the classifier.  Results are read in job order, so a failure raises the
-    first failing job's error, as the in-process loop does; a worker that
-    dies (killed from outside, say) is a :class:`WorkerLostError` naming
-    the first job whose classifier was not received.  The workers are
-    forked at one BLAS thread, the count that `fit` runs at, and are joined
-    before this returns or raises.
+    Each worker inherits ``fn`` and ``state`` through fork, so neither is
+    copied or pickled.  It receives one item index at a time, as it becomes
+    free, and sends back only ``fn``'s result.  Results are taken in item
+    order, so a failure raises the first failing item's error, as the loop
+    does.  A worker that dies (killed from outside, say) is a
+    :class:`WorkerLostError`: ``lost(i)`` describes the first item ``i``
+    whose result was not received.  The workers run at one BLAS thread,
+    with Ctrl-C at its default action, and are joined before this returns
+    or raises.
     """
-    # Imported here, where a pool is made: these modules add about 1 MB to
-    # the peak RSS of a run that forks no worker.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    if workers == 1:
+        return [fn(state, i) for i in range(n)]
+    items = iter(range(n))
+    tasks: dict[int, int] = {}  # by a worker's reply pipe: its task pipe
+    pids: dict[int, int] = {}  # by a worker's reply pipe: its process id
+    holds: dict[int, int] = {}  # by a worker's reply pipe: the item it computes
+    replies: dict[int, tuple[bool, object]] = {}  # by item, until its turn
+    dropped: set[int] = set()  # items whose worker died before replying
+    results: list[R] = []
 
-    classifiers: dict[str, SequenceClassifier] = {}
-    with one_blas_thread(), ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=(factory, jobs),
-    ) as pool:
+    def hand_out(fd: int) -> None:
+        """Send the worker behind reply pipe ``fd`` its next item, or end it."""
+        item = next(items, None)
+        if item is None:
+            os.close(tasks.pop(fd))
+            return
+        holds[fd] = item
         try:
-            for job, classifier in zip(jobs, pool.map(_fit_job, range(len(jobs)))):
-                classifiers[job.key] = classifier
-        except BrokenProcessPool:
-            lost = jobs[len(classifiers)]
-            raise WorkerLostError(
-                f"{lost.name}: a fit worker of route {lost.route!r} ended before "
-                f"sending back this job's classifier ({len(jobs) - len(classifiers)} "
-                f"of {len(jobs)} not received)"
-            ) from None
-    return classifiers
+            os.write(tasks[fd], item.to_bytes(4, "little"))
+        except BrokenPipeError:  # the worker is gone; its reply pipe tells
+            pass
+
+    with one_blas_thread(), selectors.DefaultSelector() as ready:
+        try:
+            for _ in range(workers):
+                task_r, task_w = os.pipe()
+                reply_r, reply_w = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    for fd in (*tasks.values(), *pids, task_w, reply_r):
+                        os.close(fd)
+                    _work(fn, state, task_r, reply_w)
+                os.close(task_r)
+                os.close(reply_w)
+                tasks[reply_r], pids[reply_r] = task_w, pid
+                ready.register(reply_r, selectors.EVENT_READ, bytearray())
+                hand_out(reply_r)
+            while len(results) < n:
+                i = len(results)
+                if i in replies:
+                    ok, value = replies.pop(i)
+                    if not ok:
+                        raise value
+                    results.append(value)
+                    continue
+                if i in dropped or not ready.get_map():
+                    raise WorkerLostError(f"{lost(i)} ({n - i} of {n} not received)")
+                for key, _ in ready.select():
+                    fd, buffer = key.fd, key.data
+                    chunk = os.read(fd, 1 << 16)
+                    if not chunk:
+                        ready.unregister(fd)
+                        if fd in holds:
+                            dropped.add(holds.pop(fd))
+                        continue
+                    buffer += chunk
+                    while len(buffer) >= 8 and len(buffer) >= 8 + (
+                        size := int.from_bytes(buffer[:8], "little")
+                    ):
+                        reply = pickle.loads(buffer[8 : 8 + size])
+                        del buffer[: 8 + size]
+                        replies[holds.pop(fd)] = reply
+                        if reply[0]:
+                            hand_out(fd)
+        finally:
+            for fd, pid in pids.items():
+                os.close(fd)
+                if fd in tasks:
+                    os.close(tasks[fd])
+                if len(results) < n:
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return results
 
 
 def train_protocol(
@@ -440,10 +522,15 @@ def train_protocol(
 
     Routes (`RunConfig.routes`) are trained one after another, so a route's
     windows are freed before the next route's are stacked.  Within a route,
-    jobs are drawn lazily and fitted in order (`_route_jobs`), or all at
-    once in forked workers (`_pool_size`).
+    jobs are drawn lazily and fitted in order (`_route_jobs`).  The
+    one-vs-rest suite of the network factory is fitted all at once in
+    forked workers instead: its 29 jobs share one stack of windows, which
+    the workers inherit, and each sends back only a classifier.  The two
+    multiclass jobs stay in process, and so do fits by another factory or
+    through a wrapped ``pipeline.fit``.
     """
-    workers = _pool_size(config, factory)
+    forked = factory is None and config.protocol is Protocol.MULTICLASS_BINARY
+    workers = _pool_size(len(ALL_GESTURE_IDS), fit is not neuralnet.fit) if forked else 1
     if factory is None:
         factory = network_factory(config)
     classifiers: dict[str, dict[str, SequenceClassifier]] = {}
@@ -452,7 +539,13 @@ def train_protocol(
         jobs = _route_jobs(train_seqs, config, prep, joint_map, route, prefix,
                            (config.seed, fold, route_tag))
         if workers > 1:
-            classifiers[route] = _fit_in_workers(list(jobs), factory, workers)
+            jobs = list(jobs)
+            fitted = fork_map(
+                lambda jobs, i: factory(jobs[i]), len(jobs), jobs, workers,
+                lost=lambda i: f"{jobs[i].name}: a fit worker of route {route!r} ended "
+                "before sending back this job's classifier",
+            )
+            classifiers[route] = {job.key: clf for job, clf in zip(jobs, fitted)}
             continue
         classifiers[route] = {}
         for job in jobs:
@@ -488,25 +581,40 @@ def _feature_blocks(
         yield block
 
 
+@dataclass(frozen=True)
+class ScoredSequence:
+    """A test sequence's true label and route, and its mean window
+    probabilities under each classifier that scores it, by key
+    (``TrainedProtocol.keys_for``)."""
+
+    label: GestureLabel
+    route: str
+    probs: dict[str, np.ndarray]
+
+
 def score_sequences(
     trained: TrainedProtocol,
     test_seqs: Sequence[GestureSequence],
     joint_map: JointIndexMap,
-) -> list[dict[str, np.ndarray]]:
-    """Per test sequence, in order, the mean window probabilities under each
-    classifier that scores it (``TrainedProtocol.keys_for``).
+) -> list[ScoredSequence]:
+    """Each test sequence's scores, in order.
 
-    Sequences are grouped by route and by the classifiers they need, then
-    featurized in blocks (``_feature_blocks``); each classifier runs once per
-    block, and each sequence's rows are averaged on their own.
+    Sequences are grouped by route, by the classifiers they need and by
+    patient, then featurized in blocks (``_feature_blocks``); each
+    classifier runs once per block, and each sequence's rows are averaged on
+    their own.  A window's probabilities can depend, in the last bit, on the
+    other windows of its block, so no block spans patients: how patients
+    are split between processes (`evaluate_model_set`) changes no result.
     """
-    groups: dict[tuple[str, tuple[str, ...]], list[int]] = {}
+    routes = [trained.route_name(seq) for seq in test_seqs]
+    groups: dict[tuple[str, tuple[str, ...], int], list[int]] = {}
     for i, seq in enumerate(test_seqs):
-        groups.setdefault((trained.route_name(seq), trained.keys_for(seq)), []).append(i)
+        key = (routes[i], trained.keys_for(seq), seq.patient_id)
+        groups.setdefault(key, []).append(i)
 
     preps = trained.config.routes()
     scores: list[dict[str, np.ndarray]] = [{} for _ in test_seqs]
-    for (route, keys), members in groups.items():
+    for (route, keys, _), members in groups.items():
         indexed = ((i, test_seqs[i]) for i in members)
         for block in _feature_blocks(indexed, preps[route], joint_map):
             x, gids = _stack_features(
@@ -518,23 +626,22 @@ def score_sequences(
                 for i, _, feats in block:
                     scores[i][key] = aggregate_windows(probs[start : start + len(feats)])
                     start += len(feats)
-    return scores
+    return [ScoredSequence(seq.label, route, probs)
+            for seq, route, probs in zip(test_seqs, routes, scores)]
 
 
-def evaluate_multiclass(
-    trained: TrainedProtocol,
-    test_seqs: Sequence[GestureSequence],
-    joint_map: JointIndexMap,
+def count_multiclass(
+    trained: TrainedProtocol, scored: Iterable[ScoredSequence]
 ) -> tuple[ConfusionMatrix, ConfusionMatrix]:
-    """Static and dynamic confusion matrices over the test sequences, each
+    """Static and dynamic confusion matrices over scored sequences, each
     sequence predicted by the argmax label of the model of its kind."""
     true_by_kind: dict[GestureKind, list[str]] = {k: [] for k in GestureKind}
     pred_by_kind: dict[GestureKind, list[str]] = {k: [] for k in GestureKind}
-    for seq, scores in zip(test_seqs, score_sequences(trained, test_seqs, joint_map)):
+    for seq in scored:
         key = seq.label.kind.value
-        labels = trained.classifiers[trained.route_name(seq)][key].labels
+        labels = trained.classifiers[seq.route][key].labels
         true_by_kind[seq.label.kind].append(seq.label.id)
-        pred_by_kind[seq.label.kind].append(predict_label(scores[key], labels))
+        pred_by_kind[seq.label.kind].append(predict_label(seq.probs[key], labels))
     static_cm, dynamic_cm = (
         confusion(true_by_kind[kind], pred_by_kind[kind], _kind_labels(kind))
         for kind in (GestureKind.STATIC, GestureKind.DYNAMIC)
@@ -542,24 +649,59 @@ def evaluate_multiclass(
     return static_cm, dynamic_cm
 
 
-def evaluate_binary(
-    trained: TrainedProtocol,
-    test_seqs: Sequence[GestureSequence],
-    joint_map: JointIndexMap,
-) -> BinarySuiteMetrics:
-    """Score all 29 one-vs-rest models on every test sequence."""
-    scores = score_sequences(trained, test_seqs, joint_map)
+def count_binary(scored: Sequence[ScoredSequence]) -> BinarySuiteMetrics:
+    """The 29 one-vs-rest models' tallies over scored sequences."""
     results = []
     for gid in ALL_GESTURE_IDS:
         cells = Counter(  # (actually positive, predicted positive)
-            (seq.label.id == gid, float(seq_scores[gid][0]) > 0.5)
-            for seq, seq_scores in zip(test_seqs, scores)
+            (seq.label.id == gid, float(seq.probs[gid][0]) > 0.5) for seq in scored
         )
         results.append(BinaryClassResult(
             gesture_id=gid, tp=cells[True, True], fp=cells[False, True],
             tn=cells[False, False], fn=cells[True, False],
         ))
     return BinarySuiteMetrics(tuple(results))
+
+
+def evaluate_multiclass(
+    trained: TrainedProtocol,
+    test_seqs: Sequence[GestureSequence],
+    joint_map: JointIndexMap,
+) -> tuple[ConfusionMatrix, ConfusionMatrix]:
+    """Score the test sequences, then count them (`count_multiclass`)."""
+    return count_multiclass(trained, score_sequences(trained, test_seqs, joint_map))
+
+
+def evaluate_binary(
+    trained: TrainedProtocol,
+    test_seqs: Sequence[GestureSequence],
+    joint_map: JointIndexMap,
+) -> BinarySuiteMetrics:
+    """Score all 29 one-vs-rest models on every test sequence, then count
+    them (`count_binary`)."""
+    return count_binary(score_sequences(trained, test_seqs, joint_map))
+
+
+def _fold_report(
+    trained: TrainedProtocol,
+    counts: tuple[ConfusionMatrix, ConfusionMatrix] | BinarySuiteMetrics,
+    fold: int,
+    train_patients: tuple[int, ...],
+    test_patients: tuple[int, ...],
+) -> FoldReport:
+    """A fold's report from its counts: the static and dynamic confusion
+    matrices, or the one-vs-rest suite's tallies."""
+    patients = dict(fold=fold, train_patients=train_patients, test_patients=test_patients)
+    if trained.config.protocol is Protocol.MULTICLASS_BINARY:
+        return FoldReport(**patients, binary=counts)
+    static_cm, dynamic_cm = counts
+    return FoldReport(
+        **patients,
+        static_accuracy=static_cm.accuracy,
+        dynamic_accuracy=dynamic_cm.accuracy,
+        static_confusion=static_cm,
+        dynamic_confusion=dynamic_cm,
+    )
 
 
 def evaluate_fold(
@@ -572,22 +714,53 @@ def evaluate_fold(
 ) -> FoldReport:
     """Score the trained protocol on one fold's test sequences."""
     if trained.config.protocol is Protocol.MULTICLASS:
-        static_cm, dynamic_cm = evaluate_multiclass(trained, test_seqs, joint_map)
-        return FoldReport(
-            fold=fold,
-            train_patients=train_patients,
-            test_patients=test_patients,
-            static_accuracy=static_cm.accuracy,
-            dynamic_accuracy=dynamic_cm.accuracy,
-            static_confusion=static_cm,
-            dynamic_confusion=dynamic_cm,
-        )
-    return FoldReport(
-        fold=fold,
-        train_patients=train_patients,
-        test_patients=test_patients,
-        binary=evaluate_binary(trained, test_seqs, joint_map),
+        counts = evaluate_multiclass(trained, test_seqs, joint_map)
+    else:
+        counts = evaluate_binary(trained, test_seqs, joint_map)
+    return _fold_report(trained, counts, fold, train_patients, test_patients)
+
+
+def _score_patient(
+    trained: TrainedProtocol, entries: list[ManifestEntry]
+) -> list[ScoredSequence]:
+    """Read, validate and score one patient's performances."""
+    seqs = load_entries(entries, trained.joint_map).sequences
+    return score_sequences(trained, seqs, trained.joint_map)
+
+
+def evaluate_model_set(
+    trained: TrainedProtocol, entries: Sequence[ManifestEntry]
+) -> FoldReport:
+    """Score a fixed model set on the performances that ``entries`` list,
+    as fold 0: every listed patient is tested and none was trained on.
+
+    Each patient's performances are read, validated, featurized and scored
+    together, in forked workers (`fork_map`), one per CPU and at most one
+    per patient.  The workers inherit the model set and the entries, and
+    send back only each sequence's scores, which this process counts as
+    `evaluate_fold` does.  The worker count changes no result, and a data
+    error is the one the first failing patient raises.  Scoring stays in
+    process where a tracer has wrapped ``pipeline.forward`` or
+    ``pipeline.preprocess_sequence``.
+    """
+    by_patient: dict[int, list[ManifestEntry]] = {}
+    for entry in entries:
+        by_patient.setdefault(entry.patient_id, []).append(entry)
+    patients = tuple(sorted(by_patient))
+    traced = (forward is not neuralnet.forward
+              or preprocess_sequence is not preprocess.preprocess_sequence)
+    per_patient = fork_map(
+        lambda by_patient, k: _score_patient(trained, by_patient[patients[k]]),
+        len(patients), by_patient, _pool_size(len(patients), traced),
+        lost=lambda k: f"patient {patients[k]}: a scoring worker ended before "
+        "sending back this patient's scores",
     )
+    scored = [seq for group in per_patient for seq in group]
+    if trained.config.protocol is Protocol.MULTICLASS:
+        counts = count_multiclass(trained, scored)
+    else:
+        counts = count_binary(scored)
+    return _fold_report(trained, counts, 0, (), patients)
 
 
 def cross_validate(
@@ -678,10 +851,13 @@ def save_model_set(
 
 
 def load_model_set(model_dir: str | Path) -> TrainedProtocol:
-    """Rebuild a TrainedProtocol from `save_model_set` output."""
+    """Rebuild a TrainedProtocol from `save_model_set` output.  A checkpoint
+    whose header names another route, key or config than its index entry
+    and the index's config is a `DataError`."""
     model_dir = Path(model_dir)
     index_path = model_dir / "modelset.json"
     index, config = read_index(index_path, "skelgest-modelset", ("models",))
+    digest = config_digest(config)
     classifiers: dict[str, dict[str, SequenceClassifier]] = {r: {} for r in config.routes()}
     for entry in index["models"]:
         route = entry["route"]
@@ -690,7 +866,13 @@ def load_model_set(model_dir: str | Path) -> TrainedProtocol:
                 f"{index_path}: unknown route {route!r}; its configuration has "
                 f"{', '.join(sorted(classifiers))}"
             )
-        model, extra = load_checkpoint(model_dir / entry["file"])
+        path = model_dir / entry["file"]
+        model, extra = load_checkpoint(path)
+        indexed = {"route": route, "key": entry["key"], "config_digest": digest}
+        for name, value in indexed.items():
+            if extra.get(name) != value:
+                raise DataError(f"{path}: checkpoint {name} {extra.get(name)!r} does not "
+                                f"match {index_path}, which gives {value!r}")
         classifiers[route][entry["key"]] = NetworkClassifier(
             labels=tuple(extra["labels"]), model=model
         )

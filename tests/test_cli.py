@@ -5,7 +5,6 @@ stdout/stderr can be asserted directly.
 """
 
 import json
-import multiprocessing
 import os
 import re
 import shutil
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import needs_two_blas_threads
+from conftest import children_left, needs_two_blas_threads
 from skelgest import pipeline
 from skelgest.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from skelgest.config import (
@@ -959,8 +958,9 @@ def test_index_with_a_mistyped_field_is_data_error(kind, where, value, message, 
     [({"protocol": "bogus"}, "bogus"),
      ({"lstm_hidden": 0}, "hidden_dim=0"),
      ({"net": "tcn", "tcn_dilations": [3]}, "powers of two"),
-     ({"train": {"clip_norm": 0.0}}, "clip_norm must be > 0")],
-    ids=["protocol", "lstm-hidden", "tcn-dilations", "clip-norm"],
+     ({"train": {"clip_norm": 0.0}}, "clip_norm must be > 0"),
+     ({"train": {"learning_rate": float("inf")}}, "learning_rate must be finite")],
+    ids=["protocol", "lstm-hidden", "tcn-dilations", "clip-norm", "learning-rate-inf"],
 )
 def test_index_with_a_config_no_run_has_is_data_error(kind, config, fragment, model_dir,
                                                       eval_out, dataset_dir, tmp_path,
@@ -981,8 +981,12 @@ def test_index_with_a_config_no_run_has_is_data_error(kind, config, fragment, mo
     "flags,fragment",
     [(["--lstm-hidden", "0"], "hidden_dim=0"),
      (["--net", "tcn", "--tcn-dilations", "3"], "powers of two"),
-     (["--clip-norm", "0"], "clip_norm must be > 0")],
-    ids=["lstm-hidden", "tcn-dilations", "clip-norm"],
+     (["--clip-norm", "0"], "clip_norm must be > 0"),
+     (["--learning-rate", "inf"], "learning_rate must be finite, got inf"),
+     (["--learning-rate", "nan"], "learning_rate must be finite, got nan"),
+     (["--clip-norm", "inf"], "clip_norm must be finite, got inf")],
+    ids=["lstm-hidden", "tcn-dilations", "clip-norm", "learning-rate-inf",
+         "learning-rate-nan", "clip-norm-inf"],
 )
 def test_config_no_run_has_is_usage_error_before_the_dataset(command, flags, fragment,
                                                              tmp_path, capsys):
@@ -1048,23 +1052,24 @@ def test_train_does_not_depend_on_the_blas_thread_count(dataset_dir, tmp_path):
         assert (models[0] / name).read_bytes() == (models[1] / name).read_bytes(), name
 
 
-def _kill_own_worker(index):
-    """A fit job that ends its worker process as the OOM killer would."""
+def _kill_own_worker(state, index):
+    """A forked item that ends its worker process as the OOM killer would."""
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of each ``fork_map`` call the run makes."""
+    sizes = []
+    fork_map = pipeline.fork_map
+    monkeypatch.setattr(pipeline, "fork_map", lambda fn, n, state, workers, **kw: (
+        sizes.append(workers) or fork_map(fn, n, state, workers, **kw)))
+    return sizes
 
 
 class TestForkedWorkers:
     """One-vs-rest fits in forked workers (``_cpus`` pinned to 2) write the
     same bytes, and fail with the same message, as fits in process (1)."""
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """The worker count of each pool the run makes."""
-        sizes = []
-        fit_in_workers = pipeline._fit_in_workers
-        monkeypatch.setattr(pipeline, "_fit_in_workers", lambda jobs, factory, workers: (
-            sizes.append(workers) or fit_in_workers(jobs, factory, workers)))
-        return sizes
 
     @pytest.mark.parametrize("frames", ["16", "16,32"])
     def test_two_workers_write_what_one_writes(self, frames, pools, dataset_dir,
@@ -1118,7 +1123,7 @@ class TestForkedWorkers:
                            *TINY_TRAIN_FLAGS, "--batch-size", "16")
             assert code == EXIT_CHECK
             errors.append(capsys.readouterr().err)
-            assert multiprocessing.active_children() == []
+            assert not children_left()
         assert pools == [2]
         assert errors[0] == errors[1]
         assert re.fullmatch(rf"error: fold1-{victim}: epoch 1, step \d+: non-finite "
@@ -1130,7 +1135,9 @@ class TestForkedWorkers:
         """Exit 1 with one line naming the route and the first job lost, and
         no worker left running."""
         monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
-        monkeypatch.setattr(pipeline, "_fit_job", _kill_own_worker)
+        fork_map = pipeline.fork_map
+        monkeypatch.setattr(pipeline, "fork_map", lambda fn, n, state, workers, **kw: (
+            fork_map(_kill_own_worker, n, state, workers, **kw)))
         code = run_cli("evaluate", "--dataset", str(dataset_dir), "--out", str(tmp_path),
                        "--seed", "5", "--fold-boundaries", "1,2", "--protocol", "binary",
                        *TINY_TRAIN_FLAGS)
@@ -1140,7 +1147,173 @@ class TestForkedWorkers:
             f"error: fold1-{ALL_GESTURE_IDS[0]}: a fit worker of route 'main' ended "
             "before sending back this job's classifier (29 of 29 not received)\n"
         )
-        assert multiprocessing.active_children() == []
+        assert not children_left()
+
+
+@pytest.fixture(scope="module")
+def scored_dir(tmp_path_factory):
+    """Three unseen patients whose manifest rows interleave.  Patient 2's
+    first performance is cut to 10 frames: one padded window at 16 frames."""
+    root = tmp_path_factory.mktemp("scored") / "ds"
+    assert run_cli("synth", "--out", str(root), "--seed", "23", "--patients", "3") == EXIT_OK
+    manifest = root / "manifest.csv"
+    header, *rows = manifest.read_text().splitlines()
+    by_patient = [[row for row in rows if row.startswith(f"{p},")] for p in (1, 2, 3)]
+    manifest.write_text("\n".join([header, *(row for trio in zip(*by_patient)
+                                             for row in trio)]) + "\n")
+    short = root / by_patient[1][0].split(",")[3]
+    short.write_text("".join(short.read_text().splitlines(keepends=True)[:5 * 10]))
+    return root
+
+
+@pytest.fixture(scope="module")
+def binary_model_dir(tmp_path_factory, dataset_dir):
+    """A trained one-vs-rest model set."""
+    out = tmp_path_factory.mktemp("binary")
+    code = run_cli("train", "--dataset", str(dataset_dir), "--out", str(out), "--seed", "5",
+                   "--protocol", "binary", *TINY_TRAIN_FLAGS)
+    assert code == EXIT_OK
+    return out
+
+
+@pytest.fixture(scope="module")
+def routed_tcn_dir(tmp_path_factory, dataset_dir):
+    """A trained multiclass TCN model set with length routing: performances
+    of up to 48 frames take the 16-frame route, longer ones the 32-frame."""
+    out = tmp_path_factory.mktemp("tcn")
+    code = run_cli("train", "--dataset", str(dataset_dir), "--out", str(out), "--seed", "5",
+                   "--net", "tcn", "--tcn-channels", "4", "--epochs", "1", "--stride", "8",
+                   "--frames", "16,32", "--route-threshold", "48", "--batch-size", "128")
+    assert code == EXIT_OK
+    return out
+
+
+def _model_set(request, name):
+    """The ``models`` directory of the named model set fixture."""
+    fixture = {"lstm": "model_dir", "routed-tcn": "routed_tcn_dir",
+               "binary": "binary_model_dir"}[name]
+    return request.getfixturevalue(fixture) / "models"
+
+
+class TestForkedScoring:
+    """``evaluate --models`` reads and scores each patient in a forked
+    worker, one per CPU up to one per patient (``_cpus`` pinned to 1, 2 and
+    3): the same bytes, and the same errors, at every count."""
+
+    def test_the_scored_inputs(self, scored_dir):
+        from skelgest.ingest import load_dataset
+
+        ds = load_dataset(scored_dir)
+        assert [s.patient_id for s in ds.sequences[:6]] == [1, 2, 3, 1, 2, 3]
+        assert ds.sequences[1].n_frames == 10
+
+    @pytest.mark.parametrize("models", ["lstm", "routed-tcn", "binary"])
+    def test_every_worker_count_writes_the_same_bytes(self, models, request, scored_dir,
+                                                      pools, tmp_path, monkeypatch):
+        model_set = _model_set(request, models)
+        pools.clear()  # training the model set may fork
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
+            assert run_cli("evaluate", "--models", str(model_set), "--dataset",
+                           str(scored_dir), "--out", str(tmp_path / str(cpus))) == EXIT_OK
+        assert pools == [1, 2, 3, 3]  # at most one worker per patient
+        names = sorted(p.name for p in (tmp_path / "1").iterdir())
+        expected = ({"binary_fold0.csv"} if models == "binary"
+                    else {"confusion_fold0_static.csv", "confusion_dynamic.csv"})
+        assert {"report.json", "report.csv", "config.txt"} | expected <= set(names)
+        for cpus in (2, 3, 4):
+            assert sorted(p.name for p in (tmp_path / str(cpus)).iterdir()) == names
+            for name in set(names) - {"config.txt"}:  # which echoes --out
+                assert ((tmp_path / str(cpus) / name).read_bytes()
+                        == (tmp_path / "1" / name).read_bytes()), (cpus, name)
+
+    def test_a_bad_token_in_a_worker_is_the_error_at_one_worker(self, model_dir, scored_dir,
+                                                                 tmp_path, monkeypatch,
+                                                                 capsys):
+        """Patients 2 and 3 each hold a bad token: every count names patient
+        2's, the first patient whose scores fail, with exit 3 and no worker
+        left running."""
+        data = tmp_path / "data"
+        shutil.copytree(scored_dir, data)
+        rows = (data / "manifest.csv").read_text().splitlines()[1:]
+        victims = [data / [r for r in rows if r.startswith(f"{p},")][4].split(",")[3]
+                   for p in (2, 3)]
+        for victim in victims:
+            lines = victim.read_text().splitlines(keepends=True)
+            tokens = lines[6].split()
+            tokens[3] = "oops"
+            lines[6] = " ".join(tokens) + "\n"
+            victim.write_text("".join(lines))
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
+            code = run_cli("evaluate", "--models", str(model_dir / "models"), "--dataset",
+                           str(data), "--out", str(tmp_path / f"out{cpus}"))
+            assert code == EXIT_DATA
+            assert capsys.readouterr().err == (
+                f"error: {victims[0]}:7: non-numeric token 'oops'\n")
+            assert not children_left()
+            assert not (tmp_path / f"out{cpus}").exists()
+
+    def test_killed_scoring_worker_is_a_check_failure(self, model_dir, scored_dir, pools,
+                                                      tmp_path, monkeypatch, capsys):
+        """Exit 1 with one line naming the first patient lost, and no worker
+        left running."""
+        monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
+        fork_map = pipeline.fork_map
+        monkeypatch.setattr(pipeline, "fork_map", lambda fn, n, state, workers, **kw: (
+            fork_map(_kill_own_worker, n, state, workers, **kw)))
+        code = run_cli("evaluate", "--models", str(model_dir / "models"), "--dataset",
+                       str(scored_dir), "--out", str(tmp_path / "out"))
+        assert code == EXIT_CHECK
+        assert pools == [2]
+        assert capsys.readouterr().err == (
+            "error: patient 1: a scoring worker ended before sending back this "
+            "patient's scores (3 of 3 not received)\n"
+        )
+        assert not children_left()
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "models,entries,field",
+    [("lstm", (0, 1), "key"), ("binary", (3, 17), "key"), ("routed-tcn", (0, 2), "route")],
+)
+def test_checkpoint_its_index_entry_does_not_name_is_data_error(models, entries, field,
+                                                                request, dataset_dir,
+                                                                tmp_path, capsys):
+    """Two entries of ``modelset.json`` with their files swapped."""
+    model_set = tmp_path / "models"
+    shutil.copytree(_model_set(request, models), model_set)
+    index_path = model_set / "modelset.json"
+    index = json.loads(index_path.read_text())
+    a, b = (index["models"][i] for i in entries)
+    a["file"], b["file"] = b["file"], a["file"]
+    index_path.write_text(json.dumps(index))
+    code = run_cli("evaluate", "--models", str(model_set), "--dataset", str(dataset_dir),
+                   "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA, err
+    assert err.startswith(f"error: {model_set / a['file']}: checkpoint {field} ")
+    assert str(index_path) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_checkpoint_of_another_config_is_data_error(model_dir, dataset_dir, tmp_path,
+                                                    capsys):
+    """An index whose recorded config differs from the one its checkpoints
+    were trained with."""
+    model_set = tmp_path / "models"
+    shutil.copytree(model_dir / "models", model_set)
+    index_path = model_set / "modelset.json"
+    index = json.loads(index_path.read_text())
+    index["config"]["train"]["epochs"] = 2
+    index_path.write_text(json.dumps(index))
+    code = run_cli("evaluate", "--models", str(model_set), "--dataset", str(dataset_dir),
+                   "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA, err
+    assert err.startswith(f"error: {model_set / 'main_static.ckpt'}: checkpoint config_digest ")
+    assert str(index_path) in err
 
 
 class TestGradcheck:

@@ -488,6 +488,12 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             TrainConfig(beta1=1.0)
 
+    @pytest.mark.parametrize("name", ["learning_rate", "clip_norm"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_train_config_refuses_a_non_finite_step_setting(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            TrainConfig(**{name: value})
+
 
 def _toy_problem(seed=26, n=24, w=8):
     """Two classes separable by the mean of the first feature."""

@@ -32,8 +32,10 @@ from skelgest.ingest import (
     SynthConfig,
     assign_folds,
     generate_synthetic,
+    manifest_entries,
+    write_dataset,
 )
-from skelgest.metrics import ConfusionMatrix
+from skelgest.metrics import ConfusionMatrix, EvaluationReport, report_to_dict
 from skelgest.neuralnet import (
     HeadKind,
     LstmSpec,
@@ -56,6 +58,8 @@ from skelgest.pipeline import (
     aggregate_windows,
     cross_validate,
     evaluate_binary,
+    evaluate_fold,
+    evaluate_model_set,
     evaluate_multiclass,
     load_model_set,
     network_factory,
@@ -576,7 +580,9 @@ class TestRealTrainingSmoke:
         ds = _dataset(n_patients=2, seed=10)
         trained = train_protocol(ds.sequences, _tiny_net_config(), ds.joint_map)
         seq = ds.sequences[0]
-        (scores,) = score_sequences(trained, [seq], ds.joint_map)
+        (scored,) = score_sequences(trained, [seq], ds.joint_map)
+        assert scored.label == seq.label and scored.route == "main"
+        scores = scored.probs
         key = seq.label.kind.value
         assert list(scores) == [key] == list(trained.keys_for(seq))
         labels = (
@@ -628,9 +634,9 @@ class TestForkedFits:
         config = _tiny_net_config(protocol=Protocol.MULTICLASS_BINARY, long_window=32,
                                   rebalance=True, train=TrainConfig(epochs=1, batch_size=64))
         pools = []
-        fit_in_workers = pipeline._fit_in_workers
-        monkeypatch.setattr(pipeline, "_fit_in_workers", lambda jobs, factory, workers: (
-            pools.append(workers) or fit_in_workers(jobs, factory, workers)))
+        fork_map = pipeline.fork_map
+        monkeypatch.setattr(pipeline, "fork_map", lambda fn, n, state, workers, **kw: (
+            pools.append(workers) or fork_map(fn, n, state, workers, **kw)))
         trained = {}
         for cpus in (1, 2):
             monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
@@ -714,9 +720,10 @@ class TestBlockScoring:
         assert len(scores) == len(ds.sequences)
         for seq, got in zip(ds.sequences, scores):
             route = trained.route_name(seq)
-            assert tuple(got) == trained.keys_for(seq)
+            assert got.label == seq.label and got.route == route
+            assert tuple(got.probs) == trained.keys_for(seq)
             x = pipeline._features(config.routes()[route], seq, ds.joint_map)
-            for key, mean in got.items():
+            for key, mean in got.probs.items():
                 want = forward(trained.classifiers[route][key].model, x).mean(axis=0)
                 assert np.max(np.abs(mean - want)) <= 1e-12
 
@@ -755,6 +762,81 @@ class TestBlockScoring:
         assert any(len(set(b)) > 1 for b in blocks)  # blocks of several sequences
         assert sizes[-1] < SCORE_BLOCK_WINDOWS  # a partial last block
 
+    def test_no_block_holds_two_patients(self):
+        """Two patients whose sequences alternate: the blocks hold patient
+        1's windows, in order, then patient 2's, and none holds both."""
+        ds = _dataset(n_patients=2, seed=22, frames_static=(20, 30), frames_dynamic=(70, 90))
+        calls = {gid: [] for gid in ALL_GESTURE_IDS}
+        config = RunConfig(protocol=Protocol.MULTICLASS_BINARY, prep=self.PREP)
+        trained = TrainedProtocol(config=config, classifiers={
+            "main": {gid: _RecordingOracle((gid,), calls[gid]) for gid in ALL_GESTURE_IDS}
+        })
+        by_patient = [[s for s in ds.sequences if s.patient_id == p] for p in (1, 2)]
+        seqs = [s for pair in zip(*by_patient) for s in pair]
+
+        assert evaluate_binary(trained, seqs, ds.joint_map).mean_accuracy == 1.0
+        blocks = calls[ALL_GESTURE_IDS[0]]
+        n_windows = [[len(pipeline._features(self.PREP, s, ds.joint_map)) for s in group]
+                     for group in by_patient]
+        assert np.array_equal(
+            np.concatenate(blocks),
+            np.repeat([s.label.id for group in by_patient for s in group],
+                      n_windows[0] + n_windows[1]),
+        )
+        ends = np.cumsum([len(b) for b in blocks])
+        assert sum(n_windows[0]) in ends  # patient 1's last window ends a block
+        assert all(len(b) <= SCORE_BLOCK_WINDOWS or len(set(b)) == 1 for b in blocks)
+
+
+class TestModelSetScoring:
+    """``evaluate_model_set`` reads and scores the patients that a manifest
+    lists, in forked workers or in process."""
+
+    @pytest.fixture
+    def scored(self, tmp_path):
+        ds = _dataset(n_patients=3, seed=16)
+        write_dataset(ds, tmp_path)
+        config = _tiny_net_config()
+        trained = train_protocol(ds.sequences, config, ds.joint_map,
+                                 factory=_untrained_factory(config))
+        return ds, trained, manifest_entries(tmp_path)
+
+    @staticmethod
+    def _report(trained, fold):
+        return report_to_dict(EvaluationReport(**trained.config.report_header(),
+                                               folds=(fold,)))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_counts_as_evaluate_fold_does(self, cpus, scored, monkeypatch):
+        ds, trained, entries = scored
+        monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
+        want = evaluate_fold(trained, ds.sequences, ds.joint_map, 0, (), ds.patients)
+        got = evaluate_model_set(trained, entries)
+        assert got.test_patients == (1, 2, 3) and got.train_patients == ()
+        assert self._report(trained, got) == self._report(trained, want)
+
+    @pytest.mark.parametrize("name", ["forward", "preprocess_sequence"])
+    def test_a_wrapped_scoring_function_keeps_scoring_in_process(self, name, scored,
+                                                                 monkeypatch):
+        """A tracer or profiler that wraps ``pipeline.forward`` or
+        ``pipeline.preprocess_sequence`` sees every call in its own process."""
+        ds, trained, entries = scored
+        calls = []
+        original = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name,
+                            lambda *args, **kw: calls.append(1) or original(*args, **kw))
+        pools = []
+        fork_map = pipeline.fork_map
+        monkeypatch.setattr(pipeline, "fork_map", lambda fn, n, state, workers, **kw: (
+            pools.append(workers) or fork_map(fn, n, state, workers, **kw)))
+        monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
+        evaluate_model_set(trained, entries)
+        assert pools == [1]
+        if name == "preprocess_sequence":
+            assert len(calls) == len(ds.sequences)
+        else:  # per patient, a block of static and one of dynamic windows at least
+            assert len(calls) >= 2 * 3
+
 
 class TestModelSetSerialization:
     def test_round_trip_identical_predictions(self, tmp_path):
@@ -770,9 +852,9 @@ class TestModelSetSerialization:
         seqs = ds.sequences[:8]
         for got, want in zip(score_sequences(loaded, seqs, ds.joint_map),
                              score_sequences(trained, seqs, ds.joint_map)):
-            assert got.keys() == want.keys()
-            for key in want:
-                assert np.array_equal(got[key], want[key])
+            assert got.probs.keys() == want.probs.keys()
+            for key in want.probs:
+                assert np.array_equal(got.probs[key], want.probs[key])
 
     def test_round_trip_with_length_routing(self, tmp_path):
         ds = _dataset(n_patients=2, seed=14)

@@ -397,8 +397,6 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     resolved = _resolved(args)
     seed = _require_seed(resolved)
     tolerance = float(resolved["gradcheck.tolerance"])
-    if tolerance < 0:
-        raise UsageError(f"tolerance must be >= 0, got {tolerance}")
     checks = [
         (LstmSpec(input_dim=3, hidden_dim=4, n_classes=2), HeadKind.SOFTMAX),
         (LstmSpec(input_dim=3, hidden_dim=4, n_classes=1), HeadKind.SIGMOID),

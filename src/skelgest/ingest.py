@@ -357,10 +357,12 @@ class SynthConfig:
             lo, hi = getattr(self, name)
             if not (1 <= lo <= hi):
                 raise ValueError(f"{name} range ({lo}, {hi}) is empty or invalid")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if self.camera_offset_range < 0:
-            raise ValueError("camera_offset_range must be >= 0")
+        for name in ("noise_sigma", "camera_offset_range"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 # Neutral upper-body layout in DEFAULT_JOINT_MAP column order.  The world uses

@@ -51,6 +51,12 @@ class ConfusionMatrix:
                 f"counts must be ({k}, {k}) for {k} labels, got {self.counts.shape}"
             )
 
+    def __add__(self, other: ConfusionMatrix) -> ConfusionMatrix:
+        """The pooled counts of two matrices over the same labels."""
+        if other.labels != self.labels:
+            raise ValueError("cannot pool confusion matrices over different labels")
+        return ConfusionMatrix(self.labels, self.counts + other.counts)
+
     @property
     def n_total(self) -> int:
         return int(self.counts.sum())
@@ -147,6 +153,15 @@ class BinarySuiteMetrics:
         seen = [r.gesture_id for r in self.results]
         if len(set(seen)) != len(seen):
             raise ValueError("duplicate gesture ids in binary results")
+
+    def __add__(self, other: BinarySuiteMetrics) -> BinarySuiteMetrics:
+        """The pooled tallies of two suites over the same gesture ids."""
+        if [r.gesture_id for r in other.results] != [r.gesture_id for r in self.results]:
+            raise ValueError("cannot pool one-vs-rest results over different gesture ids")
+        return BinarySuiteMetrics(tuple(
+            BinaryClassResult(a.gesture_id, a.tp + b.tp, a.fp + b.fp, a.tn + b.tn, a.fn + b.fn)
+            for a, b in zip(self.results, other.results)
+        ))
 
     @property
     def mean_accuracy(self) -> float:
@@ -390,11 +405,8 @@ def write_report_files(report: EvaluationReport, out_dir) -> list[str]:
         for n, cm in matrices:
             files[f"confusion_fold{n}_{kind}.csv"] = cm.to_csv()
         if matrices:
-            labels = matrices[0][1].labels
-            if any(cm.labels != labels for _, cm in matrices):
-                raise ValueError("cannot pool confusion matrices over different labels")
-            pooled = np.sum([cm.counts for _, cm in matrices], axis=0)
-            files[f"confusion_{kind}.csv"] = ConfusionMatrix(labels, pooled).to_csv()
+            pooled = sum((cm for _, cm in matrices[1:]), matrices[0][1])
+            files[f"confusion_{kind}.csv"] = pooled.to_csv()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():

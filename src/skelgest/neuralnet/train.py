@@ -102,6 +102,8 @@ def grad_check(
     `n_samples` limits the check to a random subset of coordinates (sampled
     without replacement from a seeded generator); None checks every one.
     """
+    if not math.isfinite(tolerance):
+        raise ValueError(f"tolerance must be finite, got {tolerance}")
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     _, analytic = batch_loss_and_grad(model, x, targets)

@@ -14,7 +14,8 @@ A sequence's prediction always aggregates its windows by averaging the
 per-window probability vectors before the argmax/threshold, so long
 sequences are not penalized for having more windows.  Scoring runs each
 classifier once per block of at most ``SCORE_BLOCK_WINDOWS`` test windows of
-one patient.
+one patient.  Every fold, of cross-validation or of a fixed model set, is
+counted per patient (`evaluate_fold`) and then summed.
 Optional length routing trains the whole protocol twice -- once per window
 length -- and dispatches each test sequence by its raw frame count.
 """
@@ -583,12 +584,10 @@ def _feature_blocks(
 
 @dataclass(frozen=True)
 class ScoredSequence:
-    """A test sequence's true label and route, and its mean window
-    probabilities under each classifier that scores it, by key
-    (``TrainedProtocol.keys_for``)."""
+    """A test sequence's true label and its mean window probabilities under
+    each classifier that scores it, by key (``TrainedProtocol.keys_for``)."""
 
     label: GestureLabel
-    route: str
     probs: dict[str, np.ndarray]
 
 
@@ -603,13 +602,12 @@ def score_sequences(
     patient, then featurized in blocks (``_feature_blocks``); each
     classifier runs once per block, and each sequence's rows are averaged on
     their own.  A window's probabilities can depend, in the last bit, on the
-    other windows of its block, so no block spans patients: how patients
-    are split between processes (`evaluate_model_set`) changes no result.
+    other windows of its block, so no block spans patients: scoring each
+    patient on its own (`evaluate_fold`) changes no result.
     """
-    routes = [trained.route_name(seq) for seq in test_seqs]
     groups: dict[tuple[str, tuple[str, ...], int], list[int]] = {}
     for i, seq in enumerate(test_seqs):
-        key = (routes[i], trained.keys_for(seq), seq.patient_id)
+        key = (trained.route_name(seq), trained.keys_for(seq), seq.patient_id)
         groups.setdefault(key, []).append(i)
 
     preps = trained.config.routes()
@@ -626,26 +624,23 @@ def score_sequences(
                 for i, _, feats in block:
                     scores[i][key] = aggregate_windows(probs[start : start + len(feats)])
                     start += len(feats)
-    return [ScoredSequence(seq.label, route, probs)
-            for seq, route, probs in zip(test_seqs, routes, scores)]
+    return [ScoredSequence(seq.label, probs) for seq, probs in zip(test_seqs, scores)]
 
 
 def count_multiclass(
-    trained: TrainedProtocol, scored: Iterable[ScoredSequence]
+    scored: Iterable[ScoredSequence],
 ) -> tuple[ConfusionMatrix, ConfusionMatrix]:
     """Static and dynamic confusion matrices over scored sequences, each
-    sequence predicted by the argmax label of the model of its kind."""
+    sequence predicted by the argmax over its kind's labels, in the order
+    that every model of that kind outputs them (`load_model_set` checks)."""
     true_by_kind: dict[GestureKind, list[str]] = {k: [] for k in GestureKind}
     pred_by_kind: dict[GestureKind, list[str]] = {k: [] for k in GestureKind}
     for seq in scored:
-        key = seq.label.kind.value
-        labels = trained.classifiers[seq.route][key].labels
-        true_by_kind[seq.label.kind].append(seq.label.id)
-        pred_by_kind[seq.label.kind].append(predict_label(seq.probs[key], labels))
-    static_cm, dynamic_cm = (
-        confusion(true_by_kind[kind], pred_by_kind[kind], _kind_labels(kind))
-        for kind in (GestureKind.STATIC, GestureKind.DYNAMIC)
-    )
+        kind = seq.label.kind
+        true_by_kind[kind].append(seq.label.id)
+        pred_by_kind[kind].append(predict_label(seq.probs[kind.value], _kind_labels(kind)))
+    static_cm, dynamic_cm = (confusion(true_by_kind[kind], pred_by_kind[kind],
+                                       _kind_labels(kind)) for kind in GestureKind)
     return static_cm, dynamic_cm
 
 
@@ -669,7 +664,7 @@ def evaluate_multiclass(
     joint_map: JointIndexMap,
 ) -> tuple[ConfusionMatrix, ConfusionMatrix]:
     """Score the test sequences, then count them (`count_multiclass`)."""
-    return count_multiclass(trained, score_sequences(trained, test_seqs, joint_map))
+    return count_multiclass(score_sequences(trained, test_seqs, joint_map))
 
 
 def evaluate_binary(
@@ -682,50 +677,38 @@ def evaluate_binary(
     return count_binary(score_sequences(trained, test_seqs, joint_map))
 
 
-def _fold_report(
-    trained: TrainedProtocol,
-    counts: tuple[ConfusionMatrix, ConfusionMatrix] | BinarySuiteMetrics,
-    fold: int,
-    train_patients: tuple[int, ...],
-    test_patients: tuple[int, ...],
-) -> FoldReport:
-    """A fold's report from its counts: the static and dynamic confusion
-    matrices, or the one-vs-rest suite's tallies."""
-    patients = dict(fold=fold, train_patients=train_patients, test_patients=test_patients)
-    if trained.config.protocol is Protocol.MULTICLASS_BINARY:
-        return FoldReport(**patients, binary=counts)
-    static_cm, dynamic_cm = counts
-    return FoldReport(
-        **patients,
-        static_accuracy=static_cm.accuracy,
-        dynamic_accuracy=dynamic_cm.accuracy,
-        static_confusion=static_cm,
-        dynamic_confusion=dynamic_cm,
-    )
-
-
 def evaluate_fold(
     trained: TrainedProtocol,
-    test_seqs: Sequence[GestureSequence],
-    joint_map: JointIndexMap,
-    fold: int,
-    train_patients: tuple[int, ...],
+    read: Callable[[int], Sequence[GestureSequence]],
     test_patients: tuple[int, ...],
+    fold: int = 0,
+    train_patients: tuple[int, ...] = (),
+    workers: int = 1,
 ) -> FoldReport:
-    """Score the trained protocol on one fold's test sequences."""
-    if trained.config.protocol is Protocol.MULTICLASS:
-        counts = evaluate_multiclass(trained, test_seqs, joint_map)
-    else:
-        counts = evaluate_binary(trained, test_seqs, joint_map)
-    return _fold_report(trained, counts, fold, train_patients, test_patients)
+    """Score the trained protocol on one fold's test patients.
 
-
-def _score_patient(
-    trained: TrainedProtocol, entries: list[ManifestEntry]
-) -> list[ScoredSequence]:
-    """Read, validate and score one patient's performances."""
-    seqs = load_entries(entries, trained.joint_map).sequences
-    return score_sequences(trained, seqs, trained.joint_map)
+    Each patient's sequences, ``read(patient)``, are scored and counted on
+    their own (`evaluate_multiclass` or `evaluate_binary`) by ``workers``
+    forked processes (`fork_map`), which send back only the counts; the
+    fold's counts are their sum.  No scoring block spans patients, so the
+    worker count changes no result, and a failure is the one that the first
+    failing patient raises.
+    """
+    binary = trained.config.protocol is Protocol.MULTICLASS_BINARY
+    evaluate = evaluate_binary if binary else evaluate_multiclass
+    counts = fork_map(
+        lambda patients, k: evaluate(trained, read(patients[k]), trained.joint_map),
+        len(test_patients), test_patients, workers,
+        lost=lambda k: f"patient {test_patients[k]}: a scoring worker ended before "
+        "sending back this patient's scores",
+    )
+    patients = dict(fold=fold, train_patients=train_patients, test_patients=test_patients)
+    if binary:
+        return FoldReport(**patients, binary=sum(counts[1:], counts[0]))
+    static_cm, dynamic_cm = (sum(cms[1:], cms[0]) for cms in zip(*counts))
+    return FoldReport(**patients, static_accuracy=static_cm.accuracy,
+                      dynamic_accuracy=dynamic_cm.accuracy,
+                      static_confusion=static_cm, dynamic_confusion=dynamic_cm)
 
 
 def evaluate_model_set(
@@ -734,14 +717,10 @@ def evaluate_model_set(
     """Score a fixed model set on the performances that ``entries`` list,
     as fold 0: every listed patient is tested and none was trained on.
 
-    Each patient's performances are read, validated, featurized and scored
-    together, in forked workers (`fork_map`), one per CPU and at most one
-    per patient.  The workers inherit the model set and the entries, and
-    send back only each sequence's scores, which this process counts as
-    `evaluate_fold` does.  The worker count changes no result, and a data
-    error is the one the first failing patient raises.  Scoring stays in
-    process where a tracer has wrapped ``pipeline.forward`` or
-    ``pipeline.preprocess_sequence``.
+    Each patient's performances are read and validated (`load_entries`)
+    where they are scored (`evaluate_fold`): in forked workers, one per CPU
+    and at most one per patient.  Scoring stays in process where a tracer
+    has wrapped ``pipeline.forward`` or ``pipeline.preprocess_sequence``.
     """
     by_patient: dict[int, list[ManifestEntry]] = {}
     for entry in entries:
@@ -749,18 +728,10 @@ def evaluate_model_set(
     patients = tuple(sorted(by_patient))
     traced = (forward is not neuralnet.forward
               or preprocess_sequence is not preprocess.preprocess_sequence)
-    per_patient = fork_map(
-        lambda by_patient, k: _score_patient(trained, by_patient[patients[k]]),
-        len(patients), by_patient, _pool_size(len(patients), traced),
-        lost=lambda k: f"patient {patients[k]}: a scoring worker ended before "
-        "sending back this patient's scores",
+    return evaluate_fold(
+        trained, lambda patient: load_entries(by_patient[patient], trained.joint_map).sequences,
+        patients, workers=_pool_size(len(patients), traced),
     )
-    scored = [seq for group in per_patient for seq in group]
-    if trained.config.protocol is Protocol.MULTICLASS:
-        counts = count_multiclass(trained, scored)
-    else:
-        counts = count_binary(scored)
-    return _fold_report(trained, counts, 0, (), patients)
 
 
 def cross_validate(
@@ -803,11 +774,10 @@ def cross_validate(
             fold=test_fold,
             fold_name=f"fold{test_fold}",
         )
-        fold_reports.append(
-            evaluate_fold(
-                trained, test_seqs, ds.joint_map, test_fold, train_patients, test_patients
-            )
-        )
+        fold_reports.append(evaluate_fold(
+            trained, lambda patient: [s for s in test_seqs if s.patient_id == patient],
+            test_patients, test_fold, train_patients,
+        ))
     return EvaluationReport(**config.report_header(), folds=tuple(fold_reports))
 
 
@@ -853,11 +823,16 @@ def save_model_set(
 def load_model_set(model_dir: str | Path) -> TrainedProtocol:
     """Rebuild a TrainedProtocol from `save_model_set` output.  A checkpoint
     whose header names another route, key or config than its index entry
-    and the index's config is a `DataError`."""
+    and the index's config, or other labels than its key's, is a
+    `DataError`: a ``static`` or ``dynamic`` key outputs that kind's gesture
+    ids in taxonomy order, and a gesture id key that one id."""
     model_dir = Path(model_dir)
     index_path = model_dir / "modelset.json"
     index, config = read_index(index_path, "skelgest-modelset", ("models",))
     digest = config_digest(config)
+    labels_of = ({kind.value: _kind_labels(kind) for kind in GestureKind}
+                 if config.protocol is Protocol.MULTICLASS
+                 else {gid: (gid,) for gid in ALL_GESTURE_IDS})
     classifiers: dict[str, dict[str, SequenceClassifier]] = {r: {} for r in config.routes()}
     for entry in index["models"]:
         route = entry["route"]
@@ -873,12 +848,13 @@ def load_model_set(model_dir: str | Path) -> TrainedProtocol:
             if extra.get(name) != value:
                 raise DataError(f"{path}: checkpoint {name} {extra.get(name)!r} does not "
                                 f"match {index_path}, which gives {value!r}")
-        classifiers[route][entry["key"]] = NetworkClassifier(
-            labels=tuple(extra["labels"]), model=model
-        )
-    keys = ("static", "dynamic") if config.protocol is Protocol.MULTICLASS else ALL_GESTURE_IDS
+        labels = labels_of.get(entry["key"])
+        if labels is None or extra.get("labels") != list(labels):
+            raise DataError(f"{path}: checkpoint labels {extra.get('labels')!r} are not "
+                            f"those of a {config.protocol.value} {entry['key']!r} model")
+        classifiers[route][entry["key"]] = NetworkClassifier(labels=labels, model=model)
     for route, by_key in classifiers.items():
-        if missing := [key for key in keys if key not in by_key]:
+        if missing := [key for key in labels_of if key not in by_key]:
             raise DataError(f"{index_path}: no {route!r} model for {missing[0]!r}")
     return TrainedProtocol(config=config, classifiers=classifiers,
                            joint_map=JointIndexMap(index["chin_index"]))

@@ -30,6 +30,7 @@ from skelgest.config import (
     render_config,
     resolve,
 )
+from skelgest.neuralnet import load_checkpoint, save_checkpoint
 from skelgest.skeleton import ALL_GESTURE_IDS
 
 TINY_TRAIN_FLAGS = [
@@ -167,6 +168,16 @@ class TestArgumentErrors:
             "evaluate", "--dataset", str(dataset_dir), "--seed", "1", "--method", "9"
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag,value", [("--noise-sigma", "nan"), ("--noise-sigma", "inf"),
+                                            ("--camera-offset-range", "inf")])
+    def test_non_finite_synth_setting_is_usage_error(self, flag, value, tmp_path, capsys):
+        """Refused before anything is written."""
+        out = tmp_path / "x"
+        assert run_cli("synth", "--out", str(out), "--seed", "1", flag, value) == EXIT_USAGE
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
+        assert not out.exists()
 
     def test_missing_seed_is_usage_error(self, tmp_path, capsys):
         code = run_cli("synth", "--out", str(tmp_path / "x"))
@@ -1086,7 +1097,9 @@ class TestForkedWorkers:
             assert run_cli("train", "--dataset", str(dataset_dir),
                            "--out", str(tmp_path / f"train{cpus}"), *flags) == EXIT_OK
         routes = len(frames.split(","))
-        assert pools == [2] * (3 * routes)  # per route: two folds, then the train
+        # Per route: two folds, then the train.  Cross-validation also scores
+        # each fold through a one-worker (in-process) `fork_map` call.
+        assert [n for n in pools if n > 1] == [2] * (3 * routes)
         reports = ["report.json", "report.csv", "binary_fold1.csv", "binary_fold2.csv"]
         assert sorted(p.name for p in (tmp_path / "eval1").glob("binary_fold*.csv")) == (
             reports[2:])
@@ -1298,6 +1311,28 @@ def test_checkpoint_its_index_entry_does_not_name_is_data_error(models, entries,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("models,file,edit", [
+    ("lstm", "main_static.ckpt", lambda labels: labels[:-1]),
+    ("lstm", "main_static.ckpt", lambda labels: labels[::-1]),
+    ("binary", f"main_{ALL_GESTURE_IDS[3]}.ckpt", lambda labels: [ALL_GESTURE_IDS[4]]),
+], ids=["one-short", "reversed", "another-gesture"])
+def test_checkpoint_labels_its_key_does_not_mean_are_data_error(models, file, edit, request,
+                                                                dataset_dir, tmp_path,
+                                                                capsys):
+    """A checkpoint whose label list is cut, reordered or of another model."""
+    model_set = tmp_path / "models"
+    shutil.copytree(_model_set(request, models), model_set)
+    model, header = load_checkpoint(model_set / file)
+    header["labels"] = edit(header["labels"])
+    save_checkpoint(model_set / file, model, extra=header)
+    code = run_cli("evaluate", "--models", str(model_set), "--dataset", str(dataset_dir),
+                   "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA, err
+    assert err.startswith(f"error: {model_set / file}: checkpoint labels ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_checkpoint_of_another_config_is_data_error(model_dir, dataset_dir, tmp_path,
                                                     capsys):
     """An index whose recorded config differs from the one its checkpoints
@@ -1336,6 +1371,13 @@ class TestGradcheck:
 
     def test_negative_tolerance_is_usage_error(self):
         assert run_cli("gradcheck", "--seed", "1", "--tolerance", "-1") == EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_is_usage_error(self, value, capsys):
+        """Refused before any check runs: no PASS or FAIL line."""
+        assert run_cli("gradcheck", "--seed", "1", "--tolerance", value) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: tolerance must be finite, got {value}\n"
 
 
 class TestReport:

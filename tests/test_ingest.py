@@ -361,6 +361,12 @@ class TestSynthConfig:
         with pytest.raises(ValueError):
             SynthConfig(n_patients=2, frames_static=(20, 10))
 
+    @pytest.mark.parametrize("name", ["noise_sigma", "camera_offset_range"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_refuses_a_non_finite_setting(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            SynthConfig(n_patients=2, **{name: value})
+
 
 class TestGenerateSynthetic:
     def test_same_seed_bitwise_identical(self):

@@ -182,6 +182,21 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError):
             ConfusionMatrix(labels=("a", "b"), counts=np.zeros((3, 3), dtype=int))
 
+    def test_sum_pools_the_counts_of_both_sides(self):
+        a = confusion(["a", "b"], ["a", "a"], ["a", "b"])
+        b = confusion(["b", "b", "a"], ["b", "a", "b"], ["a", "b"])
+        pooled = a + b
+        assert pooled.labels == ("a", "b")
+        assert np.array_equal(pooled.counts, np.array([[1, 1], [2, 1]]))
+        assert pooled.to_csv() == confusion(["a", "b", "b", "b", "a"],
+                                            ["a", "a", "b", "a", "b"], ["a", "b"]).to_csv()
+
+    @pytest.mark.parametrize("labels", [["a", "c"], ["b", "a"], ["a"]])
+    def test_sum_refuses_other_labels(self, labels):
+        a = confusion(["a"], ["a"], ["a", "b"])
+        with pytest.raises(ValueError, match="different labels"):
+            a + confusion([], [], labels)
+
     def test_csv_layout_for_full_static_label_set(self):
         labels = list(STATIC_GESTURE_IDS)
         truth = labels * 2
@@ -295,6 +310,25 @@ class TestBinarySuite:
         ]
         with pytest.raises(ValueError, match="duplicate"):
             BinarySuiteMetrics(tuple(results))
+
+    def test_sum_pools_each_class_tally(self):
+        one = self._constant_negative_suite(negatives_per_class=28, positives_per_class=1)
+        two = BinarySuiteMetrics(tuple(
+            BinaryClassResult(gesture_id=gid, tp=i, fp=1, tn=2, fn=3)
+            for i, gid in enumerate(ALL_GESTURE_IDS)
+        ))
+        pooled = one + two
+        assert [r.gesture_id for r in pooled.results] == list(ALL_GESTURE_IDS)
+        assert pooled.results[5] == BinaryClassResult(ALL_GESTURE_IDS[5], 5, 1, 30, 4)
+
+    @pytest.mark.parametrize("ids", [ALL_GESTURE_IDS[:-1], ALL_GESTURE_IDS[::-1]],
+                             ids=["one-short", "reversed"])
+    def test_sum_refuses_other_gesture_ids(self, ids):
+        other = BinarySuiteMetrics(tuple(
+            BinaryClassResult(gesture_id=gid, tp=0, fp=0, tn=1, fn=0) for gid in ids
+        ))
+        with pytest.raises(ValueError, match="different gesture ids"):
+            self._constant_negative_suite() + other
 
     def test_per_class_csv_prints_na(self):
         suite = self._constant_negative_suite()

@@ -395,6 +395,12 @@ class TestGradients:
         with pytest.raises(ValueError, match="tolerance"):
             grad_check(model, np.zeros((1, 3, 3)), np.array([0]), tolerance=-1.0)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_tolerance_rejected(self, value):
+        model = init_parameters(LSTM_SMALL, HeadKind.SOFTMAX, seed=20)
+        with pytest.raises(ValueError, match=f"tolerance must be finite, got {value}"):
+            grad_check(model, np.zeros((1, 3, 3)), np.array([0]), tolerance=value)
+
     def test_zero_tolerance_always_fails(self):
         """Analytic and finite-difference values can never agree to the last
         bit, so tolerance 0 is a guaranteed-failure sanity probe."""

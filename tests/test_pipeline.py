@@ -581,7 +581,7 @@ class TestRealTrainingSmoke:
         trained = train_protocol(ds.sequences, _tiny_net_config(), ds.joint_map)
         seq = ds.sequences[0]
         (scored,) = score_sequences(trained, [seq], ds.joint_map)
-        assert scored.label == seq.label and scored.route == "main"
+        assert scored.label == seq.label
         scores = scored.probs
         key = seq.label.kind.value
         assert list(scores) == [key] == list(trained.keys_for(seq))
@@ -720,7 +720,7 @@ class TestBlockScoring:
         assert len(scores) == len(ds.sequences)
         for seq, got in zip(ds.sequences, scores):
             route = trained.route_name(seq)
-            assert got.label == seq.label and got.route == route
+            assert got.label == seq.label
             assert tuple(got.probs) == trained.keys_for(seq)
             x = pipeline._features(config.routes()[route], seq, ds.joint_map)
             for key, mean in got.probs.items():
@@ -806,14 +806,35 @@ class TestModelSetScoring:
         return report_to_dict(EvaluationReport(**trained.config.report_header(),
                                                folds=(fold,)))
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_counts_as_evaluate_fold_does(self, cpus, scored, monkeypatch):
-        ds, trained, entries = scored
+    @pytest.mark.parametrize("config,cpus", [
+        pytest.param(config, cpus, id=f"{name}{cpus}")
+        for name, config in [("", {}), ("one-vs-rest-", {"protocol": Protocol.MULTICLASS_BINARY}),
+                             ("length-routed-", {"long_window": 32, "route_threshold": 48})]
+        for cpus in (1, 2)
+    ])
+    def test_counts_as_evaluate_fold_does(self, config, cpus, tmp_path, monkeypatch):
+        """The same fold report as in-memory sequences scored in process,
+        whose counts are those of the whole set scored at once."""
+        ds = _dataset(n_patients=3, seed=16)
+        write_dataset(ds, tmp_path)
+        config = _tiny_net_config(**config)
+        trained = train_protocol(ds.sequences, config, ds.joint_map,
+                                 factory=_untrained_factory(config))
         monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
-        want = evaluate_fold(trained, ds.sequences, ds.joint_map, 0, (), ds.patients)
-        got = evaluate_model_set(trained, entries)
+        want = evaluate_fold(
+            trained, lambda p: [s for s in ds.sequences if s.patient_id == p], ds.patients)
+        got = evaluate_model_set(trained, manifest_entries(tmp_path))
         assert got.test_patients == (1, 2, 3) and got.train_patients == ()
         assert self._report(trained, got) == self._report(trained, want)
+        if config.protocol is Protocol.MULTICLASS_BINARY:
+            assert got.binary == evaluate_binary(trained, ds.sequences, ds.joint_map)
+            return
+        if config.long_window:
+            assert {trained.route_name(s) for s in ds.sequences} == {"short", "long"}
+        whole = evaluate_multiclass(trained, ds.sequences, ds.joint_map)
+        for cm, want_cm in zip((got.static_confusion, got.dynamic_confusion), whole):
+            assert cm.labels == want_cm.labels
+            assert np.array_equal(cm.counts, want_cm.counts)
 
     @pytest.mark.parametrize("name", ["forward", "preprocess_sequence"])
     def test_a_wrapped_scoring_function_keeps_scoring_in_process(self, name, scored,
@@ -836,6 +857,24 @@ class TestModelSetScoring:
             assert len(calls) == len(ds.sequences)
         else:  # per patient, a block of static and one of dynamic windows at least
             assert len(calls) >= 2 * 3
+
+
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+def test_cross_validation_scores_in_process(protocol, monkeypatch):
+    """Only the one-vs-rest fits use more than one worker; each fold is
+    scored through a one-worker `fork_map` call, in this process."""
+    ds = _dataset(n_patients=2, seed=10)
+    config = _tiny_net_config(protocol=protocol, train=TrainConfig(epochs=1, batch_size=64))
+    pools = []
+    fork_map = pipeline.fork_map
+    monkeypatch.setattr(pipeline, "fork_map", lambda fn, n, state, workers, **kw: (
+        pools.append((workers, "scoring worker" in kw["lost"](0)))
+        or fork_map(fn, n, state, workers, **kw)))
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
+    report = cross_validate(ds, assign_folds(ds, boundaries=(1, 2)), config)
+    assert len(report.folds) == 2
+    fits = [(2, False)] if protocol is Protocol.MULTICLASS_BINARY else []
+    assert pools == (fits + [(1, True)]) * 2  # per fold: its fits, then its scoring
 
 
 class TestModelSetSerialization:

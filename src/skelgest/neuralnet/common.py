@@ -26,6 +26,7 @@ def _openblas_thread_calls():
 
 
 _OPENBLAS_THREADS = _openblas_thread_calls()
+_held = False  # whether a `one_blas_thread` block is running in this process
 
 
 @contextmanager
@@ -34,18 +35,21 @@ def one_blas_thread():
 
     Results are defined at one thread: OpenBLAS's threads change the bits of
     some products.  The count is process-wide; another BLAS is left alone.
-    At a count of 1 nothing is set: each ``set_num_threads`` call wakes or
-    starts a helper thread that spin-waits, even when the count is 1.
+    Nothing is set inside another such block, which a forked worker inherits,
+    or at a count of 1: each ``set_num_threads`` call wakes or starts a
+    helper thread that spin-waits, even when the count is 1.
     """
+    global _held
     get, put = _OPENBLAS_THREADS or (lambda: 1, lambda threads: None)
-    before = get()
-    if before == 1:
+    if _held or (before := get()) == 1:
         yield
         return
     put(1)
+    _held = True
     try:
         yield
     finally:
+        _held = False
         put(before)
 
 

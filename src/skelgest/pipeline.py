@@ -14,10 +14,14 @@ A sequence's prediction always aggregates its windows by averaging the
 per-window probability vectors before the argmax/threshold, so long
 sequences are not penalized for having more windows.  Scoring runs each
 classifier once per block of at most ``SCORE_BLOCK_WINDOWS`` test windows of
-one patient.  Every fold, of cross-validation or of a fixed model set, is
-counted per patient (`evaluate_fold`) and then summed.
-Optional length routing trains the whole protocol twice -- once per window
-length -- and dispatches each test sequence by its raw frame count.
+one patient.  A run featurizes each sequence once per route, then fits
+every model of every fold in one pool of forked workers (`fork_map`).  In
+cross-validation each worker then scores, with the model it fitted, the
+fold's test sequences that the model scores, and a fold's counts are the
+sum of its models' counts.  A fixed model set is counted per patient
+(`evaluate_fold`).  Optional length routing trains the whole protocol
+twice -- once per window length -- and dispatches each test sequence by its
+raw frame count.
 """
 
 from __future__ import annotations
@@ -97,9 +101,9 @@ class TrainJob:
     """One model's training inputs, handed to a classifier factory; its
     classifier fills ``TrainedProtocol.classifiers[route][key]``.
 
-    The 29 one-vs-rest jobs of a route share one ``x`` and each names the
-    ``rows`` it trains on, so a forked worker inherits the windows instead
-    of receiving a copy of them.
+    A job is planned with ``x`` None and given its windows where it is
+    fitted (`_fit_jobs`).  The 29 one-vs-rest jobs of a route share one
+    ``x`` and each names the ``rows`` it trains on.
     """
 
     route: str
@@ -107,7 +111,7 @@ class TrainJob:
     name: str
     labels: tuple[str, ...]
     head: HeadKind
-    x: np.ndarray  # (N, W, D) feature windows
+    x: np.ndarray | None  # (N, W, D) feature windows; None while planned
     targets: np.ndarray  # one per row of `windows()`
     init_seed: int
     shuffle_seed: int
@@ -270,13 +274,9 @@ def _kind_labels(kind: GestureKind) -> tuple[str, ...]:
     return STATIC_GESTURE_IDS if kind is GestureKind.STATIC else DYNAMIC_GESTURE_IDS
 
 
-def _stack_features(
-    seqs: Sequence[GestureSequence], per_sequence: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sequences' (n, W, D) windows as one (N, W, D) array, and each
-    window's gesture id."""
-    gids = np.repeat([seq.label.id for seq in seqs], [len(f) for f in per_sequence])
-    return stack_windows(per_sequence), gids
+def _window_gids(seqs: Sequence[GestureSequence], windows: Sequence[np.ndarray]) -> np.ndarray:
+    """The gesture id of each window of the sequences' (n, W, D) windows."""
+    return np.repeat([seq.label.id for seq in seqs], [len(w) for w in windows])
 
 
 def _rebalanced_indices(targets: np.ndarray) -> np.ndarray:
@@ -289,67 +289,68 @@ def _rebalanced_indices(targets: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([neg, upsampled]))
 
 
-def _route_jobs(
-    train_seqs: Sequence[GestureSequence],
-    config: RunConfig,
-    prep: PrepSettings,
-    joint_map: JointIndexMap,
-    route: str,
-    prefix: str,
-    seed_parts: tuple[int, int, int],
-) -> Iterator[TrainJob]:
-    """One route's jobs: static then dynamic, or one per gesture in
-    ``ALL_GESTURE_IDS`` order.  A job's windows are stacked when it is drawn;
-    the one-vs-rest jobs all share the stack made for the first."""
+_Split = tuple[int, str, Sequence[int], Sequence[int]]  # fold, name, train and test indices
+_Planned = tuple[int, TrainJob, tuple[np.ndarray, ...]]  # split, job, its windows
 
-    def job(key, idx, labels, head, x, targets, rows=None):
-        return TrainJob(
-            route=route,
-            key=key,
-            name=f"{prefix}-{key}",
-            labels=labels,
-            head=head,
-            x=x,
-            targets=targets if rows is None else targets[rows],
-            init_seed=_derived_seed(*seed_parts, idx, 0),
-            shuffle_seed=_derived_seed(*seed_parts, idx, 1),
-            rows=rows,
-        )
+
+def _route_jobs(
+    train_seqs: Sequence[GestureSequence], per_sequence: Sequence[np.ndarray],
+    config: RunConfig, route: str, prefix: str, seed_parts: tuple[int, int, int],
+) -> Iterator[tuple[TrainJob, tuple[np.ndarray, ...]]]:
+    """One route's jobs, static then dynamic, or one per gesture in
+    ``ALL_GESTURE_IDS`` order, each planned with the windows of the sequences
+    that it trains on, which the one-vs-rest jobs share.  A class that the
+    split cannot train is a `MissingClassError`."""
+
+    def job(key, idx, labels, head, targets, rows=None):
+        return TrainJob(route=route, key=key, name=f"{prefix}-{key}", labels=labels, head=head,
+                        x=None, targets=targets if rows is None else targets[rows],
+                        init_seed=_derived_seed(*seed_parts, idx, 0),
+                        shuffle_seed=_derived_seed(*seed_parts, idx, 1), rows=rows)
 
     if config.protocol is Protocol.MULTICLASS:
         for kind_idx, kind in enumerate((GestureKind.STATIC, GestureKind.DYNAMIC)):
             labels = _kind_labels(kind)
-            subset = [s for s in train_seqs if s.label.kind is kind]
-            present = {s.label.id for s in subset}
-            missing = [gid for gid in labels if gid not in present]
-            if missing:
-                raise MissingClassError(
-                    f"{prefix}: training split has no examples of {missing} "
-                    f"for the {kind.value} model"
-                )
-            x, gids = _stack_features(
-                subset, [_features(prep, s, joint_map) for s in subset]
-            )
+            subset = [i for i, s in enumerate(train_seqs) if s.label.kind is kind]
+            members = tuple(per_sequence[i] for i in subset)
+            gids = _window_gids([train_seqs[i] for i in subset], members)
+            if missing := [gid for gid in labels if gid not in gids]:
+                raise MissingClassError(f"{prefix}: training split has no examples of "
+                                        f"{missing} for the {kind.value} model")
             index = {gid: i for i, gid in enumerate(labels)}
             targets = np.array([index[gid] for gid in gids], dtype=np.int64)
-            yield job(kind.value, kind_idx, labels, HeadKind.SOFTMAX, x, targets)
+            yield job(kind.value, kind_idx, labels, HeadKind.SOFTMAX, targets), members
         return
     if not train_seqs:
         raise MissingClassError(f"{prefix}: training split produced no windows")
-    x, gids = _stack_features(
-        train_seqs, [_features(prep, s, joint_map) for s in train_seqs]
-    )
+    members = tuple(per_sequence)
+    gids = _window_gids(train_seqs, members)
     for class_idx, gid in enumerate(ALL_GESTURE_IDS):
         targets = (gids == gid).astype(np.float64)
         n_pos = int(targets.sum())
         if n_pos == 0 or n_pos == len(targets):
-            raise MissingClassError(
-                f"{prefix}: one-vs-rest model for {gid} needs both positive "
-                f"and negative training examples (got {n_pos} positives "
-                f"of {len(targets)})"
-            )
+            raise MissingClassError(f"{prefix}: one-vs-rest model for {gid} needs both "
+                                    "positive and negative training examples (got "
+                                    f"{n_pos} positives of {len(targets)})")
         rows = _rebalanced_indices(targets) if config.rebalance else None
-        yield job(gid, class_idx, (gid,), HeadKind.SIGMOID, x, targets, rows)
+        yield job(gid, class_idx, (gid,), HeadKind.SIGMOID, targets, rows), members
+
+
+def _plan(seqs: Sequence[GestureSequence], splits: Sequence[_Split], config: RunConfig,
+          joint_map: JointIndexMap) -> tuple[dict[str, list[np.ndarray]], list[_Planned]]:
+    """Each sequence's windows by route, featurized once, and every job of
+    every split, by split, route and key (`_route_jobs`).  Every data error
+    is raised here."""
+    windows = {route: [_features(prep, seq, joint_map) for seq in seqs]
+               for route, prep in config.routes().items()}
+    planned = []
+    for split, (fold, name, train, _) in enumerate(splits):
+        for route_tag, route in enumerate(windows):
+            prefix = name if route == "main" else f"{name}-{route}"
+            jobs = _route_jobs([seqs[i] for i in train], [windows[route][i] for i in train],
+                               config, route, prefix, (config.seed, fold, route_tag))
+            planned += [(split, job, members) for job, members in jobs]
+    return windows, planned
 
 
 def _cpus() -> int:
@@ -360,13 +361,15 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_size(items: int, traced: bool) -> int:
+def _pool_size(items: int, in_process: bool = False) -> int:
     """How many forked workers `fork_map` gets for ``items`` items: one per
-    CPU, and at most one per item.  It is 1 (in process) where the platform
-    cannot fork, and where ``traced``: a tracer or profiler that has wrapped
-    a function the workers would call sees every call only in its own
-    process.  The count does not change any result."""
-    if traced or not hasattr(os, "fork"):
+    CPU, and at most one per item.  It is 1 where the caller asks, where the
+    platform cannot fork, and where a tracer or profiler has wrapped
+    ``pipeline.fit``, ``forward`` or ``preprocess_sequence``, which it sees
+    only in its own process.  The count does not change any result."""
+    traced = (fit is not neuralnet.fit or forward is not neuralnet.forward
+              or preprocess_sequence is not preprocess.preprocess_sequence)
+    if in_process or traced or not hasattr(os, "fork"):
         return 1
     return min(_cpus(), items)
 
@@ -432,12 +435,13 @@ def fork_map(
     order, so a failure raises the first failing item's error, as the loop
     does.  A worker that dies (killed from outside, say) is a
     :class:`WorkerLostError`: ``lost(i)`` describes the first item ``i``
-    whose result was not received.  The workers run at one BLAS thread,
-    with Ctrl-C at its default action, and are joined before this returns
-    or raises.
+    whose result was not received.  Every item runs at one BLAS thread, set
+    once per call; the workers run with Ctrl-C at its default action, and
+    are joined before this returns or raises.
     """
     if workers == 1:
-        return [fn(state, i) for i in range(n)]
+        with one_blas_thread():
+            return [fn(state, i) for i in range(n)]
     items = iter(range(n))
     tasks: dict[int, int] = {}  # by a worker's reply pipe: its task pipe
     pids: dict[int, int] = {}  # by a worker's reply pipe: its process id
@@ -511,6 +515,35 @@ def fork_map(
     return results
 
 
+def _fit_jobs(
+    planned: Sequence[_Planned],
+    config: RunConfig,
+    factory: ClassifierFactory | None,
+    then: Callable[[int, TrainJob, SequenceClassifier], R],
+) -> list[R]:
+    """``then(split, job, classifier)`` for each planned job, in order, from
+    one `fork_map` call, whose workers inherit the planned windows.  A job
+    is given the stack of its windows, which a route's one-vs-rest jobs
+    share, and is fitted by ``factory``, by default the network factory.  A
+    caller's own factory runs in process, where it and its classifiers are
+    the caller's."""
+    build = factory or network_factory(config)
+    stacked: list = [None, None]  # the last job's windows, and their stack
+
+    def run(planned: Sequence[_Planned], i: int) -> R:
+        split, job, members = planned[i]
+        if stacked[0] is not members:
+            stacked[:] = [None, None]  # freed before the next stack is made
+            stacked[:] = [members, stack_windows(members)]
+        return then(split, job, build(replace(job, x=stacked[1])))
+
+    return fork_map(
+        run, len(planned), planned, _pool_size(len(planned), factory is not None),
+        lost=lambda i: f"{planned[i][1].name}: a fit worker of route "
+        f"{planned[i][1].route!r} ended before sending back this job's classifier",
+    )
+
+
 def train_protocol(
     train_seqs: Sequence[GestureSequence],
     config: RunConfig,
@@ -519,39 +552,15 @@ def train_protocol(
     fold: int = 0,
     fold_name: str = "run",
 ) -> TrainedProtocol:
-    """Train every model the configured protocol requires on one split.
-
-    Routes (`RunConfig.routes`) are trained one after another, so a route's
-    windows are freed before the next route's are stacked.  Within a route,
-    jobs are drawn lazily and fitted in order (`_route_jobs`).  The
-    one-vs-rest suite of the network factory is fitted all at once in
-    forked workers instead: its 29 jobs share one stack of windows, which
-    the workers inherit, and each sends back only a classifier.  The two
-    multiclass jobs stay in process, and so do fits by another factory or
-    through a wrapped ``pipeline.fit``.
-    """
-    forked = factory is None and config.protocol is Protocol.MULTICLASS_BINARY
-    workers = _pool_size(len(ALL_GESTURE_IDS), fit is not neuralnet.fit) if forked else 1
-    if factory is None:
-        factory = network_factory(config)
-    classifiers: dict[str, dict[str, SequenceClassifier]] = {}
-    for route_tag, (route, prep) in enumerate(config.routes().items()):
-        prefix = fold_name if route == "main" else f"{fold_name}-{route}"
-        jobs = _route_jobs(train_seqs, config, prep, joint_map, route, prefix,
-                           (config.seed, fold, route_tag))
-        if workers > 1:
-            jobs = list(jobs)
-            fitted = fork_map(
-                lambda jobs, i: factory(jobs[i]), len(jobs), jobs, workers,
-                lost=lambda i: f"{jobs[i].name}: a fit worker of route {route!r} ended "
-                "before sending back this job's classifier",
-            )
-            classifiers[route] = {job.key: clf for job, clf in zip(jobs, fitted)}
-            continue
-        classifiers[route] = {}
-        for job in jobs:
-            classifiers[route][job.key] = factory(job)
-            del job  # free its windows before the next job's are stacked
+    """Train every model the configured protocol requires on one split:
+    its sequences featurized once per route and its jobs planned
+    (`_plan`), then fitted in one pool (`_fit_jobs`)."""
+    _, planned = _plan(train_seqs, [(fold, fold_name, range(len(train_seqs)), ())],
+                       config, joint_map)
+    fitted = _fit_jobs(planned, config, factory, lambda split, job, clf: clf)
+    classifiers: dict[str, dict[str, SequenceClassifier]] = {r: {} for r in config.routes()}
+    for (_, job, _), clf in zip(planned, fitted):
+        classifiers[job.route][job.key] = clf
     return TrainedProtocol(config=config, classifiers=classifiers, joint_map=joint_map)
 
 
@@ -561,18 +570,16 @@ def train_protocol(
 SCORE_BLOCK_WINDOWS = 64
 
 
-def _feature_blocks(
-    indexed: Iterable[tuple[int, GestureSequence]],
-    prep: PrepSettings,
-    joint_map: JointIndexMap,
-) -> Iterator[list[tuple[int, GestureSequence, np.ndarray]]]:
-    """Featurize ``(index, sequence)`` pairs in order and yield them in runs
-    of ``(index, sequence, (n, W, D) windows)`` that hold at most
-    ``SCORE_BLOCK_WINDOWS`` windows; a longer sequence is a run of its own."""
-    block: list[tuple[int, GestureSequence, np.ndarray]] = []
+_Featurized = tuple[int, GestureSequence, np.ndarray]  # index, sequence, its windows
+
+
+def _feature_blocks(featurized: Iterable[_Featurized]) -> Iterator[list[_Featurized]]:
+    """Yield ``(index, sequence, (n, W, D) windows)`` triples, in order, in
+    runs that hold at most ``SCORE_BLOCK_WINDOWS`` windows; a longer
+    sequence is a run of its own."""
+    block: list[_Featurized] = []
     n_windows = 0
-    for i, seq in indexed:
-        feats = _features(prep, seq, joint_map)
+    for i, seq, feats in featurized:
         if block and n_windows + len(feats) > SCORE_BLOCK_WINDOWS:
             yield block
             block, n_windows = [], 0
@@ -595,29 +602,33 @@ def score_sequences(
     trained: TrainedProtocol,
     test_seqs: Sequence[GestureSequence],
     joint_map: JointIndexMap,
+    windows: Sequence[np.ndarray] | None = None,
 ) -> list[ScoredSequence]:
-    """Each test sequence's scores, in order.
+    """Each test sequence's scores, in order, by each classifier of its keys
+    that ``trained`` holds.
 
     Sequences are grouped by route, by the classifiers they need and by
-    patient, then featurized in blocks (``_feature_blocks``); each
-    classifier runs once per block, and each sequence's rows are averaged on
-    their own.  A window's probabilities can depend, in the last bit, on the
-    other windows of its block, so no block spans patients: scoring each
-    patient on its own (`evaluate_fold`) changes no result.
+    patient, then featurized in blocks (``_feature_blocks``), unless
+    ``windows`` holds each one's windows under its route; each classifier
+    runs once per block, and each sequence's rows are averaged on their
+    own.  A window's probabilities can depend, in the last bit, on the other
+    windows of its block, so no block spans patients: scoring each patient,
+    or each classifier, on its own changes no result.
     """
     groups: dict[tuple[str, tuple[str, ...], int], list[int]] = {}
     for i, seq in enumerate(test_seqs):
-        key = (trained.route_name(seq), trained.keys_for(seq), seq.patient_id)
-        groups.setdefault(key, []).append(i)
+        route = trained.route_name(seq)
+        keys = tuple(k for k in trained.keys_for(seq) if k in trained.classifiers[route])
+        groups.setdefault((route, keys, seq.patient_id), []).append(i)
 
     preps = trained.config.routes()
     scores: list[dict[str, np.ndarray]] = [{} for _ in test_seqs]
     for (route, keys, _), members in groups.items():
-        indexed = ((i, test_seqs[i]) for i in members)
-        for block in _feature_blocks(indexed, preps[route], joint_map):
-            x, gids = _stack_features(
-                [seq for _, seq, _ in block], [feats for _, _, feats in block]
-            )
+        featurized = ((i, test_seqs[i], _features(preps[route], test_seqs[i], joint_map)
+                       if windows is None else windows[i]) for i in members)
+        for block in _feature_blocks(featurized):
+            _, seqs, per_sequence = zip(*block)
+            x, gids = stack_windows(per_sequence), _window_gids(seqs, per_sequence)
             for key in keys:
                 probs = trained.classifiers[route][key].predict_windows(x, gids)
                 start = 0
@@ -645,11 +656,13 @@ def count_multiclass(
 
 
 def count_binary(scored: Sequence[ScoredSequence]) -> BinarySuiteMetrics:
-    """The 29 one-vs-rest models' tallies over scored sequences."""
+    """The 29 one-vs-rest models' tallies, each over the scored sequences
+    that it scored."""
     results = []
     for gid in ALL_GESTURE_IDS:
         cells = Counter(  # (actually positive, predicted positive)
-            (seq.label.id == gid, float(seq.probs[gid][0]) > 0.5) for seq in scored
+            (seq.label.id == gid, float(seq.probs[gid][0]) > 0.5)
+            for seq in scored if gid in seq.probs
         )
         results.append(BinaryClassResult(
             gesture_id=gid, tp=cells[True, True], fp=cells[False, True],
@@ -677,6 +690,25 @@ def evaluate_binary(
     return count_binary(score_sequences(trained, test_seqs, joint_map))
 
 
+def _fold_report(counts: Sequence, binary: bool, **patients) -> FoldReport:
+    """A fold's report from the sum of its parts' counts: one-vs-rest suites
+    (`count_binary`), or static and dynamic matrices (`count_multiclass`)."""
+    if binary:
+        return FoldReport(**patients, binary=sum(counts[1:], counts[0]))
+    static_cm, dynamic_cm = (sum(cms[1:], cms[0]) for cms in zip(*counts))
+    return FoldReport(**patients, static_accuracy=static_cm.accuracy,
+                      dynamic_accuracy=dynamic_cm.accuracy,
+                      static_confusion=static_cm, dynamic_confusion=dynamic_cm)
+
+
+def _require_both_kinds(fold: int, labels: Iterable[GestureLabel], error: type) -> None:
+    """A multiclass fold's accuracy needs static and dynamic test performances."""
+    kinds = {label.kind for label in labels}
+    for kind in [k for k in GestureKind if k not in kinds]:
+        raise error(f"fold {fold}: no {kind.value} test performances, so the "
+                    f"{kind.value} model's accuracy is undefined")
+
+
 def evaluate_fold(
     trained: TrainedProtocol,
     read: Callable[[int], Sequence[GestureSequence]],
@@ -702,13 +734,8 @@ def evaluate_fold(
         lost=lambda k: f"patient {test_patients[k]}: a scoring worker ended before "
         "sending back this patient's scores",
     )
-    patients = dict(fold=fold, train_patients=train_patients, test_patients=test_patients)
-    if binary:
-        return FoldReport(**patients, binary=sum(counts[1:], counts[0]))
-    static_cm, dynamic_cm = (sum(cms[1:], cms[0]) for cms in zip(*counts))
-    return FoldReport(**patients, static_accuracy=static_cm.accuracy,
-                      dynamic_accuracy=dynamic_cm.accuracy,
-                      static_confusion=static_cm, dynamic_confusion=dynamic_cm)
+    return _fold_report(counts, binary, fold=fold, train_patients=train_patients,
+                        test_patients=test_patients)
 
 
 def evaluate_model_set(
@@ -719,18 +746,18 @@ def evaluate_model_set(
 
     Each patient's performances are read and validated (`load_entries`)
     where they are scored (`evaluate_fold`): in forked workers, one per CPU
-    and at most one per patient.  Scoring stays in process where a tracer
-    has wrapped ``pipeline.forward`` or ``pipeline.preprocess_sequence``.
+    and at most one per patient (`_pool_size`).  A multiclass set needs
+    static and dynamic performances, or it is a `DataError`.
     """
+    if trained.config.protocol is Protocol.MULTICLASS:
+        _require_both_kinds(0, (entry.label for entry in entries), DataError)
     by_patient: dict[int, list[ManifestEntry]] = {}
     for entry in entries:
         by_patient.setdefault(entry.patient_id, []).append(entry)
     patients = tuple(sorted(by_patient))
-    traced = (forward is not neuralnet.forward
-              or preprocess_sequence is not preprocess.preprocess_sequence)
     return evaluate_fold(
         trained, lambda patient: load_entries(by_patient[patient], trained.joint_map).sequences,
-        patients, workers=_pool_size(len(patients), traced),
+        patients, workers=_pool_size(len(patients)),
     )
 
 
@@ -744,41 +771,50 @@ def cross_validate(
 
     Every fold's split keeps patients strictly disjoint between train and
     test (verified at runtime), trains the full protocol from scratch, and
-    evaluates on the held-out patients only.
+    evaluates on the held-out patients only.  Every split is checked and
+    planned (`_plan`) before one pool (`_fit_jobs`) fits each job and counts
+    the fold's test sequences that its one model scores; a fold's report
+    sums its jobs' counts.
     """
     present = folds.present_folds()
     if len(present) < 2:
-        raise FoldCoverageError(
-            f"need at least 2 populated folds to cross-validate, got {len(present)} "
-            f"(patients: {folds.patients})"
-        )
+        raise FoldCoverageError(f"need at least 2 populated folds to cross-validate, got "
+                                f"{len(present)} (patients: {folds.patients})")
+    seqs = ds.sequences
     fold_of = folds.fold_of_patient
-    fold_reports: list[FoldReport] = []
+    binary = config.protocol is Protocol.MULTICLASS_BINARY
+    splits, patients = [], []
     for test_fold in present:
         test_patients = tuple(p for p in folds.patients if fold_of[p] == test_fold)
         train_patients = tuple(p for p in folds.patients if fold_of[p] != test_fold)
         _assert_patient_disjoint(train_patients, test_patients)
-        train_set, test_set = set(train_patients), set(test_patients)
-        train_seqs = [s for s in ds.sequences if s.patient_id in train_set]
-        test_seqs = [s for s in ds.sequences if s.patient_id in test_set]
-        if not train_seqs or not test_seqs:
-            raise FoldCoverageError(
-                f"fold {test_fold}: empty split "
-                f"(train={len(train_seqs)}, test={len(test_seqs)} sequences)"
-            )
-        trained = train_protocol(
-            train_seqs,
-            config,
-            ds.joint_map,
-            factory=factory,
-            fold=test_fold,
-            fold_name=f"fold{test_fold}",
-        )
-        fold_reports.append(evaluate_fold(
-            trained, lambda patient: [s for s in test_seqs if s.patient_id == patient],
-            test_patients, test_fold, train_patients,
-        ))
-    return EvaluationReport(**config.report_header(), folds=tuple(fold_reports))
+        train = [i for i, s in enumerate(seqs) if s.patient_id in train_patients]
+        test = [i for i, s in enumerate(seqs) if s.patient_id in test_patients]
+        if not train or not test:
+            raise FoldCoverageError(f"fold {test_fold}: empty split "
+                                    f"(train={len(train)}, test={len(test)} sequences)")
+        if not binary:
+            _require_both_kinds(test_fold, (seqs[i].label for i in test), FoldCoverageError)
+        splits.append((test_fold, f"fold{test_fold}", train, test))
+        patients.append(dict(fold=test_fold, train_patients=train_patients,
+                             test_patients=test_patients))
+    windows, planned = _plan(seqs, splits, config, ds.joint_map)
+
+    def score(split: int, job: TrainJob, clf: SequenceClassifier):  # the model's counts
+        one = TrainedProtocol(config, {job.route: {job.key: clf}}, ds.joint_map)
+        test = [i for i in splits[split][3] if one.route_name(seqs[i]) == job.route
+                and job.key in one.keys_for(seqs[i])]
+        scored = score_sequences(one, [seqs[i] for i in test], ds.joint_map,
+                                 [windows[job.route][i] for i in test])
+        return count_binary(scored) if binary else count_multiclass(scored)
+
+    counts = _fit_jobs(planned, config, factory, score)
+    fold_reports = tuple(
+        _fold_report([c for (s, _, _), c in zip(planned, counts) if s == split], binary,
+                     **patients[split])
+        for split in range(len(splits))
+    )
+    return EvaluationReport(**config.report_header(), folds=fold_reports)
 
 
 def save_model_set(

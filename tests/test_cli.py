@@ -30,8 +30,8 @@ from skelgest.config import (
     render_config,
     resolve,
 )
-from skelgest.neuralnet import load_checkpoint, save_checkpoint
-from skelgest.skeleton import ALL_GESTURE_IDS
+from skelgest.neuralnet import common, load_checkpoint, save_checkpoint
+from skelgest.skeleton import ALL_GESTURE_IDS, DYNAMIC_GESTURE_IDS
 
 TINY_TRAIN_FLAGS = [
     "--lstm-hidden", "4", "--epochs", "1", "--stride", "8",
@@ -1079,37 +1079,67 @@ def pools(monkeypatch):
 
 
 class TestForkedWorkers:
-    """One-vs-rest fits in forked workers (``_cpus`` pinned to 2) write the
-    same bytes, and fail with the same message, as fits in process (1)."""
+    """Every job of a run in one pool of forked workers (``_cpus`` pinned to
+    2 or 3) writes the same bytes, and fails with the same message, as the
+    jobs run in process (1)."""
 
-    @pytest.mark.parametrize("frames", ["16", "16,32"])
-    def test_two_workers_write_what_one_writes(self, frames, pools, dataset_dir,
-                                               tmp_path, monkeypatch):
-        flags = ["--seed", "5", "--protocol", "binary", "--lstm-hidden", "4",
-                 "--epochs", "1", "--stride", "8", "--frames", frames,
-                 "--batch-size", "128"]
-        for cpus in (1, 2):
+    @pytest.mark.parametrize("protocol,frames,net", [
+        pytest.param("binary", "16", ["--lstm-hidden", "4"], id="16"),
+        pytest.param("binary", "16,32", ["--lstm-hidden", "4"], id="16,32"),
+        pytest.param("multiclass", "16,32",
+                     ["--net", "tcn", "--tcn-channels", "4", "--route-threshold", "48"],
+                     id="multiclass-tcn-16,32"),
+    ])
+    def test_two_workers_write_what_one_writes(self, protocol, frames, net, pools,
+                                               dataset_dir, tmp_path, monkeypatch):
+        flags = ["--seed", "5", "--protocol", protocol, "--epochs", "1", "--stride", "8",
+                 "--frames", frames, "--batch-size", "128"]
+        for cpus in (1, 2, 3):
             monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
             assert run_cli("evaluate", "--dataset", str(dataset_dir),
                            "--out", str(tmp_path / f"eval{cpus}"),
                            "--fold-boundaries", "1,2", "--rebalance", "true",
-                           *flags) == EXIT_OK
+                           *net, *flags) == EXIT_OK
             assert run_cli("train", "--dataset", str(dataset_dir),
-                           "--out", str(tmp_path / f"train{cpus}"), *flags) == EXIT_OK
+                           "--out", str(tmp_path / f"train{cpus}"), *net, *flags) == EXIT_OK
         routes = len(frames.split(","))
-        # Per route: two folds, then the train.  Cross-validation also scores
-        # each fold through a one-worker (in-process) `fork_map` call.
-        assert [n for n in pools if n > 1] == [2] * (3 * routes)
-        reports = ["report.json", "report.csv", "binary_fold1.csv", "binary_fold2.csv"]
-        assert sorted(p.name for p in (tmp_path / "eval1").glob("binary_fold*.csv")) == (
-            reports[2:])
+        keys = 29 if protocol == "binary" else 2
+        # One pool per command: the train's jobs, or each of two folds' jobs.
+        jobs = (2 * routes * keys, routes * keys)
+        assert pools == [min(cpus, n) for cpus in (1, 2, 3) for n in jobs]
+        reports = sorted(p.name for p in (tmp_path / "eval1").iterdir())
+        per_fold = (["binary_fold1.csv", "binary_fold2.csv"] if protocol == "binary" else
+                    [f"confusion_fold{n}_{kind}.csv" for n in (1, 2)
+                     for kind in ("static", "dynamic")])
+        assert {"report.json", "report.csv", *per_fold} <= set(reports)
         models = sorted(p.name for p in (tmp_path / "train1" / "models").iterdir())
-        assert len(models) == 29 * routes + 1 and "modelset.json" in models
-        assert sorted(p.name for p in (tmp_path / "train2" / "models").iterdir()) == models
-        for run, names in (("eval{}", reports), ("train{}/models", models)):
+        assert len(models) == keys * routes + 1 and "modelset.json" in models
+        for cpus in (2, 3):
+            assert sorted(p.name for p in (tmp_path / f"eval{cpus}").iterdir()) == reports
+            assert sorted(p.name for p in (tmp_path / f"train{cpus}" / "models").iterdir()) == (
+                models)
+        for run, names in (("eval{}", set(reports) - {"config.txt"}),  # which echoes --out
+                           ("train{}/models", models)):
             for name in names:
-                one, two = (tmp_path / run.format(cpus) / name for cpus in (1, 2))
-                assert one.read_bytes() == two.read_bytes(), name
+                for cpus in (2, 3):
+                    one, more = (tmp_path / run.format(c) / name for c in (1, cpus))
+                    assert one.read_bytes() == more.read_bytes(), (cpus, name)
+
+    @pytest.mark.parametrize("protocol,items", [("multiclass", 4), ("binary", 58)])
+    def test_one_pool_per_command(self, protocol, items, pools, dataset_dir, tmp_path,
+                                  monkeypatch):
+        """An evaluate and a train each make one `fork_map` call, with one
+        worker per CPU and at most one per job: each fold's models, or the
+        train's."""
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
+            for command, extra, n in (("evaluate", ["--fold-boundaries", "1,2"], items),
+                                      ("train", [], items // 2)):
+                pools.clear()
+                assert run_cli(command, "--dataset", str(dataset_dir), "--seed", "5",
+                               "--out", str(tmp_path / f"{command}{cpus}"),
+                               "--protocol", protocol, *TINY_TRAIN_FLAGS, *extra) == EXIT_OK
+                assert pools == [min(cpus, n)], (command, cpus)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_in_a_worker_fails_as_in_process(self, pools, dataset_dir,
@@ -1137,30 +1167,110 @@ class TestForkedWorkers:
             assert code == EXIT_CHECK
             errors.append(capsys.readouterr().err)
             assert not children_left()
-        assert pools == [2]
+        assert pools == [1, 2]
         assert errors[0] == errors[1]
         assert re.fullmatch(rf"error: fold1-{victim}: epoch 1, step \d+: non-finite "
                             r"loss or gradient \(loss=nan\)\n", errors[0]), errors[0]
 
 
-    def test_killed_worker_is_a_check_failure(self, pools, dataset_dir, tmp_path,
-                                              monkeypatch, capsys):
+    @staticmethod
+    def _killed(protocol, pools, dataset_dir, tmp_path, monkeypatch, capsys):
         """Exit 1 with one line naming the route and the first job lost, and
-        no worker left running."""
+        no worker left running; returns that line's start."""
         monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
         fork_map = pipeline.fork_map
         monkeypatch.setattr(pipeline, "fork_map", lambda fn, n, state, workers, **kw: (
             fork_map(_kill_own_worker, n, state, workers, **kw)))
         code = run_cli("evaluate", "--dataset", str(dataset_dir), "--out", str(tmp_path),
-                       "--seed", "5", "--fold-boundaries", "1,2", "--protocol", "binary",
+                       "--seed", "5", "--fold-boundaries", "1,2", "--protocol", protocol,
                        *TINY_TRAIN_FLAGS)
         assert code == EXIT_CHECK
         assert pools == [2]
-        assert capsys.readouterr().err == (
-            f"error: fold1-{ALL_GESTURE_IDS[0]}: a fit worker of route 'main' ended "
-            "before sending back this job's classifier (29 of 29 not received)\n"
-        )
         assert not children_left()
+        return capsys.readouterr().err
+
+    def test_killed_worker_is_a_check_failure(self, pools, dataset_dir, tmp_path,
+                                              monkeypatch, capsys):
+        assert self._killed("binary", pools, dataset_dir, tmp_path, monkeypatch, capsys) == (
+            f"error: fold1-{ALL_GESTURE_IDS[0]}: a fit worker of route 'main' ended "
+            "before sending back this job's classifier (58 of 58 not received)\n"
+        )
+
+    def test_killed_multiclass_worker_is_a_check_failure(self, pools, dataset_dir, tmp_path,
+                                                         monkeypatch, capsys):
+        assert self._killed("multiclass", pools, dataset_dir, tmp_path, monkeypatch,
+                            capsys) == (
+            "error: fold1-static: a fit worker of route 'main' ended "
+            "before sending back this job's classifier (4 of 4 not received)\n"
+        )
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_one_blas_thread_switch_per_command(cpus, dataset_dir, model_dir, tmp_path,
+                                            monkeypatch):
+    """Each command sets OpenBLAS to one thread once, around its one pool,
+    and restores the count once, at any worker count; no `fit` or `forward`
+    switches it again, in process or in a worker."""
+    puts = []
+    monkeypatch.setattr(common, "_OPENBLAS_THREADS", (lambda: 2, puts.append))
+    monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
+    for argv in (["evaluate", "--dataset", str(dataset_dir), "--fold-boundaries", "1,2",
+                  "--seed", "5", *TINY_TRAIN_FLAGS],
+                 ["train", "--dataset", str(dataset_dir), "--seed", "5", *TINY_TRAIN_FLAGS],
+                 ["evaluate", "--models", str(model_dir / "models"),
+                  "--dataset", str(dataset_dir)]):
+        puts.clear()
+        assert run_cli(*argv, "--out", str(tmp_path / str(len(os.listdir(tmp_path))))) == (
+            EXIT_OK)
+        assert puts == [1, 2], argv
+
+
+def _without_dynamic(src, root, patients):
+    """A copy of the dataset ``src`` with the dynamic performances of
+    ``patients`` marked incorrect."""
+    shutil.copytree(src, root)
+    manifest = root / "manifest.csv"
+    header, *rows = manifest.read_text().splitlines()
+    for n, row in enumerate(rows):
+        patient, gesture, _, path = row.split(",")
+        if int(patient) in patients and gesture in DYNAMIC_GESTURE_IDS:
+            rows[n] = ",".join([patient, gesture, "0", path])
+    manifest.write_text("\n".join([header, *rows]) + "\n")
+    return root
+
+
+def test_a_fold_without_dynamic_performances_is_data_error_before_any_fit(tmp_path,
+                                                                         monkeypatch, capsys):
+    """Patient 3's dynamic performances are marked incorrect, so fold 3 has
+    no dynamic accuracy: exit 3, naming the fold and the kind, and nothing
+    is fitted or written."""
+    src = tmp_path / "src"
+    assert run_cli("synth", "--out", str(src), "--patients", "3", "--seed", "5") == EXIT_OK
+    root = _without_dynamic(src, tmp_path / "ds", {3})
+    fits = []
+    fit = pipeline.fit
+    monkeypatch.setattr(pipeline, "fit", lambda *args: fits.append(1) or fit(*args))
+    capsys.readouterr()
+    code = run_cli("evaluate", "--dataset", str(root), "--out", str(tmp_path / "out"),
+                   "--seed", "5", "--fold-boundaries", "1,2", *TINY_TRAIN_FLAGS)
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "error: fold 3: no dynamic test performances, so the dynamic model's "
+        "accuracy is undefined\n")
+    assert fits == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_scoring_a_multiclass_set_without_dynamic_performances_is_data_error(
+        model_dir, dataset_dir, tmp_path, capsys):
+    root = _without_dynamic(dataset_dir, tmp_path / "ds", {1, 2})
+    code = run_cli("evaluate", "--models", str(model_dir / "models"), "--dataset", str(root),
+                   "--out", str(tmp_path / "out"))
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "error: fold 0: no dynamic test performances, so the dynamic model's "
+        "accuracy is undefined\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")

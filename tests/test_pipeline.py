@@ -642,7 +642,7 @@ class TestForkedFits:
             monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
             trained[cpus] = train_protocol(ds.sequences, config, ds.joint_map, fold=1,
                                            fold_name="fold1")
-        assert pools == [2, 2]  # one pool per route, none at one CPU
+        assert pools == [1, 2]  # one pool for every route's jobs
         for route in ("short", "long"):
             assert list(trained[2].classifiers[route]) == list(ALL_GESTURE_IDS)
             for gid in ALL_GESTURE_IDS:
@@ -859,22 +859,37 @@ class TestModelSetScoring:
             assert len(calls) >= 2 * 3
 
 
+def test_a_class_missing_from_the_last_folds_training_split_fails_before_any_fit():
+    """Every split is checked before the pool starts: S1_2 performed by
+    patient 3 alone leaves only fold 3's training split without it."""
+    ds = _dataset(n_patients=3, seed=10)
+    ds = dataclasses.replace(ds, sequences=tuple(
+        s for s in ds.sequences if s.label.id != "S1_2" or s.patient_id == 3))
+    calls = []
+    config = RunConfig(prep=_fast_prep(), seed=1)
+    with pytest.raises(MissingClassError, match=r"^fold3: .*\['S1_2'\] for the static model"):
+        cross_validate(ds, assign_folds(ds, boundaries=(1, 2)), config,
+                       factory=lambda job: calls.append(job) or oracle_factory(job))
+    assert calls == []
+
+
 @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
-def test_cross_validation_scores_in_process(protocol, monkeypatch):
-    """Only the one-vs-rest fits use more than one worker; each fold is
-    scored through a one-worker `fork_map` call, in this process."""
-    ds = _dataset(n_patients=2, seed=10)
-    config = _tiny_net_config(protocol=protocol, train=TrainConfig(epochs=1, batch_size=64))
-    pools = []
-    fork_map = pipeline.fork_map
-    monkeypatch.setattr(pipeline, "fork_map", lambda fn, n, state, workers, **kw: (
-        pools.append((workers, "scoring worker" in kw["lost"](0)))
-        or fork_map(fn, n, state, workers, **kw)))
-    monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
-    report = cross_validate(ds, assign_folds(ds, boundaries=(1, 2)), config)
-    assert len(report.folds) == 2
-    fits = [(2, False)] if protocol is Protocol.MULTICLASS_BINARY else []
-    assert pools == (fits + [(1, True)]) * 2  # per fold: its fits, then its scoring
+def test_a_fold_without_a_kind_fails_before_any_fit(protocol):
+    """A multiclass fold whose test patients perform no dynamic gesture has
+    no dynamic accuracy; a one-vs-rest fold still scores every model."""
+    ds = _dataset(n_patients=3, seed=10)
+    ds = dataclasses.replace(ds, sequences=tuple(
+        s for s in ds.sequences if s.label.kind is GestureKind.STATIC or s.patient_id != 3))
+    calls = []
+    config = RunConfig(protocol=protocol, prep=_fast_prep(), seed=1)
+    folds = assign_folds(ds, boundaries=(1, 2))
+    factory = lambda job: calls.append(job) or oracle_factory(job)  # noqa: E731
+    if protocol is Protocol.MULTICLASS_BINARY:
+        assert cross_validate(ds, folds, config, factory=factory).mean_average_accuracy == 1.0
+        return
+    with pytest.raises(FoldCoverageError, match=r"^fold 3: no dynamic test performances"):
+        cross_validate(ds, folds, config, factory=factory)
+    assert calls == []
 
 
 class TestModelSetSerialization:

@@ -1,8 +1,9 @@
 """Run settings, and the layered key-value configuration of every CLI command.
 
-`RunConfig` and its one JSON form (`config_to_dict`), which the digest hashes
-and the indexes record; `REGISTRY`, whose run rows name their place in that
-form, so that the settings mappings are loops over it; and `read_index`.
+`RunConfig`, whose fields are the keys of its one JSON form
+(`config_to_dict`), which the digest hashes and the indexes record;
+`REGISTRY`, whose run rows name their place in that form, so that the
+settings mappings are loops over it; and `read_index`.
 
 Resolution order (later wins): built-in defaults, then a plain-text config
 file (``--config`` flag or the ``SKELGEST_CONFIG`` environment variable),
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
@@ -45,26 +46,17 @@ class NetKind(Enum):
 
 
 @dataclass(frozen=True)
-class PrepSettings:
-    """Feature extraction shared by training and evaluation."""
-
-    method: NormMethod = NormMethod.M3
-    window: WindowSpec = field(default_factory=lambda: WindowSpec(32))
-    savgol: SavgolSpec | None = field(default_factory=SavgolSpec)
-    include_confidence: bool = False
-
-    @property
-    def feature_dim(self) -> int:
-        return feature_dim(self.method, self.include_confidence)
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    """Everything that determines a training/evaluation run besides the data."""
+    """Everything that determines a training/evaluation run besides the data.
+    Its fields are the keys of its one JSON form (`config_to_dict`)."""
 
     protocol: Protocol = Protocol.MULTICLASS
     net: NetKind = NetKind.LSTM
-    prep: PrepSettings = field(default_factory=PrepSettings)
+    method: NormMethod = NormMethod.M3
+    window: int = 32
+    stride: int = 1
+    savgol: SavgolSpec | None = field(default_factory=SavgolSpec)
+    include_confidence: bool = False
     long_window: int | None = None
     route_threshold: int | None = None
     lstm_hidden: int = LstmSpec.hidden_dim
@@ -76,18 +68,23 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.long_window is not None and self.long_window <= self.prep.window.length:
+        WindowSpec(self.window, self.stride)  # a ValueError for a length or stride below 1
+        if self.long_window is not None and self.long_window <= self.window:
             raise ValueError(
                 f"long_window ({self.long_window}) must exceed the base window "
-                f"({self.prep.window.length})"
+                f"({self.window})"
             )
         if self.route_threshold is not None and self.long_window is None:
             raise ValueError("route_threshold is only meaningful with long_window set")
         if self.route_threshold is not None and self.route_threshold < 1:
             raise ValueError(f"route_threshold must be >= 1, got {self.route_threshold}")
 
+    @property
+    def feature_dim(self) -> int:
+        return feature_dim(self.method, self.include_confidence)
+
     def arch_spec(self, n_classes: int):
-        d = self.prep.feature_dim
+        d = self.feature_dim
         if self.net is NetKind.LSTM:
             return LstmSpec(input_dim=d, hidden_dim=self.lstm_hidden, n_classes=n_classes)
         return TcnSpec(
@@ -98,15 +95,13 @@ class RunConfig:
             n_classes=n_classes,
         )
 
-    def routes(self) -> dict[str, PrepSettings]:
-        """Each route's feature settings, by route name: ``main``, or ``short``
-        and ``long`` with length routing."""
+    def routes(self) -> dict[str, WindowSpec]:
+        """Each route's window, by route name: ``main``, or ``short`` and
+        ``long`` with length routing."""
+        window = WindowSpec(self.window, self.stride)
         if self.long_window is None:
-            return {"main": self.prep}
-        long_prep = replace(
-            self.prep, window=WindowSpec(self.long_window, self.prep.window.stride)
-        )
-        return {"short": self.prep, "long": long_prep}
+            return {"main": window}
+        return {"short": window, "long": WindowSpec(self.long_window, self.stride)}
 
     @property
     def router_threshold(self) -> int | None:
@@ -114,36 +109,37 @@ class RunConfig:
         takes the ``short`` route; None without length routing."""
         if self.long_window is None:
             return None
-        return self.prep.window.length if self.route_threshold is None else self.route_threshold
+        return self.window if self.route_threshold is None else self.route_threshold
 
     def report_header(self) -> dict[str, object]:
         """The fields of an `EvaluationReport` that name this run."""
         return {"protocol": self.protocol.value, "arch": self.net.value,
-                "method": int(self.prep.method), "window": self.prep.window.length}
+                "method": int(self.method), "window": self.window}
+
+
+def _to_json(value: object) -> object:
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return list(value)
+    return asdict(value) if is_dataclass(value) else value
+
+
+def _from_json(default: object, value: object) -> object:
+    """``value`` read back as the type of the field default ``default``."""
+    if isinstance(default, Enum):
+        return type(default)(value)
+    if isinstance(default, tuple):
+        return tuple(value)
+    return replace(default, **value) if is_dataclass(default) and value is not None else value
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    """The run's one JSON form, which `config_digest` hashes and indexes record."""
-    prep = config.prep
-    return {
-        "protocol": config.protocol.value,
-        "net": config.net.value,
-        "method": int(prep.method),
-        "window": prep.window.length,
-        "stride": prep.window.stride,
-        "savgol": None if prep.savgol is None else asdict(prep.savgol),
-        "include_confidence": prep.include_confidence,
-        "long_window": config.long_window,
-        "route_threshold": config.route_threshold,
-        "lstm_hidden": config.lstm_hidden,
-        "tcn_channels": config.tcn_channels,
-        "tcn_kernel": config.tcn_kernel,
-        "tcn_dilations": list(config.tcn_dilations),
-        # The shuffle seed is derived per model from the run seed.
-        "train": {k: v for k, v in asdict(config.train).items() if k != "shuffle_seed"},
-        "rebalance": config.rebalance,
-        "seed": config.seed,
-    }
+    """The run's one JSON form, which `config_digest` hashes and indexes
+    record: each field of `RunConfig` by its name."""
+    d = {f.name: _to_json(getattr(config, f.name)) for f in fields(RunConfig)}
+    del d["train"]["shuffle_seed"]  # derived per model from the run seed
+    return d
 
 
 def config_from_dict(d: dict) -> RunConfig:
@@ -152,34 +148,16 @@ def config_from_dict(d: dict) -> RunConfig:
     ValueError, so no recorded setting is silently dropped, and so is a value
     of the wrong type (see `_check_values`) or a network that no model can
     have."""
-    defaults = config_to_dict(RunConfig())
+    base = RunConfig()
+    defaults = config_to_dict(base)
     unknown = [k for k in d if k not in defaults] + [
-        f"{block}.{k}" for block in ("train", "savgol")
-        for k in d.get(block) or () if k not in defaults[block]
+        f"{block}.{k}" for block, default in defaults.items() if isinstance(default, dict)
+        for k in d.get(block) or () if k not in default
     ]
     if unknown:
         raise ValueError(f"unknown config key {unknown[0]!r}")
-    d = {**defaults, **d}
-    savgol = d["savgol"]
-    config = RunConfig(
-        protocol=Protocol(d["protocol"]),
-        net=NetKind(d["net"]),
-        prep=PrepSettings(
-            method=NormMethod(d["method"]),
-            window=WindowSpec(d["window"], d["stride"]),
-            savgol=None if savgol is None else SavgolSpec(**savgol),
-            include_confidence=d["include_confidence"],
-        ),
-        long_window=d["long_window"],
-        route_threshold=d["route_threshold"],
-        lstm_hidden=d["lstm_hidden"],
-        tcn_channels=d["tcn_channels"],
-        tcn_kernel=d["tcn_kernel"],
-        tcn_dilations=tuple(d["tcn_dilations"]),
-        train=TrainConfig(**{**defaults["train"], **d["train"]}),
-        rebalance=d["rebalance"],
-        seed=d["seed"],
-    )
+    config = RunConfig(**{f.name: _from_json(getattr(base, f.name), d[f.name])
+                          for f in fields(RunConfig) if f.name in d})
     _check_values(config)
     config.arch_spec(1)  # a ValueError for a network that no model can have
     return config
@@ -273,6 +251,13 @@ def _parse_int_pair(text: str) -> tuple[int, int]:
     if len(values) != 2:
         raise ConfigError(f"expected exactly two integers 'a,b', got {text!r}")
     return values  # type: ignore[return-value]
+
+
+def _parse_fold_boundaries(text: str) -> tuple[int, int]:
+    b1, b2 = _parse_int_pair(text)
+    if not b1 < b2:
+        raise ConfigError(f"fold boundaries must be strictly increasing, got {b1},{b2}")
+    return b1, b2
 
 
 def _parse_window(text: str) -> tuple[int, ...]:
@@ -384,7 +369,7 @@ REGISTRY: dict[str, ConfigKey] = dict(
                  "gradient L2-norm ceiling"),
         _run_key("train.rebalance", "rebalance", "--rebalance", _parse_bool,
                  "upsample positives for one-vs-rest training"),
-        _key("folds.boundaries", "--fold-boundaries", _parse_int_pair,
+        _key("folds.boundaries", "--fold-boundaries", _parse_fold_boundaries,
              DEFAULT_FOLD_BOUNDARIES,
              "patient-id boundaries 'b1,b2' for the 3-fold split"),
         _key("run.seed", "--seed", _parse_optional_int, None,
@@ -417,7 +402,7 @@ _PROTOCOL_ALIASES = {"binary": Protocol.MULTICLASS_BINARY.value}
 def config_to_settings(config: RunConfig) -> dict[str, object]:
     """The registry settings that describe ``config``, all but its seed;
     without smoothing, the smoothing width and order are the defaults."""
-    savgol = config.prep.savgol
+    savgol = config.savgol
     d = {**config_to_dict(config), "savgol": asdict(savgol or SavgolSpec())}
     settings = {}
     for name, key in REGISTRY.items():

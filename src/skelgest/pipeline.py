@@ -19,7 +19,7 @@ every model of every fold in one pool of forked workers (`fork_map`).  In
 cross-validation each worker then scores, with the model it fitted, the
 fold's test sequences that the model scores, and a fold's counts are the
 sum of its models' counts.  A fixed model set is counted per patient
-(`evaluate_fold`).  Optional length routing trains the whole protocol
+(`evaluate_model_set`).  Optional length routing trains the whole protocol
 twice -- once per window length -- and dispatches each test sequence by its
 raw frame count.
 """
@@ -52,9 +52,8 @@ from .skeleton import (
 )
 from .ingest import DataError, Dataset, FoldSplit, ManifestEntry, load_entries
 from . import preprocess
-from .preprocess import DegenerateReferenceError, preprocess_sequence
+from .preprocess import DegenerateReferenceError, WindowSpec, preprocess_sequence
 from .config import (
-    PrepSettings,
     Protocol,
     RunConfig,
     config_digest,
@@ -137,18 +136,19 @@ ClassifierFactory = Callable[[TrainJob], SequenceClassifier]
 
 
 def _features(
-    prep: PrepSettings, seq: GestureSequence, joint_map: JointIndexMap
+    config: RunConfig, window: WindowSpec, seq: GestureSequence, joint_map: JointIndexMap
 ) -> np.ndarray:
-    """The sequence's (n, W, D) feature windows; a zero chin coordinate
-    under a chin-ratio method is a :class:`DataError` naming the sequence."""
+    """The sequence's (n, W, D) feature windows under ``config`` with one of
+    its routes' windows; a zero chin coordinate under a chin-ratio method is
+    a :class:`DataError` naming the sequence."""
     try:
         return preprocess_sequence(
             seq,
-            prep.method,
-            prep.window,
+            config.method,
+            window,
             joint_map,
-            savgol_spec=prep.savgol,
-            include_confidence=prep.include_confidence,
+            savgol_spec=config.savgol,
+            include_confidence=config.include_confidence,
         )
     except DegenerateReferenceError as exc:
         raise DataError(f"patient {seq.patient_id} gesture {seq.label.id}: {exc}") from None
@@ -341,8 +341,8 @@ def _plan(seqs: Sequence[GestureSequence], splits: Sequence[_Split], config: Run
     """Each sequence's windows by route, featurized once, and every job of
     every split, by split, route and key (`_route_jobs`).  Every data error
     is raised here."""
-    windows = {route: [_features(prep, seq, joint_map) for seq in seqs]
-               for route, prep in config.routes().items()}
+    windows = {route: [_features(config, window, seq, joint_map) for seq in seqs]
+               for route, window in config.routes().items()}
     planned = []
     for split, (fold, name, train, _) in enumerate(splits):
         for route_tag, route in enumerate(windows):
@@ -621,10 +621,11 @@ def score_sequences(
         keys = tuple(k for k in trained.keys_for(seq) if k in trained.classifiers[route])
         groups.setdefault((route, keys, seq.patient_id), []).append(i)
 
-    preps = trained.config.routes()
+    config = trained.config
     scores: list[dict[str, np.ndarray]] = [{} for _ in test_seqs]
     for (route, keys, _), members in groups.items():
-        featurized = ((i, test_seqs[i], _features(preps[route], test_seqs[i], joint_map)
+        window = config.routes()[route]
+        featurized = ((i, test_seqs[i], _features(config, window, test_seqs[i], joint_map)
                        if windows is None else windows[i]) for i in members)
         for block in _feature_blocks(featurized):
             _, seqs, per_sequence = zip(*block)
@@ -709,56 +710,37 @@ def _require_both_kinds(fold: int, labels: Iterable[GestureLabel], error: type) 
                     f"{kind.value} model's accuracy is undefined")
 
 
-def evaluate_fold(
-    trained: TrainedProtocol,
-    read: Callable[[int], Sequence[GestureSequence]],
-    test_patients: tuple[int, ...],
-    fold: int = 0,
-    train_patients: tuple[int, ...] = (),
-    workers: int = 1,
-) -> FoldReport:
-    """Score the trained protocol on one fold's test patients.
-
-    Each patient's sequences, ``read(patient)``, are scored and counted on
-    their own (`evaluate_multiclass` or `evaluate_binary`) by ``workers``
-    forked processes (`fork_map`), which send back only the counts; the
-    fold's counts are their sum.  No scoring block spans patients, so the
-    worker count changes no result, and a failure is the one that the first
-    failing patient raises.
-    """
-    binary = trained.config.protocol is Protocol.MULTICLASS_BINARY
-    evaluate = evaluate_binary if binary else evaluate_multiclass
-    counts = fork_map(
-        lambda patients, k: evaluate(trained, read(patients[k]), trained.joint_map),
-        len(test_patients), test_patients, workers,
-        lost=lambda k: f"patient {test_patients[k]}: a scoring worker ended before "
-        "sending back this patient's scores",
-    )
-    return _fold_report(counts, binary, fold=fold, train_patients=train_patients,
-                        test_patients=test_patients)
-
-
 def evaluate_model_set(
     trained: TrainedProtocol, entries: Sequence[ManifestEntry]
 ) -> FoldReport:
     """Score a fixed model set on the performances that ``entries`` list,
     as fold 0: every listed patient is tested and none was trained on.
 
-    Each patient's performances are read and validated (`load_entries`)
-    where they are scored (`evaluate_fold`): in forked workers, one per CPU
-    and at most one per patient (`_pool_size`).  A multiclass set needs
-    static and dynamic performances, or it is a `DataError`.
+    Each patient's performances are read and validated (`load_entries`),
+    then scored and counted on their own in forked workers (`fork_map`,
+    `_pool_size`), which send back only the counts.  No scoring block spans
+    patients, so the worker count changes no result.  A multiclass set
+    needs static and dynamic performances, or it is a `DataError`.
     """
-    if trained.config.protocol is Protocol.MULTICLASS:
+    binary = trained.config.protocol is Protocol.MULTICLASS_BINARY
+    if not binary:
         _require_both_kinds(0, (entry.label for entry in entries), DataError)
     by_patient: dict[int, list[ManifestEntry]] = {}
     for entry in entries:
         by_patient.setdefault(entry.patient_id, []).append(entry)
     patients = tuple(sorted(by_patient))
-    return evaluate_fold(
-        trained, lambda patient: load_entries(by_patient[patient], trained.joint_map).sequences,
-        patients, workers=_pool_size(len(patients)),
+    evaluate = evaluate_binary if binary else evaluate_multiclass
+
+    def count(patients: tuple[int, ...], k: int):
+        seqs = load_entries(by_patient[patients[k]], trained.joint_map).sequences
+        return evaluate(trained, seqs, trained.joint_map)
+
+    counts = fork_map(
+        count, len(patients), patients, _pool_size(len(patients)),
+        lost=lambda k: f"patient {patients[k]}: a scoring worker ended before "
+        "sending back this patient's scores",
     )
+    return _fold_report(counts, binary, fold=0, train_patients=(), test_patients=patients)
 
 
 def cross_validate(
@@ -859,9 +841,10 @@ def save_model_set(
 def load_model_set(model_dir: str | Path) -> TrainedProtocol:
     """Rebuild a TrainedProtocol from `save_model_set` output.  A checkpoint
     whose header names another route, key or config than its index entry
-    and the index's config, or other labels than its key's, is a
-    `DataError`: a ``static`` or ``dynamic`` key outputs that kind's gesture
-    ids in taxonomy order, and a gesture id key that one id."""
+    and the index's config, or other labels, head or architecture than its
+    key's, is a `DataError`: a ``static`` or ``dynamic`` key is a softmax
+    model over that kind's gesture ids in taxonomy order, a gesture id key a
+    sigmoid model of that one id, and each has the config's network."""
     model_dir = Path(model_dir)
     index_path = model_dir / "modelset.json"
     index, config = read_index(index_path, "skelgest-modelset", ("models",))
@@ -888,6 +871,13 @@ def load_model_set(model_dir: str | Path) -> TrainedProtocol:
         if labels is None or extra.get("labels") != list(labels):
             raise DataError(f"{path}: checkpoint labels {extra.get('labels')!r} are not "
                             f"those of a {config.protocol.value} {entry['key']!r} model")
+        head = HeadKind.SOFTMAX if config.protocol is Protocol.MULTICLASS else HeadKind.SIGMOID
+        spec = config.arch_spec(len(labels) if head is HeadKind.SOFTMAX else 1)
+        for name, got, want in (("head", model.head.value, head.value),
+                                ("architecture", model.spec, spec)):
+            if got != want:
+                raise DataError(f"{path}: checkpoint {name} {got!r} does not match "
+                                f"{index_path}, which gives {want!r}")
         classifiers[route][entry["key"]] = NetworkClassifier(labels=labels, model=model)
     for route, by_key in classifiers.items():
         if missing := [key for key in labels_of if key not in by_key]:

@@ -29,7 +29,7 @@ from skelgest.neuralnet import (
     init_parameters,
     param_count,
 )
-from skelgest.config import NetKind, PrepSettings, Protocol, RunConfig
+from skelgest.config import NetKind, Protocol, RunConfig
 from skelgest.pipeline import (
     TrainedProtocol,
     _assert_patient_disjoint,
@@ -245,8 +245,8 @@ def test_criterion_6_one_vs_rest_accuracy_skew():
     wrong only on its single positive.  This bounds how much class imbalance
     alone inflates the one-vs-rest protocol's numbers."""
     ds = generate_synthetic(SynthConfig(n_patients=1, seed=66))
-    prep = PrepSettings(method=NormMethod.M3, window=WindowSpec(32, stride=4))
-    config = RunConfig(protocol=Protocol.MULTICLASS_BINARY, prep=prep, seed=0)
+    prep = dict(method=NormMethod.M3, window=32, stride=4)
+    config = RunConfig(protocol=Protocol.MULTICLASS_BINARY, **prep, seed=0)
     trained = TrainedProtocol(
         config=config,
         classifiers={"main": {gid: _ConstantNegative() for gid in ALL_GESTURE_IDS}},
@@ -271,12 +271,12 @@ def test_criterion_7_end_to_end_desk_scale_learning():
     easy synthetic set the ordering need not match the recorded tables)."""
     ds = generate_synthetic(SynthConfig(n_patients=12, seed=404))
     folds = assign_folds(ds, boundaries=(4, 8))
-    prep = PrepSettings(method=NormMethod.M3, window=WindowSpec(32, stride=2))
+    prep = dict(method=NormMethod.M3, window=32, stride=2)
     train = TrainConfig(epochs=10, batch_size=64)
 
     start = time.perf_counter()
     lstm_report = cross_validate(
-        ds, folds, RunConfig(prep=prep, lstm_hidden=32, train=train, seed=7)
+        ds, folds, RunConfig(**prep, lstm_hidden=32, train=train, seed=7)
     )
     lstm_elapsed = time.perf_counter() - start
 
@@ -290,7 +290,7 @@ def test_criterion_7_end_to_end_desk_scale_learning():
         assert fold.dynamic_accuracy > 1.0 / 14.0
 
     tcn_report = cross_validate(
-        ds, folds, RunConfig(net=NetKind.TCN, prep=prep, train=train, seed=7)
+        ds, folds, RunConfig(net=NetKind.TCN, **prep, train=train, seed=7)
     )
     tcn_mean = tcn_report.mean_average_accuracy
     verdict = "outperforms" if lstm_mean > tcn_mean else "does not outperform"
@@ -307,10 +307,10 @@ def test_criterion_8_pipeline_oracle_losslessness():
     splitting, windowing, aggregation, and metric plumbing lose nothing."""
     ds = generate_synthetic(SynthConfig(n_patients=6, seed=88))
     folds = assign_folds(ds, boundaries=(2, 4))
-    prep = PrepSettings(method=NormMethod.M3, window=WindowSpec(16, stride=4))
+    prep = dict(method=NormMethod.M3, window=16, stride=4)
 
     multi = cross_validate(
-        ds, folds, RunConfig(prep=prep, seed=0), factory=oracle_factory
+        ds, folds, RunConfig(**prep, seed=0), factory=oracle_factory
     )
     assert multi.mean_average_accuracy == 1.0
     assert len(multi.folds) == 3
@@ -321,7 +321,7 @@ def test_criterion_8_pipeline_oracle_losslessness():
     binary = cross_validate(
         ds,
         folds,
-        RunConfig(protocol=Protocol.MULTICLASS_BINARY, prep=prep, seed=0),
+        RunConfig(protocol=Protocol.MULTICLASS_BINARY, **prep, seed=0),
         factory=oracle_factory,
     )
     assert binary.mean_average_accuracy == 1.0
@@ -354,7 +354,7 @@ def test_criterion_9_fold_protocol_and_disjointness():
         ds,
         assign_folds(ds, boundaries=(2, 4)),
         RunConfig(
-            prep=PrepSettings(method=NormMethod.M3, window=WindowSpec(16, stride=4)),
+            method=NormMethod.M3, window=16, stride=4,
             seed=0,
         ),
         factory=oracle_factory,

@@ -30,7 +30,9 @@ from skelgest.config import (
     render_config,
     resolve,
 )
-from skelgest.neuralnet import common, load_checkpoint, save_checkpoint
+from skelgest.neuralnet import (
+    HeadKind, LstmSpec, common, init_parameters, load_checkpoint, save_checkpoint,
+)
 from skelgest.skeleton import ALL_GESTURE_IDS, DYNAMIC_GESTURE_IDS
 
 TINY_TRAIN_FLAGS = [
@@ -1009,6 +1011,30 @@ def test_config_no_run_has_is_usage_error_before_the_dataset(command, flags, fra
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("boundaries", ["5,3", "3,3"])
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_fold_boundaries_that_do_not_increase_are_usage_error_before_the_dataset(
+        command, boundaries, tmp_path, capsys):
+    code = run_cli(command, "--dataset", str(tmp_path / "missing"), "--seed", "1",
+                   "--out", str(tmp_path / "out"), "--fold-boundaries", boundaries)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE, err
+    assert "fold boundaries must be strictly increasing" in err and "missing" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fold_boundaries_that_do_not_increase_in_a_config_file_name_the_line(tmp_path,
+                                                                           capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("run.seed = 1\nfolds.boundaries = 5,3\n")
+    code = run_cli("train", "--config", str(conf), "--dataset", str(tmp_path / "missing"),
+                   "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE, err
+    assert f"{conf}:2: " in err and "strictly increasing" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_replaying_a_train_manifest_is_data_error(model_dir, dataset_dir, tmp_path, capsys):
     """A train run cross-validated nothing, so there is no evaluation to replay."""
     path = model_dir / "run_manifest.json"
@@ -1459,6 +1485,31 @@ def test_checkpoint_of_another_config_is_data_error(model_dir, dataset_dir, tmp_
     assert code == EXIT_DATA, err
     assert err.startswith(f"error: {model_set / 'main_static.ckpt'}: checkpoint config_digest ")
     assert str(index_path) in err
+
+
+@pytest.mark.parametrize("spec,head,field", [
+    (LstmSpec(input_dim=28, hidden_dim=8, n_classes=15), HeadKind.SOFTMAX, "architecture"),
+    (LstmSpec(input_dim=28, hidden_dim=4, n_classes=1), HeadKind.SIGMOID, "head"),
+], ids=["wider-lstm", "sigmoid-head"])
+def test_checkpoint_of_another_network_is_data_error(spec, head, field, model_dir,
+                                                     dataset_dir, tmp_path, capsys):
+    """A checkpoint whose header names its slot's route, key, labels and
+    config digest, but whose network is not the one its key and config
+    give."""
+    model_set = tmp_path / "models"
+    shutil.copytree(model_dir / "models", model_set)
+    path = model_set / "main_static.ckpt"
+    _, header = load_checkpoint(path)
+    extra = {name: header[name] for name in ("labels", "route", "key", "seed",
+                                             "config_digest")}
+    save_checkpoint(path, init_parameters(spec, head, seed=0), extra=extra)
+    code = run_cli("evaluate", "--models", str(model_set), "--dataset", str(dataset_dir),
+                   "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA, err
+    assert err.startswith(f"error: {path}: checkpoint {field} ")
+    assert str(model_set / "modelset.json") in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestGradcheck:

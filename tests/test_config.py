@@ -5,6 +5,7 @@ a row without a test value fail, and check that each row's value reaches
 the recorded JSON form, the digest and every mapping.
 """
 
+import dataclasses
 import functools
 import importlib
 import os
@@ -73,6 +74,17 @@ def test_every_run_key_has_a_test_value():
 def test_registry_defaults_are_the_library_defaults():
     assert DEFAULTS == config_to_settings(RunConfig())
     assert list(DEFAULTS) == list(config_to_settings(RunConfig()))
+
+
+def test_every_field_is_a_recorded_key_with_a_registry_row():
+    """`RunConfig`'s fields are the keys of its JSON form, so a new field is
+    recorded and hashed as it is; and each is the first segment of a run
+    row's path, but the seed (``run.seed``) and the long window (the second
+    value of ``preprocess.window``)."""
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    assert list(config_to_dict(RunConfig())) == names
+    heads = {key.path.split(".")[0] for key in RUN_KEYS.values()}
+    assert set(names) - heads == {"seed", "long_window"}
 
 
 def test_default_digest_is_unchanged():

@@ -17,7 +17,6 @@ import pytest
 from skelgest import pipeline
 from skelgest.config import (
     NetKind,
-    PrepSettings,
     Protocol,
     RunConfig,
     config_digest,
@@ -35,7 +34,7 @@ from skelgest.ingest import (
     manifest_entries,
     write_dataset,
 )
-from skelgest.metrics import ConfusionMatrix, EvaluationReport, report_to_dict
+from skelgest.metrics import ConfusionMatrix
 from skelgest.neuralnet import (
     HeadKind,
     LstmSpec,
@@ -58,7 +57,6 @@ from skelgest.pipeline import (
     aggregate_windows,
     cross_validate,
     evaluate_binary,
-    evaluate_fold,
     evaluate_model_set,
     evaluate_multiclass,
     load_model_set,
@@ -84,34 +82,34 @@ def _dataset(n_patients=3, seed=0, **kwargs):
 
 
 def _fast_prep(**kwargs):
-    defaults = dict(method=NormMethod.M3, window=WindowSpec(16, stride=4))
+    defaults = dict(method=NormMethod.M3, window=16, stride=4)
     defaults.update(kwargs)
-    return PrepSettings(**defaults)
+    return defaults
 
 
 class TestRunConfig:
     def test_long_window_must_exceed_base(self):
         with pytest.raises(ValueError, match="long_window"):
-            RunConfig(prep=_fast_prep(window=WindowSpec(32)), long_window=32)
-        RunConfig(prep=_fast_prep(window=WindowSpec(32)), long_window=64)
+            RunConfig(**_fast_prep(window=32, stride=1), long_window=32)
+        RunConfig(**_fast_prep(window=32, stride=1), long_window=64)
 
     def test_route_threshold_requires_long_window(self):
         with pytest.raises(ValueError, match="route_threshold"):
             RunConfig(route_threshold=40)
         RunConfig(
-            prep=_fast_prep(window=WindowSpec(32)), long_window=64, route_threshold=40
+            **_fast_prep(window=32, stride=1), long_window=64, route_threshold=40
         )
 
     def test_arch_spec_dimensions(self):
         config = RunConfig(
-            net=NetKind.LSTM, prep=_fast_prep(method=NormMethod.M4), lstm_hidden=17
+            net=NetKind.LSTM, **_fast_prep(method=NormMethod.M4), lstm_hidden=17
         )
         spec = config.arch_spec(15)
         assert isinstance(spec, LstmSpec)
         assert spec.input_dim == 56 and spec.hidden_dim == 17 and spec.n_classes == 15
 
         config = RunConfig(
-            net=NetKind.TCN, prep=_fast_prep(), tcn_channels=9, tcn_kernel=2,
+            net=NetKind.TCN, **_fast_prep(), tcn_channels=9, tcn_kernel=2,
             tcn_dilations=(1, 2),
         )
         spec = config.arch_spec(14)
@@ -122,7 +120,7 @@ class TestRunConfig:
         config = RunConfig(
             protocol=Protocol.MULTICLASS_BINARY,
             net=NetKind.TCN,
-            prep=_fast_prep(method=NormMethod.M5, window=WindowSpec(24, stride=2)),
+            **_fast_prep(method=NormMethod.M5, window=24, stride=2),
             long_window=48,
             route_threshold=30,
             tcn_channels=12,
@@ -183,7 +181,7 @@ class TestRunConfig:
 
 class TestLengthRouting:
     def test_boundary_inclusive_on_short_side(self):
-        config = RunConfig(prep=_fast_prep(), long_window=32, route_threshold=40)
+        config = RunConfig(**_fast_prep(), long_window=32, route_threshold=40)
         trained = TrainedProtocol(config=config, classifiers={})
         assert config.router_threshold == 40
         assert trained.route_name(SimpleNamespace(n_frames=39)) == "short"
@@ -192,7 +190,7 @@ class TestLengthRouting:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="route_threshold must be >= 1"):
-            RunConfig(prep=_fast_prep(), long_window=32, route_threshold=0)
+            RunConfig(**_fast_prep(), long_window=32, route_threshold=0)
 
 
 class TestAggregation:
@@ -315,7 +313,7 @@ class TestStackWindows:
 class TestTrainProtocolStructure:
     def test_multiclass_builds_two_models(self):
         ds = _dataset()
-        config = RunConfig(prep=_fast_prep(), seed=1)
+        config = RunConfig(**_fast_prep(), seed=1)
         trained = train_protocol(
             ds.sequences, config, ds.joint_map, factory=oracle_factory
         )
@@ -328,7 +326,7 @@ class TestTrainProtocolStructure:
     def test_binary_builds_29_models(self):
         ds = _dataset()
         config = RunConfig(
-            protocol=Protocol.MULTICLASS_BINARY, prep=_fast_prep(), seed=1
+            protocol=Protocol.MULTICLASS_BINARY, **_fast_prep(), seed=1
         )
         trained = train_protocol(
             ds.sequences, config, ds.joint_map, factory=oracle_factory
@@ -338,22 +336,22 @@ class TestTrainProtocolStructure:
     def test_length_routing_builds_two_routes(self):
         ds = _dataset()
         config = RunConfig(
-            prep=_fast_prep(window=WindowSpec(16, stride=4)), long_window=32, seed=1
+            **_fast_prep(window=16, stride=4), long_window=32, seed=1
         )
         trained = train_protocol(
             ds.sequences, config, ds.joint_map, factory=oracle_factory
         )
         assert set(trained.classifiers) == {"short", "long"}
         # the short route keeps the base window, the long route the long one
-        assert trained.config.routes()["short"].window.length == 16
-        assert trained.config.routes()["long"].window.length == 32
+        assert trained.config.routes()["short"].length == 16
+        assert trained.config.routes()["long"].length == 32
         # default threshold is the base window length
         assert trained.config.router_threshold == 16
 
     def test_route_name_dispatches_by_frame_count(self):
         ds = _dataset()
         config = RunConfig(
-            prep=_fast_prep(window=WindowSpec(16, stride=4)),
+            **_fast_prep(window=16, stride=4),
             long_window=32,
             route_threshold=50,
             seed=1,
@@ -370,7 +368,7 @@ class TestTrainProtocolStructure:
     def test_missing_static_class_raises(self):
         ds = _dataset()
         pruned = [s for s in ds.sequences if s.label.id != "S1_2"]
-        config = RunConfig(prep=_fast_prep(), seed=1)
+        config = RunConfig(**_fast_prep(), seed=1)
         with pytest.raises(MissingClassError, match="S1_2"):
             train_protocol(pruned, config, ds.joint_map, factory=oracle_factory)
 
@@ -378,7 +376,7 @@ class TestTrainProtocolStructure:
         ds = _dataset()
         pruned = [s for s in ds.sequences if s.label.id != "P2_3"]
         config = RunConfig(
-            protocol=Protocol.MULTICLASS_BINARY, prep=_fast_prep(), seed=1
+            protocol=Protocol.MULTICLASS_BINARY, **_fast_prep(), seed=1
         )
         with pytest.raises(MissingClassError, match="P2_3"):
             train_protocol(pruned, config, ds.joint_map, factory=oracle_factory)
@@ -400,7 +398,7 @@ class TestJobStream:
     def test_length_routed_run(self, protocol, monkeypatch):
         ds = _dataset(n_patients=3, seed=31)
         binary = protocol is Protocol.MULTICLASS_BINARY
-        config = RunConfig(protocol=protocol, prep=_fast_prep(), long_window=32,
+        config = RunConfig(protocol=protocol, **_fast_prep(), long_window=32,
                            rebalance=binary, seed=17)
         stacks = []
         stack = pipeline.stack_windows
@@ -430,7 +428,7 @@ class TestJobStream:
             assert job.name == f"fold2-{job.route}-{job.key}"
             assert job.init_seed == _derived_seed(17, 2, route_tag, idx, 0)
             assert job.shuffle_seed == _derived_seed(17, 2, route_tag, idx, 1)
-            window = config.routes()[job.route].window
+            window = config.routes()[job.route]
             rows = {gid: 0 for gid in ALL_GESTURE_IDS}
             for seq in ds.sequences:
                 rows[seq.label.id] += _n_windows(seq, window)
@@ -460,7 +458,7 @@ class TestJobStream:
 class TestOracleEvaluation:
     def test_multiclass_oracle_is_perfect(self):
         ds = _dataset()
-        config = RunConfig(prep=_fast_prep(), seed=1)
+        config = RunConfig(**_fast_prep(), seed=1)
         trained = train_protocol(
             ds.sequences, config, ds.joint_map, factory=oracle_factory
         )
@@ -473,7 +471,7 @@ class TestOracleEvaluation:
     def test_binary_oracle_is_perfect(self):
         ds = _dataset()
         config = RunConfig(
-            protocol=Protocol.MULTICLASS_BINARY, prep=_fast_prep(), seed=1
+            protocol=Protocol.MULTICLASS_BINARY, **_fast_prep(), seed=1
         )
         trained = train_protocol(
             ds.sequences, config, ds.joint_map, factory=oracle_factory
@@ -487,7 +485,7 @@ class TestOracleEvaluation:
     def test_cross_validate_oracle_multiclass(self):
         ds = _dataset(n_patients=6, seed=5)
         folds = assign_folds(ds, boundaries=(2, 4))
-        config = RunConfig(prep=_fast_prep(), seed=1)
+        config = RunConfig(**_fast_prep(), seed=1)
         report = cross_validate(ds, folds, config, factory=oracle_factory)
         assert len(report.folds) == 3
         assert report.mean_average_accuracy == 1.0
@@ -500,7 +498,7 @@ class TestOracleEvaluation:
         ds = _dataset(n_patients=4, seed=6)
         folds = assign_folds(ds, boundaries=(2, 4))  # folds 1 and 2 present
         config = RunConfig(
-            protocol=Protocol.MULTICLASS_BINARY, prep=_fast_prep(), seed=1
+            protocol=Protocol.MULTICLASS_BINARY, **_fast_prep(), seed=1
         )
         report = cross_validate(ds, folds, config, factory=oracle_factory)
         assert len(report.folds) == 2
@@ -510,7 +508,7 @@ class TestOracleEvaluation:
         ds = _dataset(n_patients=4, seed=7)
         folds = assign_folds(ds, boundaries=(2, 4))
         config = RunConfig(
-            prep=_fast_prep(window=WindowSpec(16, stride=4)), long_window=32, seed=1
+            **_fast_prep(window=16, stride=4), long_window=32, seed=1
         )
         report = cross_validate(ds, folds, config, factory=oracle_factory)
         assert report.mean_average_accuracy == 1.0
@@ -519,14 +517,14 @@ class TestOracleEvaluation:
         ds = _dataset(n_patients=2, seed=8)
         folds = FoldSplit(boundaries=(15, 35), patients=tuple(ds.patients))
         assert folds.present_folds() == (1,)
-        config = RunConfig(prep=_fast_prep(), seed=1)
+        config = RunConfig(**_fast_prep(), seed=1)
         with pytest.raises(FoldCoverageError, match="at least 2"):
             cross_validate(ds, folds, config, factory=oracle_factory)
 
     def test_fold_reports_carry_disjoint_patient_lists(self):
         ds = _dataset(n_patients=6, seed=9)
         folds = assign_folds(ds, boundaries=(2, 4))
-        config = RunConfig(prep=_fast_prep(), seed=1)
+        config = RunConfig(**_fast_prep(), seed=1)
         report = cross_validate(ds, folds, config, factory=oracle_factory)
         for fold in report.folds:
             assert not set(fold.train_patients) & set(fold.test_patients)
@@ -536,7 +534,7 @@ class TestOracleEvaluation:
 def _tiny_net_config(**kwargs):
     """Small real networks that train in a couple of seconds."""
     defaults = dict(
-        prep=_fast_prep(window=WindowSpec(16, stride=8)),
+        **_fast_prep(window=16, stride=8),
         lstm_hidden=8,
         tcn_channels=8,
         tcn_kernel=2,
@@ -693,7 +691,7 @@ class TestBlockScoring:
     # Window 4, stride 1: static sequences (20-30 frames) have 17-27 windows,
     # so two or three share a block; dynamic ones (70-90 frames) have 67-87,
     # more than a block holds.
-    PREP = _fast_prep(window=WindowSpec(4, stride=1))
+    PREP = _fast_prep(window=4, stride=1)
 
     @staticmethod
     def _long_and_short(seed):
@@ -706,7 +704,7 @@ class TestBlockScoring:
     def test_matches_one_sequence_at_a_time(self, net, protocol, long_window):
         ds = self._long_and_short(seed=21)
         config = RunConfig(
-            protocol=protocol, net=net, prep=self.PREP, long_window=long_window,
+            protocol=protocol, net=net, **self.PREP, long_window=long_window,
             route_threshold=80 if long_window else None, lstm_hidden=6,
             tcn_channels=6, tcn_kernel=2, tcn_dilations=(1, 2), seed=3,
         )
@@ -722,7 +720,7 @@ class TestBlockScoring:
             route = trained.route_name(seq)
             assert got.label == seq.label
             assert tuple(got.probs) == trained.keys_for(seq)
-            x = pipeline._features(config.routes()[route], seq, ds.joint_map)
+            x = pipeline._features(config, config.routes()[route], seq, ds.joint_map)
             for key, mean in got.probs.items():
                 want = forward(trained.classifiers[route][key].model, x).mean(axis=0)
                 assert np.max(np.abs(mean - want)) <= 1e-12
@@ -730,7 +728,7 @@ class TestBlockScoring:
     def test_blocks_hold_at_most_a_block_of_windows(self):
         ds = self._long_and_short(seed=22)
         calls = {gid: [] for gid in ALL_GESTURE_IDS}
-        config = RunConfig(protocol=Protocol.MULTICLASS_BINARY, prep=self.PREP)
+        config = RunConfig(protocol=Protocol.MULTICLASS_BINARY, **self.PREP)
         trained = TrainedProtocol(config=config, classifiers={
             "main": {gid: _RecordingOracle((gid,), calls[gid]) for gid in ALL_GESTURE_IDS}
         })
@@ -746,7 +744,8 @@ class TestBlockScoring:
             assert len(calls[gid]) == len(blocks)
             assert all(np.array_equal(a, b) for a, b in zip(calls[gid], blocks))
         # One patient: a gesture id names one sequence.
-        n_windows = {s.label.id: len(pipeline._features(self.PREP, s, ds.joint_map))
+        window = config.routes()["main"]
+        n_windows = {s.label.id: len(pipeline._features(config, window, s, ds.joint_map))
                      for s in seqs}
         assert np.array_equal(
             np.concatenate(blocks),
@@ -767,7 +766,7 @@ class TestBlockScoring:
         1's windows, in order, then patient 2's, and none holds both."""
         ds = _dataset(n_patients=2, seed=22, frames_static=(20, 30), frames_dynamic=(70, 90))
         calls = {gid: [] for gid in ALL_GESTURE_IDS}
-        config = RunConfig(protocol=Protocol.MULTICLASS_BINARY, prep=self.PREP)
+        config = RunConfig(protocol=Protocol.MULTICLASS_BINARY, **self.PREP)
         trained = TrainedProtocol(config=config, classifiers={
             "main": {gid: _RecordingOracle((gid,), calls[gid]) for gid in ALL_GESTURE_IDS}
         })
@@ -776,7 +775,8 @@ class TestBlockScoring:
 
         assert evaluate_binary(trained, seqs, ds.joint_map).mean_accuracy == 1.0
         blocks = calls[ALL_GESTURE_IDS[0]]
-        n_windows = [[len(pipeline._features(self.PREP, s, ds.joint_map)) for s in group]
+        window = config.routes()["main"]
+        n_windows = [[len(pipeline._features(config, window, s, ds.joint_map)) for s in group]
                      for group in by_patient]
         assert np.array_equal(
             np.concatenate(blocks),
@@ -801,11 +801,6 @@ class TestModelSetScoring:
                                  factory=_untrained_factory(config))
         return ds, trained, manifest_entries(tmp_path)
 
-    @staticmethod
-    def _report(trained, fold):
-        return report_to_dict(EvaluationReport(**trained.config.report_header(),
-                                               folds=(fold,)))
-
     @pytest.mark.parametrize("config,cpus", [
         pytest.param(config, cpus, id=f"{name}{cpus}")
         for name, config in [("", {}), ("one-vs-rest-", {"protocol": Protocol.MULTICLASS_BINARY}),
@@ -813,19 +808,15 @@ class TestModelSetScoring:
         for cpus in (1, 2)
     ])
     def test_counts_as_evaluate_fold_does(self, config, cpus, tmp_path, monkeypatch):
-        """The same fold report as in-memory sequences scored in process,
-        whose counts are those of the whole set scored at once."""
+        """The counts of the whole set scored at once, in process."""
         ds = _dataset(n_patients=3, seed=16)
         write_dataset(ds, tmp_path)
         config = _tiny_net_config(**config)
         trained = train_protocol(ds.sequences, config, ds.joint_map,
                                  factory=_untrained_factory(config))
         monkeypatch.setattr(pipeline, "_cpus", lambda: cpus)
-        want = evaluate_fold(
-            trained, lambda p: [s for s in ds.sequences if s.patient_id == p], ds.patients)
         got = evaluate_model_set(trained, manifest_entries(tmp_path))
         assert got.test_patients == (1, 2, 3) and got.train_patients == ()
-        assert self._report(trained, got) == self._report(trained, want)
         if config.protocol is Protocol.MULTICLASS_BINARY:
             assert got.binary == evaluate_binary(trained, ds.sequences, ds.joint_map)
             return
@@ -866,7 +857,7 @@ def test_a_class_missing_from_the_last_folds_training_split_fails_before_any_fit
     ds = dataclasses.replace(ds, sequences=tuple(
         s for s in ds.sequences if s.label.id != "S1_2" or s.patient_id == 3))
     calls = []
-    config = RunConfig(prep=_fast_prep(), seed=1)
+    config = RunConfig(**_fast_prep(), seed=1)
     with pytest.raises(MissingClassError, match=r"^fold3: .*\['S1_2'\] for the static model"):
         cross_validate(ds, assign_folds(ds, boundaries=(1, 2)), config,
                        factory=lambda job: calls.append(job) or oracle_factory(job))
@@ -881,7 +872,7 @@ def test_a_fold_without_a_kind_fails_before_any_fit(protocol):
     ds = dataclasses.replace(ds, sequences=tuple(
         s for s in ds.sequences if s.label.kind is GestureKind.STATIC or s.patient_id != 3))
     calls = []
-    config = RunConfig(protocol=protocol, prep=_fast_prep(), seed=1)
+    config = RunConfig(protocol=protocol, **_fast_prep(), seed=1)
     folds = assign_folds(ds, boundaries=(1, 2))
     factory = lambda job: calls.append(job) or oracle_factory(job)  # noqa: E731
     if protocol is Protocol.MULTICLASS_BINARY:
@@ -919,7 +910,7 @@ class TestModelSetSerialization:
         save_model_set(trained, tmp_path)
         loaded = load_model_set(tmp_path)
         assert loaded.config == config
-        assert loaded.config.routes()["long"].window.length == 32
+        assert loaded.config.routes()["long"].length == 32
         assert list(loaded.classifiers) == ["short", "long"]
         assert all(set(by_key) == {"static", "dynamic"}
                    for by_key in loaded.classifiers.values())
@@ -935,7 +926,7 @@ class TestModelSetSerialization:
     def test_oracle_models_are_not_serializable(self, tmp_path):
         ds = _dataset(n_patients=2, seed=15)
         trained = train_protocol(
-            ds.sequences, RunConfig(prep=_fast_prep(), seed=1), ds.joint_map,
+            ds.sequences, RunConfig(**_fast_prep(), seed=1), ds.joint_map,
             factory=oracle_factory,
         )
         with pytest.raises(TypeError, match="OracleClassifier"):

@@ -28,16 +28,39 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .ingest import DEFAULT_FOLD_BOUNDARIES, DataError
-from .neuralnet import LstmSpec, TcnSpec, TrainConfig
+from .neuralnet import HeadKind, LstmSpec, TcnSpec, TrainConfig
 from .preprocess import NormMethod, SavgolSpec, WindowSpec, feature_dim
-from .skeleton import DEFAULT_JOINT_MAP, N_JOINTS
+from .skeleton import (
+    ALL_GESTURE_IDS, DEFAULT_JOINT_MAP, DYNAMIC_GESTURE_IDS, N_JOINTS, STATIC_GESTURE_IDS,
+    GestureLabel, JointIndexMap,
+)
 
 
 class Protocol(Enum):
-    """How the gesture set is carved into trainable models."""
+    """How the gesture set is carved into trainable models, as `models`,
+    `head` and `keys_for` describe them to every reader."""
 
     MULTICLASS = "multiclass"
     MULTICLASS_BINARY = "multiclass-binary"
+
+    @property
+    def models(self) -> dict[str, tuple[str, ...]]:
+        """Each model's key and the gesture ids that it outputs, in job
+        order: ``static`` and ``dynamic``, or each gesture id as ``(gid,)``."""
+        if self is Protocol.MULTICLASS:
+            return {"static": STATIC_GESTURE_IDS, "dynamic": DYNAMIC_GESTURE_IDS}
+        return {gid: (gid,) for gid in ALL_GESTURE_IDS}
+
+    @property
+    def head(self) -> HeadKind:
+        return HeadKind.SOFTMAX if self is Protocol.MULTICLASS else HeadKind.SIGMOID
+
+    def keys_for(self, label: GestureLabel) -> tuple[str, ...]:
+        """The models that score a performance of ``label``: the model of its
+        kind, or all 29 one-vs-rest models."""
+        if self is Protocol.MULTICLASS:
+            return (label.kind.value,)
+        return ALL_GESTURE_IDS
 
 
 class NetKind(Enum):
@@ -146,8 +169,8 @@ def config_from_dict(d: dict) -> RunConfig:
     """Inverse of `config_to_dict`; absent keys take the values of
     `RunConfig()`.  A key that `config_to_dict` does not write is a
     ValueError, so no recorded setting is silently dropped, and so is a value
-    of the wrong type (see `_check_values`) or a network that no model can
-    have."""
+    of the wrong type (an enum's JSON type is its default's; see also
+    `_check_values`) or a network that no model can have."""
     base = RunConfig()
     defaults = config_to_dict(base)
     unknown = [k for k in d if k not in defaults] + [
@@ -156,6 +179,9 @@ def config_from_dict(d: dict) -> RunConfig:
     ]
     if unknown:
         raise ValueError(f"unknown config key {unknown[0]!r}")
+    for name in [k for k in d if isinstance(getattr(base, k), Enum)]:
+        if type(d[name]) is not type(defaults[name]):  # an enum would look 3.0 up as 3
+            raise ValueError(f"mistyped config value {name!r}: {d[name]!r}")
     config = RunConfig(**{f.name: _from_json(getattr(base, f.name), d[f.name])
                           for f in fields(RunConfig) if f.name in d})
     _check_values(config)
@@ -275,6 +301,13 @@ def _parse_window(text: str) -> tuple[int, ...]:
     return values
 
 
+def _parse_chin_index(text: str) -> int:
+    try:
+        return JointIndexMap(_parse_int(text)).chin_index
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _parse_method(text: str) -> int:
     value = _parse_int(text)
     if not 1 <= value <= 5:
@@ -385,7 +418,7 @@ REGISTRY: dict[str, ConfigKey] = dict(
              "synthetic frame-count range 'lo,hi' for static gestures"),
         _key("synth.frames_dynamic", "--frames-dynamic", _parse_int_pair, (48, 72),
              "synthetic frame-count range 'lo,hi' for dynamic gestures"),
-        _key("joints.chin_index", "--chin-index", _parse_int,
+        _key("joints.chin_index", "--chin-index", _parse_chin_index,
              DEFAULT_JOINT_MAP.chin_index,
              "column index of the chin joint"),
         _key("gradcheck.tolerance", "--tolerance", _parse_float, 1e-6,

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -130,6 +130,13 @@ class BinaryClassResult:
             raise ValueError(f"no test examples for {self.gesture_id}")
         return (self.tp + self.tn) / self.n_total
 
+    def __add__(self, other: BinaryClassResult) -> BinaryClassResult:
+        """The pooled tallies of two results of the same gesture id."""
+        if other.gesture_id != self.gesture_id:
+            raise ValueError("cannot pool one-vs-rest results of different gesture ids")
+        return BinaryClassResult(self.gesture_id, self.tp + other.tp, self.fp + other.fp,
+                                 self.tn + other.tn, self.fn + other.fn)
+
     @property
     def precision(self) -> float | None:
         """None when the model predicted no positives at all."""
@@ -154,14 +161,8 @@ class BinarySuiteMetrics:
         if len(set(seen)) != len(seen):
             raise ValueError("duplicate gesture ids in binary results")
 
-    def __add__(self, other: BinarySuiteMetrics) -> BinarySuiteMetrics:
-        """The pooled tallies of two suites over the same gesture ids."""
-        if [r.gesture_id for r in other.results] != [r.gesture_id for r in self.results]:
-            raise ValueError("cannot pool one-vs-rest results over different gesture ids")
-        return BinarySuiteMetrics(tuple(
-            BinaryClassResult(a.gesture_id, a.tp + b.tp, a.fp + b.fp, a.tn + b.tn, a.fn + b.fn)
-            for a, b in zip(self.results, other.results)
-        ))
+    def __iter__(self) -> Iterator[BinaryClassResult]:
+        return iter(self.results)
 
     @property
     def mean_accuracy(self) -> float:

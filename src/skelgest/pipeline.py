@@ -1,6 +1,9 @@
 """End-to-end classification pipeline and patient-held-out cross-validation.
 
-Two evaluation protocols:
+Two evaluation protocols, each described by `config.Protocol`: its models
+and the gesture ids that each outputs, their head, and the models that
+score a performance.  Planning, scoring, counting (`count_model`), fold
+reports and model-set loading read that description, not the protocol:
 
 - ``MULTICLASS``: two softmax models per run, one over the 15 static gestures
   and one over the 14 dynamic gestures; each test sequence is routed to the
@@ -40,16 +43,7 @@ from typing import (
 
 import numpy as np
 
-from .skeleton import (
-    ALL_GESTURE_IDS,
-    DEFAULT_JOINT_MAP,
-    DYNAMIC_GESTURE_IDS,
-    STATIC_GESTURE_IDS,
-    GestureKind,
-    GestureLabel,
-    GestureSequence,
-    JointIndexMap,
-)
+from .skeleton import DEFAULT_JOINT_MAP, GestureLabel, GestureSequence, JointIndexMap
 from .ingest import DataError, Dataset, FoldSplit, ManifestEntry, load_entries
 from . import preprocess
 from .preprocess import DegenerateReferenceError, WindowSpec, preprocess_sequence
@@ -262,17 +256,6 @@ class TrainedProtocol:
             return "main"
         return "short" if seq.n_frames <= threshold else "long"
 
-    def keys_for(self, seq: GestureSequence) -> tuple[str, ...]:
-        """The classifiers that score ``seq``: the model of its kind, or all
-        29 one-vs-rest models."""
-        if self.config.protocol is Protocol.MULTICLASS:
-            return (seq.label.kind.value,)
-        return ALL_GESTURE_IDS
-
-
-def _kind_labels(kind: GestureKind) -> tuple[str, ...]:
-    return STATIC_GESTURE_IDS if kind is GestureKind.STATIC else DYNAMIC_GESTURE_IDS
-
 
 def _window_gids(seqs: Sequence[GestureSequence], windows: Sequence[np.ndarray]) -> np.ndarray:
     """The gesture id of each window of the sequences' (n, W, D) windows."""
@@ -297,43 +280,39 @@ def _route_jobs(
     train_seqs: Sequence[GestureSequence], per_sequence: Sequence[np.ndarray],
     config: RunConfig, route: str, prefix: str, seed_parts: tuple[int, int, int],
 ) -> Iterator[tuple[TrainJob, tuple[np.ndarray, ...]]]:
-    """One route's jobs, static then dynamic, or one per gesture in
-    ``ALL_GESTURE_IDS`` order, each planned with the windows of the sequences
-    that it trains on, which the one-vs-rest jobs share.  A class that the
-    split cannot train is a `MissingClassError`."""
-
-    def job(key, idx, labels, head, targets, rows=None):
-        return TrainJob(route=route, key=key, name=f"{prefix}-{key}", labels=labels, head=head,
-                        x=None, targets=targets if rows is None else targets[rows],
-                        init_seed=_derived_seed(*seed_parts, idx, 0),
-                        shuffle_seed=_derived_seed(*seed_parts, idx, 1), rows=rows)
-
-    if config.protocol is Protocol.MULTICLASS:
-        for kind_idx, kind in enumerate((GestureKind.STATIC, GestureKind.DYNAMIC)):
-            labels = _kind_labels(kind)
-            subset = [i for i, s in enumerate(train_seqs) if s.label.kind is kind]
-            members = tuple(per_sequence[i] for i in subset)
-            gids = _window_gids([train_seqs[i] for i in subset], members)
+    """One route's jobs, one per model of the protocol in job order, each
+    planned with the windows of the sequences that the model scores, which
+    jobs on the same sequences share.  A class that the split cannot train
+    is a `MissingClassError`."""
+    protocol = config.protocol
+    shared: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
+    for idx, (key, labels) in enumerate(protocol.models.items()):
+        subset = tuple(i for i, seq in enumerate(train_seqs)
+                       if key in protocol.keys_for(seq.label))
+        members = shared.setdefault(subset, tuple(per_sequence[i] for i in subset))
+        gids = _window_gids([train_seqs[i] for i in subset], members)
+        rows = None
+        if protocol.head is HeadKind.SOFTMAX:
             if missing := [gid for gid in labels if gid not in gids]:
                 raise MissingClassError(f"{prefix}: training split has no examples of "
-                                        f"{missing} for the {kind.value} model")
+                                        f"{missing} for the {key} model")
             index = {gid: i for i, gid in enumerate(labels)}
             targets = np.array([index[gid] for gid in gids], dtype=np.int64)
-            yield job(kind.value, kind_idx, labels, HeadKind.SOFTMAX, targets), members
-        return
-    if not train_seqs:
-        raise MissingClassError(f"{prefix}: training split produced no windows")
-    members = tuple(per_sequence)
-    gids = _window_gids(train_seqs, members)
-    for class_idx, gid in enumerate(ALL_GESTURE_IDS):
-        targets = (gids == gid).astype(np.float64)
-        n_pos = int(targets.sum())
-        if n_pos == 0 or n_pos == len(targets):
-            raise MissingClassError(f"{prefix}: one-vs-rest model for {gid} needs both "
-                                    "positive and negative training examples (got "
-                                    f"{n_pos} positives of {len(targets)})")
-        rows = _rebalanced_indices(targets) if config.rebalance else None
-        yield job(gid, class_idx, (gid,), HeadKind.SIGMOID, targets, rows), members
+        else:
+            if not subset:
+                raise MissingClassError(f"{prefix}: training split produced no windows")
+            targets = (gids == key).astype(np.float64)
+            n_pos = int(targets.sum())
+            if n_pos == 0 or n_pos == len(targets):
+                raise MissingClassError(f"{prefix}: one-vs-rest model for {key} needs both "
+                                        "positive and negative training examples (got "
+                                        f"{n_pos} positives of {len(targets)})")
+            rows = _rebalanced_indices(targets) if config.rebalance else None
+        yield TrainJob(route=route, key=key, name=f"{prefix}-{key}", labels=labels,
+                       head=protocol.head, x=None,
+                       targets=targets if rows is None else targets[rows],
+                       init_seed=_derived_seed(*seed_parts, idx, 0),
+                       shuffle_seed=_derived_seed(*seed_parts, idx, 1), rows=rows), members
 
 
 def _plan(seqs: Sequence[GestureSequence], splits: Sequence[_Split], config: RunConfig,
@@ -592,7 +571,7 @@ def _feature_blocks(featurized: Iterable[_Featurized]) -> Iterator[list[_Featuri
 @dataclass(frozen=True)
 class ScoredSequence:
     """A test sequence's true label and its mean window probabilities under
-    each classifier that scores it, by key (``TrainedProtocol.keys_for``)."""
+    each classifier that scores it, by key (`Protocol.keys_for`)."""
 
     label: GestureLabel
     probs: dict[str, np.ndarray]
@@ -618,7 +597,8 @@ def score_sequences(
     groups: dict[tuple[str, tuple[str, ...], int], list[int]] = {}
     for i, seq in enumerate(test_seqs):
         route = trained.route_name(seq)
-        keys = tuple(k for k in trained.keys_for(seq) if k in trained.classifiers[route])
+        keys = tuple(k for k in trained.config.protocol.keys_for(seq.label)
+                     if k in trained.classifiers[route])
         groups.setdefault((route, keys, seq.patient_id), []).append(i)
 
     config = trained.config
@@ -639,37 +619,21 @@ def score_sequences(
     return [ScoredSequence(seq.label, probs) for seq, probs in zip(test_seqs, scores)]
 
 
-def count_multiclass(
-    scored: Iterable[ScoredSequence],
-) -> tuple[ConfusionMatrix, ConfusionMatrix]:
-    """Static and dynamic confusion matrices over scored sequences, each
-    sequence predicted by the argmax over its kind's labels, in the order
-    that every model of that kind outputs them (`load_model_set` checks)."""
-    true_by_kind: dict[GestureKind, list[str]] = {k: [] for k in GestureKind}
-    pred_by_kind: dict[GestureKind, list[str]] = {k: [] for k in GestureKind}
-    for seq in scored:
-        kind = seq.label.kind
-        true_by_kind[kind].append(seq.label.id)
-        pred_by_kind[kind].append(predict_label(seq.probs[kind.value], _kind_labels(kind)))
-    static_cm, dynamic_cm = (confusion(true_by_kind[kind], pred_by_kind[kind],
-                                       _kind_labels(kind)) for kind in GestureKind)
-    return static_cm, dynamic_cm
-
-
-def count_binary(scored: Sequence[ScoredSequence]) -> BinarySuiteMetrics:
-    """The 29 one-vs-rest models' tallies, each over the scored sequences
-    that it scored."""
-    results = []
-    for gid in ALL_GESTURE_IDS:
-        cells = Counter(  # (actually positive, predicted positive)
-            (seq.label.id == gid, float(seq.probs[gid][0]) > 0.5)
-            for seq in scored if gid in seq.probs
-        )
-        results.append(BinaryClassResult(
-            gesture_id=gid, tp=cells[True, True], fp=cells[False, True],
-            tn=cells[False, False], fn=cells[True, False],
-        ))
-    return BinarySuiteMetrics(tuple(results))
+def count_model(protocol: Protocol, key: str,
+                scored: Sequence[ScoredSequence]) -> ConfusionMatrix | BinaryClassResult:
+    """Model ``key``'s counts over the scored sequences that it scored: a
+    confusion matrix over its labels, each sequence predicted by the argmax
+    in the order that the model outputs them (`load_model_set` checks), or a
+    one-vs-rest tally."""
+    labels = protocol.models[key]
+    mine = [seq for seq in scored if key in seq.probs]
+    if protocol.head is HeadKind.SOFTMAX:
+        return confusion([seq.label.id for seq in mine],
+                         [predict_label(seq.probs[key], labels) for seq in mine], labels)
+    cells = Counter((seq.label.id == key, float(seq.probs[key][0]) > 0.5)  # (true, predicted)
+                    for seq in mine)
+    return BinaryClassResult(gesture_id=key, tp=cells[True, True], fp=cells[False, True],
+                             tn=cells[False, False], fn=cells[True, False])
 
 
 def evaluate_multiclass(
@@ -677,8 +641,10 @@ def evaluate_multiclass(
     test_seqs: Sequence[GestureSequence],
     joint_map: JointIndexMap,
 ) -> tuple[ConfusionMatrix, ConfusionMatrix]:
-    """Score the test sequences, then count them (`count_multiclass`)."""
-    return count_multiclass(score_sequences(trained, test_seqs, joint_map))
+    """Score the test sequences, then count each model (`count_model`)."""
+    protocol, scored = trained.config.protocol, score_sequences(trained, test_seqs, joint_map)
+    static_cm, dynamic_cm = (count_model(protocol, key, scored) for key in protocol.models)
+    return static_cm, dynamic_cm
 
 
 def evaluate_binary(
@@ -686,28 +652,35 @@ def evaluate_binary(
     test_seqs: Sequence[GestureSequence],
     joint_map: JointIndexMap,
 ) -> BinarySuiteMetrics:
-    """Score all 29 one-vs-rest models on every test sequence, then count
-    them (`count_binary`)."""
-    return count_binary(score_sequences(trained, test_seqs, joint_map))
+    """Score the test sequences, then count each model (`count_model`)."""
+    protocol, scored = trained.config.protocol, score_sequences(trained, test_seqs, joint_map)
+    return BinarySuiteMetrics(tuple(count_model(protocol, key, scored)
+                                    for key in protocol.models))
 
 
-def _fold_report(counts: Sequence, binary: bool, **patients) -> FoldReport:
-    """A fold's report from the sum of its parts' counts: one-vs-rest suites
-    (`count_binary`), or static and dynamic matrices (`count_multiclass`)."""
-    if binary:
-        return FoldReport(**patients, binary=sum(counts[1:], counts[0]))
-    static_cm, dynamic_cm = (sum(cms[1:], cms[0]) for cms in zip(*counts))
+def _fold_report(protocol: Protocol, counts: Iterable[tuple[str, object]],
+                 **patients) -> FoldReport:
+    """A fold's report from ``(key, counts)`` pairs (`count_model`), each
+    model's counts summed over routes, jobs and patients."""
+    pooled: dict[str, object] = {}
+    for key, count in counts:
+        pooled[key] = pooled[key] + count if key in pooled else count
+    if protocol.head is HeadKind.SIGMOID:
+        return FoldReport(**patients, binary=BinarySuiteMetrics(
+            tuple(pooled[key] for key in protocol.models)))
+    static_cm, dynamic_cm = (pooled[key] for key in protocol.models)
     return FoldReport(**patients, static_accuracy=static_cm.accuracy,
                       dynamic_accuracy=dynamic_cm.accuracy,
                       static_confusion=static_cm, dynamic_confusion=dynamic_cm)
 
 
-def _require_both_kinds(fold: int, labels: Iterable[GestureLabel], error: type) -> None:
-    """A multiclass fold's accuracy needs static and dynamic test performances."""
-    kinds = {label.kind for label in labels}
-    for kind in [k for k in GestureKind if k not in kinds]:
-        raise error(f"fold {fold}: no {kind.value} test performances, so the "
-                    f"{kind.value} model's accuracy is undefined")
+def _require_scored_models(protocol: Protocol, fold: int, labels: Iterable[GestureLabel],
+                           error: type) -> None:
+    """Every model's accuracy needs a test performance that the model scores."""
+    scored = {key for label in set(labels) for key in protocol.keys_for(label)}
+    for key in [k for k in protocol.models if k not in scored]:
+        raise error(f"fold {fold}: no {key} test performances, so the "
+                    f"{key} model's accuracy is undefined")
 
 
 def evaluate_model_set(
@@ -719,17 +692,16 @@ def evaluate_model_set(
     Each patient's performances are read and validated (`load_entries`),
     then scored and counted on their own in forked workers (`fork_map`,
     `_pool_size`), which send back only the counts.  No scoring block spans
-    patients, so the worker count changes no result.  A multiclass set
-    needs static and dynamic performances, or it is a `DataError`.
+    patients, so the worker count changes no result.  A model without a
+    performance that it scores is a `DataError`.
     """
-    binary = trained.config.protocol is Protocol.MULTICLASS_BINARY
-    if not binary:
-        _require_both_kinds(0, (entry.label for entry in entries), DataError)
+    protocol = trained.config.protocol
+    _require_scored_models(protocol, 0, (entry.label for entry in entries), DataError)
     by_patient: dict[int, list[ManifestEntry]] = {}
     for entry in entries:
         by_patient.setdefault(entry.patient_id, []).append(entry)
     patients = tuple(sorted(by_patient))
-    evaluate = evaluate_binary if binary else evaluate_multiclass
+    evaluate = evaluate_binary if protocol.head is HeadKind.SIGMOID else evaluate_multiclass
 
     def count(patients: tuple[int, ...], k: int):
         seqs = load_entries(by_patient[patients[k]], trained.joint_map).sequences
@@ -740,7 +712,8 @@ def evaluate_model_set(
         lost=lambda k: f"patient {patients[k]}: a scoring worker ended before "
         "sending back this patient's scores",
     )
-    return _fold_report(counts, binary, fold=0, train_patients=(), test_patients=patients)
+    return _fold_report(protocol, [pair for c in counts for pair in zip(protocol.models, c)],
+                        fold=0, train_patients=(), test_patients=patients)
 
 
 def cross_validate(
@@ -764,7 +737,7 @@ def cross_validate(
                                 f"{len(present)} (patients: {folds.patients})")
     seqs = ds.sequences
     fold_of = folds.fold_of_patient
-    binary = config.protocol is Protocol.MULTICLASS_BINARY
+    protocol = config.protocol
     splits, patients = [], []
     for test_fold in present:
         test_patients = tuple(p for p in folds.patients if fold_of[p] == test_fold)
@@ -775,8 +748,8 @@ def cross_validate(
         if not train or not test:
             raise FoldCoverageError(f"fold {test_fold}: empty split "
                                     f"(train={len(train)}, test={len(test)} sequences)")
-        if not binary:
-            _require_both_kinds(test_fold, (seqs[i].label for i in test), FoldCoverageError)
+        _require_scored_models(protocol, test_fold, (seqs[i].label for i in test),
+                               FoldCoverageError)
         splits.append((test_fold, f"fold{test_fold}", train, test))
         patients.append(dict(fold=test_fold, train_patients=train_patients,
                              test_patients=test_patients))
@@ -785,15 +758,15 @@ def cross_validate(
     def score(split: int, job: TrainJob, clf: SequenceClassifier):  # the model's counts
         one = TrainedProtocol(config, {job.route: {job.key: clf}}, ds.joint_map)
         test = [i for i in splits[split][3] if one.route_name(seqs[i]) == job.route
-                and job.key in one.keys_for(seqs[i])]
+                and job.key in protocol.keys_for(seqs[i].label)]
         scored = score_sequences(one, [seqs[i] for i in test], ds.joint_map,
                                  [windows[job.route][i] for i in test])
-        return count_binary(scored) if binary else count_multiclass(scored)
+        return count_model(protocol, job.key, scored)
 
     counts = _fit_jobs(planned, config, factory, score)
     fold_reports = tuple(
-        _fold_report([c for (s, _, _), c in zip(planned, counts) if s == split], binary,
-                     **patients[split])
+        _fold_report(protocol, [(job.key, c) for (s, job, _), c in zip(planned, counts)
+                                if s == split], **patients[split])
         for split in range(len(splits))
     )
     return EvaluationReport(**config.report_header(), folds=fold_reports)
@@ -849,9 +822,7 @@ def load_model_set(model_dir: str | Path) -> TrainedProtocol:
     index_path = model_dir / "modelset.json"
     index, config = read_index(index_path, "skelgest-modelset", ("models",))
     digest = config_digest(config)
-    labels_of = ({kind.value: _kind_labels(kind) for kind in GestureKind}
-                 if config.protocol is Protocol.MULTICLASS
-                 else {gid: (gid,) for gid in ALL_GESTURE_IDS})
+    labels_of, head = config.protocol.models, config.protocol.head
     classifiers: dict[str, dict[str, SequenceClassifier]] = {r: {} for r in config.routes()}
     for entry in index["models"]:
         route = entry["route"]
@@ -871,7 +842,6 @@ def load_model_set(model_dir: str | Path) -> TrainedProtocol:
         if labels is None or extra.get("labels") != list(labels):
             raise DataError(f"{path}: checkpoint labels {extra.get('labels')!r} are not "
                             f"those of a {config.protocol.value} {entry['key']!r} model")
-        head = HeadKind.SOFTMAX if config.protocol is Protocol.MULTICLASS else HeadKind.SIGMOID
         spec = config.arch_spec(len(labels) if head is HeadKind.SOFTMAX else 1)
         for name, got, want in (("head", model.head.value, head.value),
                                 ("architecture", model.spec, spec)):

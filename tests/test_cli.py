@@ -133,6 +133,13 @@ class TestConfigModule:
         with pytest.raises(ConfigError, match="two integers"):
             parse_value("folds.boundaries", "15")
 
+    def test_chin_index_range(self):
+        assert parse_value("joints.chin_index", "13") == 13
+        for text in ("14", "-1"):
+            with pytest.raises(ConfigError, match=rf"'joints.chin_index': chin_index {text} "
+                                                  r"outside \[0, 14\)"):
+                parse_value("joints.chin_index", text)
+
     def test_choice_keys(self):
         assert parse_value("model.protocol", "binary") == "binary"
         with pytest.raises(ConfigError, match="one of"):
@@ -863,6 +870,21 @@ def test_model_set_index_without_a_model_is_data_error(entry, model_dir, dataset
     assert str(index_path) in err and f"'main' model for {key!r}" in err
 
 
+def test_one_vs_rest_model_set_index_without_a_gestures_model_is_data_error(
+        binary_model_dir, dataset_dir, tmp_path, capsys):
+    models = tmp_path / "models"
+    shutil.copytree(binary_model_dir / "models", models)
+    index_path = models / "modelset.json"
+    index = json.loads(index_path.read_text())
+    index["models"] = [entry for entry in index["models"] if entry["key"] != "P2_5"]
+    index_path.write_text(json.dumps(index))
+    code = run_cli("evaluate", "--models", str(models), "--dataset", str(dataset_dir),
+                   "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA, err
+    assert f"{index_path}: no 'main' model for 'P2_5'" in err
+
+
 def _index_copy(kind, model_dir, eval_out, dataset_dir, tmp_path):
     """A copy of a model set's ``modelset.json`` or of a run's
     ``run_manifest.json``, and the ``evaluate`` arguments that read it."""
@@ -949,6 +971,9 @@ def test_unreadable_index_is_data_error(kind, text, fragment, model_dir, eval_ou
      ("modelset", ("config", "savgol"), {"m": 5.0, "order": 2},
       "mistyped config value 'savgol.m'"),
      ("modelset", ("config", "seed"), "7", "mistyped config value 'seed'"),
+     ("modelset", ("config", "method"), 3.0, "mistyped config value 'method': 3.0"),
+     ("manifest", ("config", "method"), True, "mistyped config value 'method': True"),
+     ("modelset", ("config", "protocol"), 1, "mistyped config value 'protocol': 1"),
      ("manifest", ("fold_boundaries",), [2, 2], "'fold_boundaries' is not strictly increasing"),
      ("manifest", ("fold_boundaries",), [3, 1], "'fold_boundaries' is not strictly increasing")],
 )
@@ -1033,6 +1058,26 @@ def test_fold_boundaries_that_do_not_increase_in_a_config_file_name_the_line(tmp
     assert code == EXIT_USAGE, err
     assert f"{conf}:2: " in err and "strictly increasing" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "train", "evaluate"])
+@pytest.mark.parametrize("chin", ["14", "-1"])
+def test_chin_index_out_of_range_is_usage_error_naming_its_flag(command, chin, tmp_path,
+                                                                capsys):
+    code = run_cli(command, "--dataset", str(tmp_path / "missing"), "--chin-index", chin)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE, err
+    assert (f"argument --chin-index: config key 'joints.chin_index': chin_index {chin} "
+            "outside [0, 14)") in err
+
+
+def test_chin_index_out_of_range_in_a_config_file_names_the_line(tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_text("joints.chin_index = 20\n")
+    code = run_cli("ingest", "--config", str(conf), "--dataset", str(tmp_path / "missing"))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE, err
+    assert f"{conf}:1: config key 'joints.chin_index': chin_index 20 outside [0, 14)" in err
 
 
 def test_replaying_a_train_manifest_is_data_error(model_dir, dataset_dir, tmp_path, capsys):

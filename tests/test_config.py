@@ -9,6 +9,7 @@ import dataclasses
 import functools
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,8 @@ import skelgest
 from skelgest import pipeline
 from skelgest.config import (
     REGISTRY,
+    NetKind,
+    Protocol,
     RunConfig,
     config_digest,
     config_from_dict,
@@ -29,6 +32,9 @@ from skelgest.config import (
     parse_value,
 )
 from skelgest.ingest import SynthConfig, generate_synthetic
+from skelgest.neuralnet import HeadKind
+from skelgest.preprocess import NormMethod
+from skelgest.skeleton import ALL_GESTURE_IDS, GestureLabel
 
 # One value per run key of the registry, each other than `RunConfig()`'s.
 OTHER_VALUES = {
@@ -117,6 +123,35 @@ def test_each_value_reaches_every_mapping(name):
 def test_dict_with_an_unknown_key_is_rejected(d, key):
     with pytest.raises(ValueError, match=key):
         config_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "d,message",
+    [({"method": 3.0}, "'method': 3.0"), ({"method": True}, "'method': True"),
+     ({"method": "3"}, "'method': '3'"), ({"protocol": 1}, "'protocol': 1"),
+     ({"net": ["lstm"]}, "'net': ['lstm']")],
+    ids=["method-float", "method-bool", "method-string", "protocol-int", "net-list"],
+)
+def test_a_recorded_enum_value_of_another_json_type_is_rejected(d, message):
+    with pytest.raises(ValueError, match=re.escape(f"mistyped config value {message}")):
+        config_from_dict(d)
+
+
+def test_a_recorded_enum_value_of_its_json_type_is_read():
+    assert config_from_dict({"protocol": "multiclass-binary", "net": "tcn", "method": 5}) == \
+        RunConfig(protocol=Protocol.MULTICLASS_BINARY, net=NetKind.TCN, method=NormMethod.M5)
+
+
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+def test_a_protocol_describes_its_models(protocol):
+    """Every gesture id is output by one model; a performance is scored by
+    each softmax model that outputs its id, or by every sigmoid model."""
+    models = protocol.models
+    assert sorted(gid for ids in models.values() for gid in ids) == sorted(ALL_GESTURE_IDS)
+    for gid in ALL_GESTURE_IDS:
+        want = [key for key, ids in models.items()
+                if protocol.head is HeadKind.SIGMOID or gid in ids]
+        assert list(protocol.keys_for(GestureLabel(gid))) == want
 
 
 def test_config_does_not_import_the_pipeline():

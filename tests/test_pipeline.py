@@ -71,6 +71,7 @@ from skelgest.pipeline import (
 from skelgest.preprocess import NormMethod, WindowSpec, preprocess_sequence
 from skelgest.skeleton import (
     ALL_GESTURE_IDS,
+    DEFAULT_JOINT_MAP,
     DYNAMIC_GESTURE_IDS,
     STATIC_GESTURE_IDS,
     GestureKind,
@@ -308,6 +309,12 @@ class TestStackWindows:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no windows"):
             stack_windows([])
+
+
+def test_an_empty_one_vs_rest_training_split_produces_no_windows():
+    config = RunConfig(protocol=Protocol.MULTICLASS_BINARY, **_fast_prep())
+    with pytest.raises(MissingClassError, match="^run: training split produced no windows$"):
+        train_protocol([], config, DEFAULT_JOINT_MAP, factory=oracle_factory)
 
 
 class TestTrainProtocolStructure:
@@ -582,7 +589,7 @@ class TestRealTrainingSmoke:
         assert scored.label == seq.label
         scores = scored.probs
         key = seq.label.kind.value
-        assert list(scores) == [key] == list(trained.keys_for(seq))
+        assert list(scores) == [key] == list(trained.config.protocol.keys_for(seq.label))
         labels = (
             STATIC_GESTURE_IDS
             if seq.label.kind is GestureKind.STATIC
@@ -719,7 +726,7 @@ class TestBlockScoring:
         for seq, got in zip(ds.sequences, scores):
             route = trained.route_name(seq)
             assert got.label == seq.label
-            assert tuple(got.probs) == trained.keys_for(seq)
+            assert tuple(got.probs) == trained.config.protocol.keys_for(seq.label)
             x = pipeline._features(config, config.routes()[route], seq, ds.joint_map)
             for key, mean in got.probs.items():
                 want = forward(trained.classifiers[route][key].model, x).mean(axis=0)

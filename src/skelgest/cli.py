@@ -1,9 +1,9 @@
 """Command-line interface: synthesize, ingest, train, evaluate, check, report.
 
 Exit codes: 0 success, 1 assertion/check failure (failed gradient check,
-diverged training, a lost fit or scoring worker), 2 usage or configuration
-error, 3 data error (unreadable dataset, checksum mismatch, fold without
-data).
+diverged training, a lost fit, scoring or frames-writing worker), 2 usage or
+configuration error, 3 data error (unreadable dataset, checksum mismatch,
+fold without data, an output path that cannot be created or written).
 
 Every command that draws random numbers requires an explicit ``--seed``;
 there is deliberately no implicit default, so each artifact records how to
@@ -460,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, CheckpointError, MissingClassError, FoldCoverageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path that cannot be read, created or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDivergedError, WorkerLostError, AssertionError) as exc:

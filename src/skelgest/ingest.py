@@ -10,6 +10,9 @@ frames_path`` (paths relative to the dataset root).
 
 Performances flagged incorrect are dropped at load time: a mislabeled-by-
 failure performance would only mislead a gesture classifier.
+
+`write_dataset` writes a cohort's frames files in the worker pool of
+`pool` (`fork_map`), which `pipeline` fits and scores in too.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import csv
 import hashlib
 import logging
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import pool
 from .skeleton import (
     ALL_GESTURE_IDS,
     DEFAULT_JOINT_MAP,
@@ -122,17 +127,19 @@ def _is_number(token: str) -> bool:
         return False
 
 
+# One frame as `serialize_frames` writes it: a row each of x, y and
+# confidence, each value as `repr` writes it, then the two all-zero aux rows.
+_FRAME_FORMAT = (("%r " * (N_JOINTS - 1) + "%r\n") * 3
+                 + (" ".join(["0.0"] * N_JOINTS) + "\n") * 2)
+
+
 def serialize_frames(coords: np.ndarray, conf: np.ndarray) -> str:
     """Inverse of :func:`parse_skeletal_file`, exact to full float precision;
     the two aux rows of each 5-row block are written as zeros."""
-    aux = np.zeros((len(coords), 2, N_JOINTS))
-    blocks = np.concatenate(
-        [np.transpose(coords, (0, 2, 1)), np.asarray(conf)[:, None, :], aux], axis=1
-    )
-    return "".join(
-        " ".join(map(repr, row)) + "\n"
-        for row in blocks.reshape(-1, N_JOINTS).tolist()
-    )
+    blocks = np.concatenate([np.transpose(coords, (0, 2, 1)), np.asarray(conf)[:, None, :]],
+                            axis=1)
+    return "".join(_FRAME_FORMAT % tuple(frame)
+                   for frame in blocks.reshape(len(blocks), -1).tolist())
 
 
 @dataclass(frozen=True)
@@ -477,23 +484,38 @@ def write_dataset(ds: Dataset, root: str | Path) -> Path:
     """Write a dataset as frames files plus manifest; returns the manifest path.
 
     Output is deterministic: rows are ordered by (patient, taxonomy index)
-    and floats are serialized with round-tripping precision.
+    and floats are serialized with round-tripping precision.  The frames
+    files are written in one pool of forked workers (`pool.fork_map`), one
+    per CPU, with the same bytes at any count.  Any old ``manifest.csv`` is
+    removed first, and the new one is moved into place only after every
+    frames file is written, so a failed or killed write leaves no manifest;
+    a lost worker is a :class:`pool.WorkerLostError` naming the first frames
+    file whose write was not confirmed.
     """
     root = Path(root)
     frames_dir = root / "frames"
     frames_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = root / "manifest.csv"
+    manifest_path.unlink(missing_ok=True)
 
     order = {gid: i for i, gid in enumerate(ALL_GESTURE_IDS)}
     ordered = sorted(ds.sequences, key=lambda s: (s.patient_id, order[s.label.id]))
+    paths = [f"frames/p{seq.patient_id:03d}_{seq.label.id}.txt" for seq in ordered]
 
-    manifest_path = root / "manifest.csv"
-    with open(manifest_path, "w", newline="") as fh:
+    def write(ordered: list[GestureSequence], i: int) -> None:
+        (root / paths[i]).write_text(serialize_frames(ordered[i].coords, ordered[i].conf))
+
+    pool.fork_map(write, len(ordered), ordered, min(pool._cpus(), len(ordered)),
+                  lost=lambda i: f"{root / paths[i]}: a writer ended before reporting "
+                  "this frames file written")
+
+    partial = root / "manifest.csv.partial"
+    with open(partial, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_FIELDS)
-        for seq in ordered:
-            rel = f"frames/p{seq.patient_id:03d}_{seq.label.id}.txt"
-            (root / rel).write_text(serialize_frames(seq.coords, seq.conf))
-            writer.writerow([seq.patient_id, seq.label.id, 1, rel])
+        writer.writerows([seq.patient_id, seq.label.id, 1, path]
+                         for seq, path in zip(ordered, paths))
+    os.replace(partial, manifest_path)
     return manifest_path
 
 

@@ -18,7 +18,8 @@ per-window probability vectors before the argmax/threshold, so long
 sequences are not penalized for having more windows.  Scoring runs each
 classifier once per block of at most ``SCORE_BLOCK_WINDOWS`` test windows of
 one patient.  A run featurizes each sequence once per route, then fits
-every model of every fold in one pool of forked workers (`fork_map`).  In
+every model of every fold in one pool of forked workers (`pool.fork_map`,
+which `ingest.write_dataset` writes its frames files in too).  In
 cross-validation each worker then scores, with the model it fitted, the
 fold's test sequences that the model scores, and a fold's counts are the
 sum of its models' counts.  A fixed model set is counted per patient
@@ -29,16 +30,11 @@ raw frame count.
 
 from __future__ import annotations
 
-import ctypes
-import os
-import pickle
-import selectors
-import signal
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
-    Callable, Iterable, Iterator, NoReturn, Protocol as TypingProtocol, Sequence, TypeVar,
+    Callable, Iterable, Iterator, Protocol as TypingProtocol, Sequence, TypeVar,
 )
 
 import numpy as np
@@ -66,7 +62,7 @@ from .neuralnet import (
     load_checkpoint,
     save_checkpoint,
 )
-from .neuralnet.common import one_blas_thread
+from .pool import WorkerLostError, _cpus, fork_map
 from .metrics import (
     BinaryClassResult,
     BinarySuiteMetrics,
@@ -83,10 +79,6 @@ class MissingClassError(RuntimeError):
 
 class FoldCoverageError(RuntimeError):
     """The fold assignment leaves some fold without usable train or test data."""
-
-
-class WorkerLostError(RuntimeError):
-    """A forked worker ended before sending back an item's result."""
 
 
 @dataclass(frozen=True)
@@ -332,166 +324,20 @@ def _plan(seqs: Sequence[GestureSequence], splits: Sequence[_Split], config: Run
     return windows, planned
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on: its affinity mask, which
-    ``taskset`` sets."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _pool_size(items: int, in_process: bool = False) -> int:
     """How many forked workers `fork_map` gets for ``items`` items: one per
-    CPU, and at most one per item.  It is 1 where the caller asks, where the
-    platform cannot fork, and where a tracer or profiler has wrapped
-    ``pipeline.fit``, ``forward`` or ``preprocess_sequence``, which it sees
-    only in its own process.  The count does not change any result."""
+    CPU, and at most one per item.  It is 1 where the caller asks, and where
+    a tracer or profiler has wrapped ``pipeline.fit``, ``forward`` or
+    ``preprocess_sequence``, which it sees only in its own process.  The
+    count does not change any result."""
     traced = (fit is not neuralnet.fit or forward is not neuralnet.forward
               or preprocess_sequence is not preprocess.preprocess_sequence)
-    if in_process or traced or not hasattr(os, "fork"):
+    if in_process or traced:
         return 1
     return min(_cpus(), items)
 
 
-S = TypeVar("S")
 R = TypeVar("R")
-
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's `mallopt` parameters
-
-
-def _keep_freed_memory() -> None:
-    """Make glibc's malloc keep freed memory in this process: no trimming of
-    the heap and no mmap below 32 MB.  A worker lives for one `fork_map`
-    call, and would otherwise fault the same pages in again for every item.
-    Without glibc nothing changes."""
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    for param in (_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD):
-        mallopt(param, 32 << 20)
-
-
-def _work(fn: Callable, state: object, tasks: int, replies: int) -> NoReturn:
-    """A forked worker's life: for each item index read from ``tasks``, the
-    item's result, or the error it raised, pickled to ``replies`` as one
-    length-prefixed frame.  It ends after an error, or when ``tasks`` is
-    closed."""
-    try:
-        # Ctrl-C reaches the whole process group.  A worker then ends at
-        # once instead of finishing its item.
-        signal.signal(signal.SIGINT, signal.SIG_DFL)
-        _keep_freed_memory()
-        with open(replies, "wb") as out:
-            while len(task := os.read(tasks, 4)) == 4:
-                try:
-                    ok, value = True, fn(state, int.from_bytes(task, "little"))
-                except Exception as exc:
-                    ok, value = False, exc
-                try:
-                    frame = pickle.dumps((ok, value), pickle.HIGHEST_PROTOCOL)
-                except Exception as exc:  # a result or an error that does not pickle
-                    ok, frame = False, pickle.dumps((False, RuntimeError(repr(exc))))
-                out.write(len(frame).to_bytes(8, "little") + frame)
-                out.flush()
-                if not ok:
-                    break
-    finally:
-        os._exit(0)
-
-
-def fork_map(
-    fn: Callable[[S, int], R], n: int, state: S, workers: int,
-    *, lost: Callable[[int], str],
-) -> list[R]:
-    """``[fn(state, i) for i in range(n)]``, computed by ``workers`` forked
-    processes; at one worker, by that loop in this process.
-
-    Each worker inherits ``fn`` and ``state`` through fork, so neither is
-    copied or pickled.  It receives one item index at a time, as it becomes
-    free, and sends back only ``fn``'s result.  Results are taken in item
-    order, so a failure raises the first failing item's error, as the loop
-    does.  A worker that dies (killed from outside, say) is a
-    :class:`WorkerLostError`: ``lost(i)`` describes the first item ``i``
-    whose result was not received.  Every item runs at one BLAS thread, set
-    once per call; the workers run with Ctrl-C at its default action, and
-    are joined before this returns or raises.
-    """
-    if workers == 1:
-        with one_blas_thread():
-            return [fn(state, i) for i in range(n)]
-    items = iter(range(n))
-    tasks: dict[int, int] = {}  # by a worker's reply pipe: its task pipe
-    pids: dict[int, int] = {}  # by a worker's reply pipe: its process id
-    holds: dict[int, int] = {}  # by a worker's reply pipe: the item it computes
-    replies: dict[int, tuple[bool, object]] = {}  # by item, until its turn
-    dropped: set[int] = set()  # items whose worker died before replying
-    results: list[R] = []
-
-    def hand_out(fd: int) -> None:
-        """Send the worker behind reply pipe ``fd`` its next item, or end it."""
-        item = next(items, None)
-        if item is None:
-            os.close(tasks.pop(fd))
-            return
-        holds[fd] = item
-        try:
-            os.write(tasks[fd], item.to_bytes(4, "little"))
-        except BrokenPipeError:  # the worker is gone; its reply pipe tells
-            pass
-
-    with one_blas_thread(), selectors.DefaultSelector() as ready:
-        try:
-            for _ in range(workers):
-                task_r, task_w = os.pipe()
-                reply_r, reply_w = os.pipe()
-                pid = os.fork()
-                if pid == 0:
-                    for fd in (*tasks.values(), *pids, task_w, reply_r):
-                        os.close(fd)
-                    _work(fn, state, task_r, reply_w)
-                os.close(task_r)
-                os.close(reply_w)
-                tasks[reply_r], pids[reply_r] = task_w, pid
-                ready.register(reply_r, selectors.EVENT_READ, bytearray())
-                hand_out(reply_r)
-            while len(results) < n:
-                i = len(results)
-                if i in replies:
-                    ok, value = replies.pop(i)
-                    if not ok:
-                        raise value
-                    results.append(value)
-                    continue
-                if i in dropped or not ready.get_map():
-                    raise WorkerLostError(f"{lost(i)} ({n - i} of {n} not received)")
-                for key, _ in ready.select():
-                    fd, buffer = key.fd, key.data
-                    chunk = os.read(fd, 1 << 16)
-                    if not chunk:
-                        ready.unregister(fd)
-                        if fd in holds:
-                            dropped.add(holds.pop(fd))
-                        continue
-                    buffer += chunk
-                    while len(buffer) >= 8 and len(buffer) >= 8 + (
-                        size := int.from_bytes(buffer[:8], "little")
-                    ):
-                        reply = pickle.loads(buffer[8 : 8 + size])
-                        del buffer[: 8 + size]
-                        replies[holds.pop(fd)] = reply
-                        if reply[0]:
-                            hand_out(fd)
-        finally:
-            for fd, pid in pids.items():
-                os.close(fd)
-                if fd in tasks:
-                    os.close(tasks[fd])
-                if len(results) < n:
-                    os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    return results
 
 
 def _fit_jobs(

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import children_left, needs_two_blas_threads
-from skelgest import pipeline
+from skelgest import pipeline, pool
 from skelgest.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from skelgest.config import (
     REGISTRY,
@@ -234,6 +234,46 @@ class TestSynth:
             if p.read_bytes() != (b / "frames" / p.name).read_bytes()
         ]
         assert differing
+
+
+    def test_frames_path_that_cannot_be_written_leaves_no_manifest(self, tmp_path, capsys):
+        """A frames file that cannot be written exits 3 with the system's
+        error, and leaves no manifest that `ingest` would load."""
+        out = tmp_path / "ds"
+        blocked = out / "frames" / f"p002_{ALL_GESTURE_IDS[0]}.txt"
+        blocked.mkdir(parents=True)
+        code = run_cli("synth", "--out", str(out), "--seed", "1", "--patients", "2")
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{blocked}'\n"
+        assert not (out / "manifest.csv").exists()
+        assert run_cli("ingest", "--dataset", str(out)) == EXIT_DATA
+
+    def test_out_that_is_a_file_is_a_data_error(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        out.write_text("not a directory\n")
+        code = run_cli("synth", "--out", str(out), "--seed", "1", "--patients", "1")
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: [Errno 20] Not a directory: '{out / 'frames'}'\n")
+
+    def test_killed_writer_is_a_check_failure(self, tmp_path, monkeypatch, capsys):
+        """A writer killed while re-writing an old cohort: exit 1 naming the
+        first frames file not received, no worker left running, and no
+        manifest, old or new."""
+        out = tmp_path / "ds"
+        assert run_cli("synth", "--out", str(out), "--seed", "1", "--patients", "2") == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(pool, "_cpus", lambda: 2)
+        fork_map = pool.fork_map
+        monkeypatch.setattr(pool, "fork_map", lambda fn, n, state, workers, **kw: (
+            fork_map(_kill_own_worker, n, state, workers, **kw)))
+        code = run_cli("synth", "--out", str(out), "--seed", "2", "--patients", "2")
+        assert code == EXIT_CHECK
+        assert capsys.readouterr().err == (
+            f"error: {out / 'frames' / f'p001_{ALL_GESTURE_IDS[0]}.txt'}: a writer ended "
+            "before reporting this frames file written (58 of 58 not received)\n")
+        assert not children_left()
+        assert not (out / "manifest.csv").exists()
 
 
 class TestConfigLayering:

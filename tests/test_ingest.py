@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from skelgest import ingest
+from skelgest import ingest, pool
 from skelgest.ingest import (
     DEFAULT_FOLD_BOUNDARIES,
     DataError,
@@ -487,6 +487,42 @@ class TestWriteAndChecksum:
             "1.0 1.0 1.0 1.0 1.0 1.0 1.0 1.0 1.0 1.0 1.0 1.0 1.0 0.0\n"
             + zeros + zeros
         )
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_cohort_bytes_at_any_worker_count(self, cpus, tmp_path, monkeypatch):
+        """A whole synthetic cohort, written by one writer per CPU (at most
+        one per file), has the same bytes at every count."""
+        workers = []
+        fork_map = pool.fork_map
+        monkeypatch.setattr(pool, "_cpus", lambda: cpus)
+        monkeypatch.setattr(pool, "fork_map", lambda fn, n, state, count, **kw: (
+            workers.append(count) or fork_map(fn, n, state, count, **kw)))
+        write_dataset(generate_synthetic(SynthConfig(n_patients=3, seed=1)), tmp_path)
+        assert workers == [cpus]
+        assert dataset_checksum(tmp_path) == (
+            "d5843a59f1dc0f94236fd7c4f8c4f6735b60185562f836e74c0517990db7bf08")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["frames", "manifest.csv"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_serialized_text_is_one_repr_per_value(self, seed):
+        """`serialize_frames` writes, for each frame, its x, y and confidence
+        rows and two zero aux rows, each value as `repr` writes it."""
+        rng = np.random.default_rng(seed)
+        n_frames = int(rng.integers(1, 9))
+        coords = rng.normal(0.0, 10.0 ** rng.integers(-6, 7), size=(n_frames, N_JOINTS, 2))
+        conf = rng.uniform(0.0, 1.0, size=(n_frames, N_JOINTS))
+        specials = [-0.0, 1e-05, 5e-324, 1e300, 0.1 + 0.2, np.inf, -np.inf, 0.0, 1.0]
+        coords.flat[rng.choice(coords.size, len(specials), replace=False)] = specials
+        conf.flat[rng.choice(conf.size, 3, replace=False)] = [1.0, 0.0, 0.5]
+
+        aux = np.zeros((n_frames, 2, N_JOINTS))
+        blocks = np.concatenate(
+            [np.transpose(coords, (0, 2, 1)), conf[:, None, :], aux], axis=1
+        )
+        reference = "".join(
+            " ".join(map(repr, row)) + "\n" for row in blocks.reshape(-1, N_JOINTS).tolist()
+        )
+        assert serialize_frames(coords, conf) == reference
 
     def test_write_load_round_trip(self, tmp_path):
         ds = generate_synthetic(SynthConfig(n_patients=2, seed=21))

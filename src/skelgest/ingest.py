@@ -22,6 +22,7 @@ import hashlib
 import logging
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -480,6 +481,10 @@ def generate_synthetic(
     return _build_dataset(sequences, joint_map)
 
 
+_FRAMES_NAME = re.compile(
+    rf"p(?:[0-9]{{3}}|[1-9][0-9]{{3,}})_(?:{'|'.join(map(re.escape, ALL_GESTURE_IDS))})\.txt")
+
+
 def write_dataset(ds: Dataset, root: str | Path) -> Path:
     """Write a dataset as frames files plus manifest; returns the manifest path.
 
@@ -490,7 +495,9 @@ def write_dataset(ds: Dataset, root: str | Path) -> Path:
     removed first, and the new one is moved into place only after every
     frames file is written, so a failed or killed write leaves no manifest;
     a lost worker is a :class:`pool.WorkerLostError` naming the first frames
-    file whose write was not confirmed.
+    file whose write was not confirmed.  Then each file in ``frames/`` named
+    as this writer names them (``p<NNN>_<gesture id>.txt``) but not written
+    for this cohort is removed; files with other names are left alone.
     """
     root = Path(root)
     frames_dir = root / "frames"
@@ -508,6 +515,10 @@ def write_dataset(ds: Dataset, root: str | Path) -> Path:
     pool.fork_map(write, len(ordered), ordered, min(pool._cpus(), len(ordered)),
                   lost=lambda i: f"{root / paths[i]}: a writer ended before reporting "
                   "this frames file written")
+    written = {Path(path).name for path in paths}
+    for stale in frames_dir.iterdir():
+        if stale.name not in written and _FRAMES_NAME.fullmatch(stale.name) and stale.is_file():
+            stale.unlink()
 
     partial = root / "manifest.csv.partial"
     with open(partial, "w", newline="") as fh:

@@ -1,4 +1,13 @@
-"""Numerics shared by both architectures: BLAS threads, activations, heads, losses."""
+"""What both architectures share: BLAS threads, activations, the head, and
+the shells of the forward pass and of the loss and gradient.
+
+Each shell checks the input, unpacks the parameters once and runs the
+affine head and its gradient.  It asks the architecture for two things only:
+``represent(spec, p, x, keep_caches)``, the (B, F) vector that feeds the head
+(the LSTM's final hidden state, the TCN's cone top) with its backward caches
+or None; and ``backward(spec, p, g, x, d_rep, caches)``, which adds the
+gradient of every other slot into the views ``g``.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .params import HeadKind
+from .params import HeadKind, ModelParameters, param_views
 
 
 def _openblas_thread_calls():
@@ -125,3 +134,39 @@ def head_backward(
     g_w_head += d_logits.T @ h
     g_b_head += d_logits.sum(axis=0)
     return d_logits @ w_head
+
+
+def _check_input(model: ModelParameters, x: np.ndarray) -> None:
+    """Refuse anything but a (B, W, D) batch of windows of at least one frame."""
+    if x.ndim != 3 or x.shape[1] < 1 or x.shape[2] != model.spec.input_dim:
+        raise ValueError(
+            f"expected input (..., W, {model.spec.input_dim}), got shape {x.shape}"
+        )
+
+
+def forward_shell(represent, model: ModelParameters, x: np.ndarray) -> np.ndarray:
+    """Class probabilities for (W, D) or (B, W, D) windows: (K,) / (B, K)
+    for the softmax head, (1,) / (B, 1) for the sigmoid head."""
+    squeeze = x.ndim == 2
+    if squeeze:
+        x = x[None]
+    _check_input(model, x)
+    p = model.unpack()
+    rep, _ = represent(model.spec, p, x, keep_caches=False)
+    probs = head_forward(rep, p["w_head"], p["b_head"], model.head)
+    return probs[0] if squeeze else probs
+
+
+def loss_and_grad_shell(
+    represent, backward, model: ModelParameters, x: np.ndarray, targets: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean loss over the batch and its exact gradient as a flat vector."""
+    _check_input(model, x)
+    p = model.unpack()
+    rep, caches = represent(model.spec, p, x, keep_caches=True)
+    loss, d_logits = head_loss(rep @ p["w_head"].T + p["b_head"], targets, model.head)
+    grad = np.zeros_like(model.values)
+    g = param_views(model.spec, grad)
+    d_rep = head_backward(d_logits, rep, p["w_head"], g["w_head"], g["b_head"])
+    backward(model.spec, p, g, x, d_rep, caches)
+    return loss, grad

@@ -2,7 +2,8 @@
 
 Gate layout in the stacked weight matrices is [input, forget, candidate,
 output].  The recurrence starts from zero hidden and cell state; the final
-hidden state feeds the affine head.  Everything is float64 and batched:
+hidden state feeds the affine head of the shared shells (`common`), which
+call `_represent` and `_backward` here.  Everything is float64 and batched:
 inputs are (B, W, D).
 
 The per-step elementwise work runs feature-major: a step's gates are one
@@ -17,20 +18,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import HeadKind, LstmSpec, ModelParameters, param_views
-from .common import (
-    head_backward,
-    head_forward,
-    head_loss,
-    sigmoid,
-)
+from .params import LstmSpec, ModelParameters
+from .common import forward_shell, loss_and_grad_shell, sigmoid
 
 
 def _gate_slices(h: int) -> tuple[slice, slice, slice, slice]:
     return (slice(0, h), slice(h, 2 * h), slice(2 * h, 3 * h), slice(3 * h, 4 * h))
 
 
-def _run_recurrence(p: dict, x: np.ndarray, h_dim: int, keep_caches: bool = False):
+def _represent(spec: LstmSpec, p: dict, x: np.ndarray, keep_caches: bool):
     """Run the recurrence over all steps from zero state.
 
     Returns the final (B, H) hidden state and, with ``keep_caches``, the
@@ -40,6 +36,7 @@ def _run_recurrence(p: dict, x: np.ndarray, h_dim: int, keep_caches: bool = Fals
     tanh_cells (W, H, B).  Without caches the states live in two-slot rings.
     """
     b, w, _ = x.shape
+    h_dim = spec.hidden_dim
     si, sf, sg, so = _gate_slices(h_dim)
 
     # Input contributions for every step at once, stored step-major: step t's
@@ -80,46 +77,29 @@ def _run_recurrence(p: dict, x: np.ndarray, h_dim: int, keep_caches: bool = Fals
 
 
 def forward(model: ModelParameters, x: np.ndarray) -> np.ndarray:
-    """Class probabilities for a batch of windows.
-
-    Accepts (W, D) or (B, W, D); returns (K,) / (B, K) for the softmax head
-    and (1,) / (B, 1) for the sigmoid head.
-    """
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x[None]
-    _check_input(model, x)
-    p = model.unpack()
-    h_final, _ = _run_recurrence(p, x, model.spec.hidden_dim)
-    probs = head_forward(h_final, p["w_head"], p["b_head"], model.head)
-    return probs[0] if squeeze else probs
+    """Class probabilities for (W, D) or (B, W, D) windows."""
+    return forward_shell(_represent, model, x)
 
 
 def loss_and_grad(
     model: ModelParameters, x: np.ndarray, targets: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean loss over the batch and its exact gradient as a flat vector.
+    """Mean loss over the batch and its exact gradient as a flat vector."""
+    return loss_and_grad_shell(_represent, _backward, model, x, targets)
+
+
+def _backward(spec: LstmSpec, p: dict, g: dict, x: np.ndarray, dh: np.ndarray,
+              caches: tuple) -> None:
+    """Backpropagation through time from d(loss)/d(final hidden state).
 
     The time loop carries only the recurrent gradient, feature-major, and
     stores each step's gate gradient batch-major; the ``w_h`` and ``w_x``
     gradients are each one matmul over all W*B rows afterwards.
     """
-    _check_input(model, x)
-    spec: LstmSpec = model.spec
+    gates, cells, tanh_cells, hiddens = caches
     h_dim = spec.hidden_dim
     b, w, d = x.shape
-    p = model.unpack()
     si, sf, sg, so = _gate_slices(h_dim)
-
-    h_final, (gates, cells, tanh_cells, hiddens) = _run_recurrence(
-        p, x, h_dim, keep_caches=True
-    )
-    logits = h_final @ p["w_head"].T + p["b_head"]
-    loss, d_logits = head_loss(logits, targets, model.head)
-
-    grad_flat = np.zeros_like(model.values)
-    g = param_views(spec, grad_flat)
-    dh = head_backward(d_logits, h_final, p["w_head"], g["w_head"], g["b_head"])
 
     # Step t's (B, 4H) gate gradient overwrites its gates, which no later
     # step reads.
@@ -177,11 +157,3 @@ def loss_and_grad(
     g["w_h"] += dz_all[1:].reshape(-1, 4 * h_dim).T @ hiddens[1:-1].reshape(-1, h_dim)
     g["w_x"] += dz_all.reshape(-1, 4 * h_dim).T @ x.transpose(1, 0, 2).reshape(-1, d)
     g["b"] += dz_all.sum(axis=(0, 1))
-    return loss, grad_flat
-
-
-def _check_input(model: ModelParameters, x: np.ndarray) -> None:
-    if x.ndim != 3 or x.shape[2] != model.spec.input_dim:
-        raise ValueError(
-            f"expected input (..., W, {model.spec.input_dim}), got shape {x.shape}"
-        )

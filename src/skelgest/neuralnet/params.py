@@ -1,9 +1,11 @@
 """Model parameter management: architecture specs, flat vectors, checkpoints.
 
-All trainable weights of a model live in one flat float64 vector.  The
-architecture spec fixes a deterministic slot layout (name -> shape) over that
-vector; forward/backward code addresses slots through reshaped views, so the
-optimizer can treat the whole model as a single array.
+All trainable weights of a model live in one flat float64 vector.  Each
+spec class describes its parameters once, in its slot table (`slots`): name,
+shape and Xavier fans, in vector order.  `param_slots`, `param_count`,
+`param_views` and `init_parameters` all read that table; forward/backward
+code addresses slots through reshaped views, so the optimizer can treat the
+whole model as a single array.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 import struct
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -29,6 +32,16 @@ class HeadKind(Enum):
     SIGMOID = "sigmoid"  # single positive-class probability
 
 
+# One parameter slot: name, shape, and the (fan_in, fan_out) of its
+# Xavier-uniform draw, or None for a slot that starts at zero.  A spec's
+# ``slots()`` lists its slots in the order of the flat vector.
+Slot = tuple[str, tuple[int, ...], tuple[int, int] | None]
+
+
+def _head_slots(width: int, n_classes: int) -> list[Slot]:
+    return [("w_head", (n_classes, width), (width, n_classes)), ("b_head", (n_classes,), None)]
+
+
 @dataclass(frozen=True)
 class LstmSpec:
     """Single-layer LSTM with an affine classification head."""
@@ -41,6 +54,11 @@ class LstmSpec:
     def __post_init__(self) -> None:
         if min(self.input_dim, self.hidden_dim, self.n_classes) < 1:
             raise ValueError(f"all dimensions must be >= 1: {self}")
+
+    def slots(self) -> list[Slot]:
+        d, h = self.input_dim, self.hidden_dim
+        return [("w_x", (4 * h, d), (d, h)), ("w_h", (4 * h, h), (h, h)),
+                ("b", (4 * h,), None), *_head_slots(h, self.n_classes)]
 
 
 @dataclass(frozen=True)
@@ -74,53 +92,49 @@ class TcnSpec:
                 )
             prev = d
 
+    def slots(self) -> list[Slot]:
+        k, c, c_in = self.kernel, self.channels, self.input_dim
+        table: list[Slot] = []
+        for level in range(len(self.dilations)):
+            table += [(f"conv{level}_w", (k, c_in, c), (k * c_in, k * c)),
+                      (f"conv{level}_b", (c,), None)]
+            if c_in != c:
+                table.append((f"proj{level}_w", (c_in, c), (c_in, c)))
+            c_in = c
+        return table + _head_slots(c, self.n_classes)
+
 
 ArchSpec = LstmSpec | TcnSpec
 
 
 def param_slots(spec: ArchSpec) -> list[tuple[str, tuple[int, ...]]]:
     """Ordered (name, shape) layout of the flat parameter vector."""
-    if isinstance(spec, LstmSpec):
-        d, h, k = spec.input_dim, spec.hidden_dim, spec.n_classes
-        return [
-            ("w_x", (4 * h, d)),
-            ("w_h", (4 * h, h)),
-            ("b", (4 * h,)),
-            ("w_head", (k, h)),
-            ("b_head", (k,)),
-        ]
-    slots: list[tuple[str, tuple[int, ...]]] = []
-    c_in = spec.input_dim
-    for level in range(len(spec.dilations)):
-        slots.append((f"conv{level}_w", (spec.kernel, c_in, spec.channels)))
-        slots.append((f"conv{level}_b", (spec.channels,)))
-        if c_in != spec.channels:
-            slots.append((f"proj{level}_w", (c_in, spec.channels)))
-        c_in = spec.channels
-    slots.append(("w_head", (spec.n_classes, spec.channels)))
-    slots.append(("b_head", (spec.n_classes,)))
-    return slots
+    return [(name, shape) for name, shape, _ in spec.slots()]
+
+
+@lru_cache(maxsize=128)
+def _layout(spec: ArchSpec) -> tuple[int, tuple[tuple[str, slice, tuple[int, ...]], ...]]:
+    """The vector's size, and each slot's name, span and shape."""
+    spans, offset = [], 0
+    for name, shape, _ in spec.slots():
+        size = math.prod(shape)
+        spans.append((name, slice(offset, offset + size), shape))
+        offset += size
+    return offset, tuple(spans)
 
 
 def param_count(spec: ArchSpec) -> int:
-    return sum(math.prod(shape) for _, shape in param_slots(spec))
+    return _layout(spec)[0]
 
 
 def param_views(spec: ArchSpec, flat: np.ndarray) -> dict[str, np.ndarray]:
     """Name -> reshaped view into ``flat``; writes through to the vector."""
-    slots = param_slots(spec)
-    needed = sum(math.prod(shape) for _, shape in slots)
+    needed, spans = _layout(spec)
     if flat.size != needed:
         raise ValueError(
             f"parameter vector has {flat.size} values, layout needs {needed}"
         )
-    views: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in slots:
-        size = math.prod(shape)
-        views[name] = flat[offset : offset + size].reshape(shape)
-        offset += size
-    return views
+    return {name: flat[span].reshape(shape) for name, span, shape in spans}
 
 
 @dataclass
@@ -151,42 +165,21 @@ class ModelParameters:
         return replace(self, values=values)
 
 
-def _xavier(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int
-            ) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def init_parameters(spec: ArchSpec, head: HeadKind, seed: int) -> ModelParameters:
     """Xavier-uniform weights, zero biases; deterministic per seed.
 
-    The LSTM forget-gate bias starts at 1 so early training does not flush
-    the cell state.
+    Slots are drawn in table order.  The LSTM forget-gate bias starts at 1
+    so early training does not flush the cell state.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     flat = np.zeros(param_count(spec), dtype=np.float64)
     views = param_views(spec, flat)
+    for name, shape, fans in spec.slots():
+        if fans is not None:
+            limit = np.sqrt(6.0 / sum(fans))
+            views[name][:] = rng.uniform(-limit, limit, size=shape)
     if isinstance(spec, LstmSpec):
-        d, h = spec.input_dim, spec.hidden_dim
-        views["w_x"][:] = _xavier(rng, (4 * h, d), d, h)
-        views["w_h"][:] = _xavier(rng, (4 * h, h), h, h)
-        views["b"][h : 2 * h] = 1.0
-        views["w_head"][:] = _xavier(rng, (spec.n_classes, h), h, spec.n_classes)
-    else:
-        c_in = spec.input_dim
-        for level in range(len(spec.dilations)):
-            shape = (spec.kernel, c_in, spec.channels)
-            views[f"conv{level}_w"][:] = _xavier(
-                rng, shape, spec.kernel * c_in, spec.kernel * spec.channels
-            )
-            if c_in != spec.channels:
-                views[f"proj{level}_w"][:] = _xavier(
-                    rng, (c_in, spec.channels), c_in, spec.channels
-                )
-            c_in = spec.channels
-        views["w_head"][:] = _xavier(
-            rng, (spec.n_classes, spec.channels), spec.channels, spec.n_classes
-        )
+        views["b"][spec.hidden_dim : 2 * spec.hidden_dim] = 1.0
     return ModelParameters(spec=spec, head=head, values=flat)
 
 

@@ -256,6 +256,21 @@ class TestSynth:
         assert capsys.readouterr().err == (
             f"error: [Errno 20] Not a directory: '{out / 'frames'}'\n")
 
+    def test_resynth_removes_only_the_old_cohorts_frames_files(self, tmp_path, capsys):
+        """Two patients written over three leave exactly the 58 frames files
+        that the manifest names; a file in ``frames/`` with another name stays."""
+        out = tmp_path / "ds"
+        assert run_cli("synth", "--out", str(out), "--seed", "1", "--patients", "3") == EXIT_OK
+        others = {"notes.txt", f"p0003_{ALL_GESTURE_IDS[0]}.txt", f"p003_{ALL_GESTURE_IDS[0]}.csv"}
+        for name in others:
+            (out / "frames" / name).write_text("kept\n")
+        assert run_cli("synth", "--out", str(out), "--seed", "1", "--patients", "2") == EXIT_OK
+        rows = (out / "manifest.csv").read_text().splitlines()[1:]
+        listed = {row.rsplit(",", 1)[1].removeprefix("frames/") for row in rows}
+        assert len(listed) == 58
+        assert {path.name for path in (out / "frames").iterdir()} == listed | others
+        assert all((out / "frames" / name).read_text() == "kept\n" for name in others)
+
     def test_killed_writer_is_a_check_failure(self, tmp_path, monkeypatch, capsys):
         """A writer killed while re-writing an old cohort: exit 1 naming the
         first frames file not received, no worker left running, and no

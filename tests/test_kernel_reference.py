@@ -20,6 +20,11 @@ reference runs its forward pass through it.  Both kernels round each computed
 row alike except in a batch of one, where the cone's top level multiplies a
 single row: numpy sends that product to BLAS's gemv, which rounds unlike
 gemm.  The cone oracle allows a relative 1e-12 everywhere.
+
+The cone kernel with one product per tap (``per_tap_*``), and
+`init_parameters` with one branch per architecture (``per_architecture_init``),
+are kept here as byte-level oracles of the stacked-tap kernel and of the
+slot-table initialization.
 """
 
 import numpy as np
@@ -29,8 +34,10 @@ from skelgest.neuralnet import (
     HeadKind,
     LstmSpec,
     TcnSpec,
+    ModelParameters,
     init_parameters,
     lstm,
+    param_count,
     param_views,
     sigmoid,
     tcn,
@@ -332,6 +339,117 @@ def reference_tcn_loss_and_grad(model, x, targets):
     return loss, grad
 
 
+# The cone kernel with one product per tap, and the initialization with one
+# branch per architecture, that the stacked-tap kernel and the slot table
+# replaced.  Their arithmetic and draw order are verbatim; names, annotations
+# and input checks differ.
+
+
+def _per_tap_per_sequence_product(rows, weight):
+    return (rows[:, None, :] @ weight)[:, 0]
+
+
+def _per_tap_run_cone(model, x, caches=None):
+    spec = model.spec
+    p = model.unpack()
+    b = x.shape[0]
+    rows, gathers = tcn._plan(x.shape[1], spec.kernel, spec.dilations)
+    times = _per_tap_per_sequence_product if x.shape[1] == 1 else np.matmul
+    current = np.zeros((len(rows) + 1, b, x.shape[2]))
+    current[:-1] = x.transpose(1, 0, 2)[rows]
+    for level, index in enumerate(gathers):
+        weight = p[f"conv{level}_w"]
+        n_rows = index.shape[1]
+        taps = current[index].reshape(spec.kernel, n_rows * b, -1)
+        pre = np.broadcast_to(p[f"conv{level}_b"], (n_rows * b, spec.channels)).copy()
+        for k in range(spec.kernel):
+            pre += times(taps[k], weight[k])
+        current = np.empty((n_rows + 1, b, spec.channels))
+        current[-1] = 0.0
+        out = np.maximum(pre, 0.0, out=current[:-1].reshape(n_rows * b, -1))
+        proj = p.get(f"proj{level}_w")
+        out += times(taps[-1], proj) if proj is not None else taps[-1]
+        if caches is not None:
+            caches.append((taps, pre))
+    return current[0]
+
+
+def per_tap_forward(model, x):
+    last = _per_tap_run_cone(model, x)
+    p = model.unpack()
+    return head_forward(last, p["w_head"], p["b_head"], model.head)
+
+
+def per_tap_loss_and_grad(model, x, targets):
+    spec = model.spec
+    p = model.unpack()
+
+    caches = []
+    last = _per_tap_run_cone(model, x, caches)
+    logits = last @ p["w_head"].T + p["b_head"]
+    loss, d_logits = head_loss(logits, targets, model.head)
+
+    grad_flat = np.zeros_like(model.values)
+    g = param_views(spec, grad_flat)
+    d_out = head_backward(d_logits, last, p["w_head"], g["w_head"], g["b_head"])
+
+    _, gathers = tcn._plan(x.shape[1], spec.kernel, spec.dilations)
+    for level in range(len(spec.dilations) - 1, -1, -1):
+        taps, pre = caches[level]
+        weight = p[f"conv{level}_w"]
+        d_pre = d_out * (pre > 0.0)
+        g[f"conv{level}_b"] += d_pre.sum(axis=0)
+        for k in range(spec.kernel):
+            g[f"conv{level}_w"][k] += taps[k].T @ d_pre
+        proj = p.get(f"proj{level}_w")
+        if proj is not None:
+            g[f"proj{level}_w"] += taps[-1].T @ d_out
+        if level == 0:
+            break
+        index = gathers[level]
+        below = gathers[level - 1].shape[1]
+        shape = (index.shape[1], x.shape[0], taps.shape[2])
+        d_in = np.zeros((below + 1,) + shape[1:])
+        for k in range(spec.kernel):
+            d_in[index[k]] += (d_pre @ weight[k].T).reshape(shape)
+        d_in[index[-1]] += (d_out @ proj.T if proj is not None else d_out).reshape(shape)
+        d_out = d_in[:-1].reshape(below * shape[1], shape[2])
+    return loss, grad_flat
+
+
+def _xavier(rng, shape, fan_in, fan_out):
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def per_architecture_init(spec, head, seed):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    flat = np.zeros(param_count(spec), dtype=np.float64)
+    views = param_views(spec, flat)
+    if isinstance(spec, LstmSpec):
+        d, h = spec.input_dim, spec.hidden_dim
+        views["w_x"][:] = _xavier(rng, (4 * h, d), d, h)
+        views["w_h"][:] = _xavier(rng, (4 * h, h), h, h)
+        views["b"][h : 2 * h] = 1.0
+        views["w_head"][:] = _xavier(rng, (spec.n_classes, h), h, spec.n_classes)
+    else:
+        c_in = spec.input_dim
+        for level in range(len(spec.dilations)):
+            shape = (spec.kernel, c_in, spec.channels)
+            views[f"conv{level}_w"][:] = _xavier(
+                rng, shape, spec.kernel * c_in, spec.kernel * spec.channels
+            )
+            if c_in != spec.channels:
+                views[f"proj{level}_w"][:] = _xavier(
+                    rng, (c_in, spec.channels), c_in, spec.channels
+                )
+            c_in = spec.channels
+        views["w_head"][:] = _xavier(
+            rng, (spec.n_classes, spec.channels), spec.channels, spec.n_classes
+        )
+    return ModelParameters(spec=spec, head=head, values=flat)
+
+
 def _relative_error(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
@@ -474,3 +592,43 @@ class TestTcnConeAgainstFullSequence:
             want_loss, want_grad = full_tcn_loss_and_grad(model, x, targets)
             assert abs(loss - want_loss) <= GRAD_RTOL * abs(want_loss), w
             assert _relative_error(grad, want_grad) <= GRAD_RTOL, w
+
+
+class TestTcnAgainstPerTapKernel:
+    """Byte equality with one product per tap at the model's real widths:
+    method 3's 28 features into 16 channels (a level-0 projection) or 28
+    (none), batch sizes on and off the BLAS kernels' block edges, and windows
+    from one step to past the receptive field (31).  Every value is drawn,
+    so no bias is zero and the order of each sum over taps shows."""
+
+    @pytest.mark.parametrize("w", [1, 2, 11, 32, 40])
+    @pytest.mark.parametrize("b", [1, 2, 7, 64])
+    @pytest.mark.parametrize("channels", [16, 28], ids=["proj", "no-proj"])
+    @pytest.mark.parametrize("head", [HeadKind.SOFTMAX, HeadKind.SIGMOID],
+                             ids=["softmax", "sigmoid"])
+    def test_byte_identical(self, head, channels, b, w):
+        spec = TcnSpec(input_dim=28, channels=channels,
+                       n_classes=5 if head is HeadKind.SOFTMAX else 1)
+        model = init_parameters(spec, head, seed=61)
+        model = model.with_values(np.random.default_rng(61).normal(
+            scale=0.3, size=model.values.size))
+        x, targets = _batch(spec, head, b=b, w=w, seed=62 + b + w)
+        assert tcn.forward(model, x).tobytes() == per_tap_forward(model, x).tobytes()
+        loss, grad = tcn.loss_and_grad(model, x, targets)
+        want_loss, want_grad = per_tap_loss_and_grad(model, x, targets)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    LstmSpec(input_dim=28, hidden_dim=16, n_classes=15),
+    LstmSpec(input_dim=5, hidden_dim=6, n_classes=1),
+    TcnSpec(input_dim=28, channels=16, n_classes=15),
+    TcnSpec(input_dim=28, channels=28, kernel=2, dilations=(1, 2), n_classes=1),
+    TcnSpec(input_dim=5, channels=6, kernel=3, dilations=(1, 2, 4), n_classes=4),
+], ids=["lstm", "lstm-sigmoid", "tcn-proj", "tcn-no-proj", "tcn-small"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_init_parameters_matches_per_architecture_init(spec, seed):
+    head = HeadKind.SOFTMAX if spec.n_classes > 1 else HeadKind.SIGMOID
+    got = init_parameters(spec, head, seed)
+    assert got.values.tobytes() == per_architecture_init(spec, head, seed).values.tobytes()

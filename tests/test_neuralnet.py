@@ -42,7 +42,7 @@ from skelgest.neuralnet import (
     softmax,
     train_step,
 )
-from skelgest.neuralnet import common, tcn
+from skelgest.neuralnet import common, lstm, tcn
 
 LSTM_SMALL = LstmSpec(input_dim=3, hidden_dim=4, n_classes=2)
 TCN_SMALL = TcnSpec(input_dim=3, channels=4, kernel=2, dilations=(1, 2), n_classes=2)
@@ -282,6 +282,17 @@ class TestForward:
         p = forward(model, rng.normal(size=(3, 5, 3)))
         assert p.shape == (3, 1)
         assert np.all((p > 0) & (p < 1))
+
+    @pytest.mark.parametrize("call", ["forward", "loss_and_grad"])
+    @pytest.mark.parametrize("kernel,spec", [(lstm, LSTM_SMALL), (tcn, TCN_SMALL)],
+                             ids=["lstm", "tcn"])
+    def test_a_window_of_zero_frames_is_refused(self, kernel, spec, call):
+        """Neither net scores a window without frames: there is no last step."""
+        model = init_parameters(spec, HeadKind.SOFTMAX, seed=3)
+        args = (np.zeros((2, 0, 3)),) + ((np.array([0, 1]),) if call == "loss_and_grad" else ())
+        with pytest.raises(ValueError, match=r"expected input \(\.\.\., W, 3\), "
+                                             r"got shape \(2, 0, 3\)"):
+            getattr(kernel, call)(model, *args)
 
 
 class TestTcnStructure:

@@ -64,6 +64,11 @@ COMMANDS: list[Command] = [
                       "--out", "eval-ovr"], None),
     ("evaluate-ovr-routed", [*_CV, *_OVR, *_ROUTED, "--out", "eval-ovr-routed"], None),
     ("evaluate-tcn-routed", [*_CV, *_TCN, "--smooth", "false", "--out", "eval-tcn"], None),
+    ("evaluate-tcn-one-step", [*_CV, "--net", "tcn", "--frames", "1", "--out", "eval-tcn-1"],
+     None),
+    # Method 3's feature width: level 0 of the TCN has no projection.
+    ("evaluate-tcn-no-proj", [*_CV, "--net", "tcn", "--frames", "16", "--tcn-channels", "28",
+                              "--out", "eval-tcn-28"], None),
     ("evaluate-method5", [*_CV, "--frames", "16", "--method", "5", "--include-confidence",
                           "true", "--savgol-m", "7", "--savgol-order", "3",
                           "--out", "eval-method5"], None),

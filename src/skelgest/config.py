@@ -357,7 +357,8 @@ REGISTRY: dict[str, ConfigKey] = dict(
         _key("dataset.root", "--dataset", _parse_optional_str, None,
              "dataset directory to load"),
         _key("dataset.manifest", "--manifest", _parse_optional_str, None,
-             "manifest path inside the dataset directory (default manifest.csv)"),
+             "manifest path inside the dataset directory, unless absolute "
+             "(default manifest.csv)"),
         _key("output.dir", "--out", _parse_str, "skelgest_out", "output directory"),
         _run_key("model.protocol", "protocol", "--protocol",
                  _parse_choice("multiclass", "binary", "multiclass-binary"),

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import logging
 import math
 import os
 import re
@@ -45,8 +44,6 @@ from .skeleton import (
     label_kind,
     validate_sequence,
 )
-
-logger = logging.getLogger(__name__)
 
 ROWS_PER_FRAME = 5
 MANIFEST_FIELDS = ("patient_id", "gesture_id", "correct", "frames_path")
@@ -197,6 +194,12 @@ class ManifestEntry:
         return GestureSequence(self.patient_id, self.label, coords, conf)
 
 
+def _manifest_path(root: str | Path, manifest: str | Path | None) -> Path:
+    """``manifest`` (by default ``manifest.csv``) inside ``root``; an
+    absolute path stays as it is."""
+    return Path(root) / (manifest if manifest is not None else "manifest.csv")
+
+
 def manifest_entries(
     root: str | Path, manifest: str | Path | None = None
 ) -> list[ManifestEntry]:
@@ -208,8 +211,7 @@ def manifest_entries(
     gesture id, a missing frames file, or a manifest that keeps no
     performance.
     """
-    root = Path(root)
-    manifest_path = Path(manifest) if manifest is not None else root / "manifest.csv"
+    root, manifest_path = Path(root), _manifest_path(root, manifest)
     if not manifest_path.exists():
         raise DataError(f"manifest not found: {manifest_path}")
 
@@ -257,10 +259,7 @@ def load_dataset(
     or not text in the locale's encoding, an unknown gesture id, a malformed
     manifest row, or an empty post-filter dataset.
     """
-    ds = load_entries(manifest_entries(root, manifest), joint_map)
-    logger.info("loaded %d sequences from %d patients (%s)", len(ds.sequences),
-                len(ds.patients), manifest or Path(root) / "manifest.csv")
-    return ds
+    return load_entries(manifest_entries(root, manifest), joint_map)
 
 
 def _manifest_rows(manifest_path: Path) -> Iterator[tuple[int, dict[str, str]]]:
@@ -532,8 +531,7 @@ def write_dataset(ds: Dataset, root: str | Path) -> Path:
 
 def dataset_checksum(root: str | Path, manifest: str | Path | None = None) -> str:
     """SHA-256 over the manifest and every referenced frames file, in order."""
-    root = Path(root)
-    manifest_path = Path(manifest) if manifest is not None else root / "manifest.csv"
+    root, manifest_path = Path(root), _manifest_path(root, manifest)
     digest = hashlib.sha256()
     digest.update(manifest_path.read_bytes())
     for _, row in _manifest_rows(manifest_path):

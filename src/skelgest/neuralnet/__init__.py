@@ -15,7 +15,6 @@ from .params import (
     init_parameters,
     load_checkpoint,
     param_count,
-    param_slots,
     param_views,
     save_checkpoint,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "load_checkpoint",
     "max_relative_error",
     "param_count",
-    "param_slots",
     "param_views",
     "save_checkpoint",
     "sgd_update",

@@ -2,8 +2,8 @@
 
 All trainable weights of a model live in one flat float64 vector.  Each
 spec class describes its parameters once, in its slot table (`slots`): name,
-shape and Xavier fans, in vector order.  `param_slots`, `param_count`,
-`param_views` and `init_parameters` all read that table; forward/backward
+shape and Xavier fans, in vector order.  `param_count`, `param_views` and
+`init_parameters` all read that table; forward/backward
 code addresses slots through reshaped views, so the optimizer can treat the
 whole model as a single array.
 """
@@ -105,11 +105,6 @@ class TcnSpec:
 
 
 ArchSpec = LstmSpec | TcnSpec
-
-
-def param_slots(spec: ArchSpec) -> list[tuple[str, tuple[int, ...]]]:
-    """Ordered (name, shape) layout of the flat parameter vector."""
-    return [(name, shape) for name, shape, _ in spec.slots()]
 
 
 @lru_cache(maxsize=128)

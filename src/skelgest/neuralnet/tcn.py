@@ -14,9 +14,10 @@ kernel 3 and dilations 1, 2, 4, 8 at W = 32, levels 0-3 compute 15, 7, 3 and
 1 of the 32 rows, and past the receptive field the cost no longer grows with
 W.  `_plan` derives the rows from ``(W, kernel, dilations)`` alone.  Each
 computed row keeps the order of operations of the full-sequence form (the
-bias, then taps k = 0..K-1, then ReLU, then the residual) and rounds as that
-form does, except where a batch of one leaves a product with a single row,
-which numpy hands to BLAS's gemv.  The backward pass carries gradients on
+bias plus tap 0, computed as tap 0 plus the bias, which is the same sum;
+then taps k = 1..K-1, then ReLU, then the residual) and rounds as that form
+does, except where a batch of one leaves a product with a single row, which
+numpy hands to BLAS's gemv.  The backward pass carries gradients on
 the same rows, so the weight gradients sum over B x rows, not B x W.
 
 A level's K tap products are one stacked ``np.matmul`` in the forward pass,
@@ -85,8 +86,9 @@ def _represent(spec: TcnSpec, p: dict, x: np.ndarray, keep_caches: bool):
     for level, index in enumerate(gathers):
         n_rows = index.shape[1]
         taps = current[index].reshape(spec.kernel, n_rows * b, -1)
-        pre = np.broadcast_to(p[f"conv{level}_b"], (n_rows * b, spec.channels)).copy()
-        for product in times(taps, p[f"conv{level}_w"]):
+        products = times(taps, p[f"conv{level}_w"])
+        pre = np.add(products[0], p[f"conv{level}_b"])
+        for product in products[1:]:
             pre += product
         current = np.empty((n_rows + 1, b, spec.channels))
         current[-1] = 0.0
@@ -117,8 +119,8 @@ def _backward(spec: TcnSpec, p: dict, g: dict, x: np.ndarray, d_out: np.ndarray,
     _, gathers = _plan(x.shape[1], spec.kernel, spec.dilations)
     for level in range(len(spec.dilations) - 1, -1, -1):
         taps, pre = caches[level]
-        d_pre = d_out * (pre > 0.0)
-        g[f"conv{level}_b"] += d_pre.sum(axis=0)
+        d_pre = np.multiply(d_out, pre > 0.0)
+        g[f"conv{level}_b"] += np.add.reduce(d_pre, axis=0)
         g[f"conv{level}_w"] += taps.transpose(0, 2, 1) @ d_pre
         proj = p.get(f"proj{level}_w")
         if proj is not None:

@@ -426,14 +426,14 @@ class ScoredSequence:
 def score_sequences(
     trained: TrainedProtocol,
     test_seqs: Sequence[GestureSequence],
-    joint_map: JointIndexMap,
     windows: Sequence[np.ndarray] | None = None,
 ) -> list[ScoredSequence]:
     """Each test sequence's scores, in order, by each classifier of its keys
     that ``trained`` holds.
 
     Sequences are grouped by route, by the classifiers they need and by
-    patient, then featurized in blocks (``_feature_blocks``), unless
+    patient, then featurized at the chin that the models were fitted with
+    (``trained.joint_map``) in blocks (``_feature_blocks``), unless
     ``windows`` holds each one's windows under its route; each classifier
     runs once per block, and each sequence's rows are averaged on their
     own.  A window's probabilities can depend, in the last bit, on the other
@@ -447,7 +447,7 @@ def score_sequences(
                      if k in trained.classifiers[route])
         groups.setdefault((route, keys, seq.patient_id), []).append(i)
 
-    config = trained.config
+    config, joint_map = trained.config, trained.joint_map
     scores: list[dict[str, np.ndarray]] = [{} for _ in test_seqs]
     for (route, keys, _), members in groups.items():
         window = config.routes()[route]
@@ -482,14 +482,23 @@ def count_model(protocol: Protocol, key: str,
                              tn=cells[False, False], fn=cells[True, False])
 
 
+def _counts(trained: TrainedProtocol, test_seqs: Sequence[GestureSequence],
+            joint_map: JointIndexMap) -> list[ConfusionMatrix | BinaryClassResult]:
+    """Score the test sequences, then count each model (`count_model`)."""
+    if joint_map != trained.joint_map:  # the chin that the models were fitted with
+        raise ValueError(f"models fitted at chin index {trained.joint_map.chin_index} "
+                         f"cannot be scored at chin index {joint_map.chin_index}")
+    protocol, scored = trained.config.protocol, score_sequences(trained, test_seqs)
+    return [count_model(protocol, key, scored) for key in protocol.models]
+
+
 def evaluate_multiclass(
     trained: TrainedProtocol,
     test_seqs: Sequence[GestureSequence],
     joint_map: JointIndexMap,
 ) -> tuple[ConfusionMatrix, ConfusionMatrix]:
-    """Score the test sequences, then count each model (`count_model`)."""
-    protocol, scored = trained.config.protocol, score_sequences(trained, test_seqs, joint_map)
-    static_cm, dynamic_cm = (count_model(protocol, key, scored) for key in protocol.models)
+    """The static and dynamic confusion matrices (`_counts`)."""
+    static_cm, dynamic_cm = _counts(trained, test_seqs, joint_map)
     return static_cm, dynamic_cm
 
 
@@ -498,10 +507,8 @@ def evaluate_binary(
     test_seqs: Sequence[GestureSequence],
     joint_map: JointIndexMap,
 ) -> BinarySuiteMetrics:
-    """Score the test sequences, then count each model (`count_model`)."""
-    protocol, scored = trained.config.protocol, score_sequences(trained, test_seqs, joint_map)
-    return BinarySuiteMetrics(tuple(count_model(protocol, key, scored)
-                                    for key in protocol.models))
+    """Each one-vs-rest model's tally (`_counts`)."""
+    return BinarySuiteMetrics(tuple(_counts(trained, test_seqs, joint_map)))
 
 
 def _fold_report(protocol: Protocol, counts: Iterable[tuple[str, object]],
@@ -605,7 +612,7 @@ def cross_validate(
         one = TrainedProtocol(config, {job.route: {job.key: clf}}, ds.joint_map)
         test = [i for i in splits[split][3] if one.route_name(seqs[i]) == job.route
                 and job.key in protocol.keys_for(seqs[i].label)]
-        scored = score_sequences(one, [seqs[i] for i in test], ds.joint_map,
+        scored = score_sequences(one, [seqs[i] for i in test],
                                  [windows[job.route][i] for i in test])
         return count_model(protocol, job.key, scored)
 

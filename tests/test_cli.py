@@ -358,6 +358,19 @@ class TestIngest:
     def test_missing_dataset_is_data_error(self, tmp_path):
         assert run_cli("ingest", "--dataset", str(tmp_path / "void")) == EXIT_DATA
 
+    def test_relative_manifest_is_read_inside_the_dataset(self, tmp_path, monkeypatch,
+                                                          capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("synth", "--out", "cohort", "--seed", "1", "--patients", "2") == EXIT_OK
+        shutil.copy(Path("cohort", "manifest.csv"), Path("cohort", "second.csv"))
+        capsys.readouterr()
+        assert run_cli("ingest", "--dataset", "cohort") == EXIT_OK
+        default = capsys.readouterr().out
+        assert run_cli("ingest", "--dataset", "cohort", "--manifest", "second.csv") == EXIT_OK
+        second = capsys.readouterr().out
+        checksum = re.search(r"dataset checksum: [0-9a-f]{64}\n", second)
+        assert checksum and checksum.group() in default
+
     @pytest.mark.parametrize("damage", ["not-utf8", "directory"])
     def test_unreadable_frames_file_is_data_error(self, damage, dataset_dir, tmp_path,
                                                   capsys):
@@ -653,6 +666,28 @@ class TestReplayInputs:
         assert manifest["dataset"]["checksum"] == dataset_checksum(data, subset)
         assert self._replay(run, data, tmp_path / "replay") == EXIT_OK
         assert (tmp_path / "replay" / "report.json").read_bytes() == (
+            run / "report.json"
+        ).read_bytes()
+
+    def test_replay_reads_a_relative_manifest_inside_its_dataset(self, tmp_path,
+                                                                 monkeypatch):
+        data = tmp_path / "ds"
+        assert run_cli("synth", "--out", str(data), "--seed", "21",
+                       "--patients", "3") == EXIT_OK
+        header, *rows = (data / "manifest.csv").read_text().splitlines()
+        rows[::5] = [row.replace(",1,", ",0,", 1) for row in rows[::5]]
+        (data / "correct0.csv").write_text("\n".join([header, *rows]) + "\n")
+        run = tmp_path / "run"
+        assert self._evaluate(run, "--dataset", str(data),
+                              "--manifest", "correct0.csv") == EXIT_OK
+        manifest = json.loads((run / "run_manifest.json").read_text())
+        assert manifest["dataset"]["manifest"] == "correct0.csv"
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert run_cli("evaluate", "--from-manifest", str(run / "run_manifest.json"),
+                       "--out", "replay") == EXIT_OK
+        assert (elsewhere / "replay" / "report.json").read_bytes() == (
             run / "report.json"
         ).read_bytes()
 

@@ -454,6 +454,13 @@ def _relative_error(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
+def _drawn(model, seed):
+    """``model`` with every value drawn, normal with scale 0.3: no bias is
+    zero, so where each bias enters its sum shows."""
+    return model.with_values(np.random.default_rng(seed).normal(
+        scale=0.3, size=model.values.size))
+
+
 def _batch(spec, head, b, w, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(b, w, spec.input_dim))
@@ -528,6 +535,17 @@ class TestLstmAgainstReference:
         x, _ = _batch(spec, head, b=7, w=w, seed=24)
         assert lstm.forward(model, x).tobytes() == reference_lstm(model, x).tobytes()
 
+    @pytest.mark.parametrize("w", WINDOWS)
+    @pytest.mark.parametrize("name,spec,head", LSTM_CASES, ids=[c[0] for c in LSTM_CASES])
+    def test_drawn_parameters(self, name, spec, head, w):
+        model = _drawn(init_parameters(spec, head, seed=25), seed=25)
+        x, targets = _batch(spec, head, b=7, w=w, seed=26)
+        assert lstm.forward(model, x).tobytes() == reference_lstm(model, x).tobytes()
+        loss, grad = lstm.loss_and_grad(model, x, targets)
+        ref_loss, ref_grad = reference_lstm(model, x, targets)
+        assert loss == ref_loss
+        assert _relative_error(grad, ref_grad) <= GRAD_RTOL
+
 
 class TestLstmAgainstBatchMajorKernel:
     """Byte equality at the model's real width, batch sizes on and off the
@@ -549,6 +567,21 @@ class TestLstmAgainstBatchMajorKernel:
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
         assert grad.tobytes() == want_grad.tobytes()
 
+    @pytest.mark.parametrize("w", [1, 2, 32])
+    @pytest.mark.parametrize("b", [1, 17, 33])
+    @pytest.mark.parametrize("d", [28, 42])
+    @pytest.mark.parametrize("head", [HeadKind.SOFTMAX, HeadKind.SIGMOID],
+                             ids=["softmax", "sigmoid"])
+    def test_drawn_parameters(self, head, d, b, w):
+        spec = LstmSpec(input_dim=d, hidden_dim=32, n_classes=5 if head is HeadKind.SOFTMAX else 1)
+        model = _drawn(init_parameters(spec, head, seed=43), seed=43)
+        x, targets = _batch(spec, head, b=b, w=w, seed=44 + b + w)
+        assert lstm.forward(model, x).tobytes() == batch_major_forward(model, x).tobytes()
+        loss, grad = lstm.loss_and_grad(model, x, targets)
+        want_loss, want_grad = batch_major_loss_and_grad(model, x, targets)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
 
 class TestTcnAgainstReference:
     @pytest.mark.parametrize("w", WINDOWS)
@@ -556,6 +589,16 @@ class TestTcnAgainstReference:
     def test_loss_and_grad(self, name, spec, head, w):
         model = init_parameters(spec, head, seed=31)
         x, targets = _batch(spec, head, b=7, w=w, seed=32)
+        loss, grad = tcn.loss_and_grad(model, x, targets)
+        ref_loss, ref_grad = reference_tcn_loss_and_grad(model, x, targets)
+        assert loss == ref_loss
+        assert _relative_error(grad, ref_grad) <= GRAD_RTOL
+
+    @pytest.mark.parametrize("w", WINDOWS)
+    @pytest.mark.parametrize("name,spec,head", TCN_CASES, ids=[c[0] for c in TCN_CASES])
+    def test_drawn_parameters(self, name, spec, head, w):
+        model = _drawn(init_parameters(spec, head, seed=33), seed=33)
+        x, targets = _batch(spec, head, b=7, w=w, seed=34)
         loss, grad = tcn.loss_and_grad(model, x, targets)
         ref_loss, ref_grad = reference_tcn_loss_and_grad(model, x, targets)
         assert loss == ref_loss
@@ -586,6 +629,18 @@ class TestTcnConeAgainstFullSequence:
         model = init_parameters(spec, head, seed=51)
         for w in range(1, 41):
             x, targets = _batch(spec, head, b=b, w=w, seed=52 + w)
+            probs = tcn.forward(model, x)
+            assert _relative_error(probs, full_tcn_forward(model, x)) <= GRAD_RTOL, w
+            loss, grad = tcn.loss_and_grad(model, x, targets)
+            want_loss, want_grad = full_tcn_loss_and_grad(model, x, targets)
+            assert abs(loss - want_loss) <= GRAD_RTOL * abs(want_loss), w
+            assert _relative_error(grad, want_grad) <= GRAD_RTOL, w
+
+    @pytest.mark.parametrize("spec,head", list(_cone_cases()))
+    def test_drawn_parameters(self, spec, head):
+        model = _drawn(init_parameters(spec, head, seed=53), seed=53)
+        for w in range(1, 41):
+            x, targets = _batch(spec, head, b=7, w=w, seed=54 + w)
             probs = tcn.forward(model, x)
             assert _relative_error(probs, full_tcn_forward(model, x)) <= GRAD_RTOL, w
             loss, grad = tcn.loss_and_grad(model, x, targets)

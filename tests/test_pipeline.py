@@ -75,6 +75,7 @@ from skelgest.skeleton import (
     DYNAMIC_GESTURE_IDS,
     STATIC_GESTURE_IDS,
     GestureKind,
+    JointIndexMap,
 )
 
 
@@ -489,6 +490,17 @@ class TestOracleEvaluation:
         for r in suite.results:
             assert r.tp == 3 and r.fn == 0 and r.fp == 0 and r.tn == 29 * 3 - 3
 
+    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+    def test_scoring_at_another_chin_is_an_error(self, protocol):
+        ds = _dataset()
+        config = RunConfig(protocol=protocol, **_fast_prep(), seed=1)
+        trained = train_protocol(ds.sequences, config, JointIndexMap(3),
+                                 factory=oracle_factory)
+        evaluate = evaluate_binary if protocol.head is HeadKind.SIGMOID else evaluate_multiclass
+        with pytest.raises(ValueError, match="chin index 3 .* chin index 1"):
+            evaluate(trained, ds.sequences, DEFAULT_JOINT_MAP)
+        evaluate(trained, ds.sequences, JointIndexMap(3))
+
     def test_cross_validate_oracle_multiclass(self):
         ds = _dataset(n_patients=6, seed=5)
         folds = assign_folds(ds, boundaries=(2, 4))
@@ -585,7 +597,7 @@ class TestRealTrainingSmoke:
         ds = _dataset(n_patients=2, seed=10)
         trained = train_protocol(ds.sequences, _tiny_net_config(), ds.joint_map)
         seq = ds.sequences[0]
-        (scored,) = score_sequences(trained, [seq], ds.joint_map)
+        (scored,) = score_sequences(trained, [seq])
         assert scored.label == seq.label
         scores = scored.probs
         key = seq.label.kind.value
@@ -721,7 +733,7 @@ class TestBlockScoring:
         routes = {trained.route_name(seq) for seq in ds.sequences}
         assert routes == ({"short", "long"} if long_window else {"main"})
 
-        scores = score_sequences(trained, ds.sequences, ds.joint_map)
+        scores = score_sequences(trained, ds.sequences)
         assert len(scores) == len(ds.sequences)
         for seq, got in zip(ds.sequences, scores):
             route = trained.route_name(seq)
@@ -731,6 +743,19 @@ class TestBlockScoring:
             for key, mean in got.probs.items():
                 want = forward(trained.classifiers[route][key].model, x).mean(axis=0)
                 assert np.max(np.abs(mean - want)) <= 1e-12
+
+    def test_features_at_the_chin_the_models_were_fitted_with(self):
+        ds = self._long_and_short(seed=23)
+        config = RunConfig(**self.PREP, lstm_hidden=6, seed=3)
+        chin = JointIndexMap(3)
+        trained = train_protocol(ds.sequences, config, chin,
+                                 factory=_untrained_factory(config))
+        window = config.routes()["main"]
+        for seq, got in zip(ds.sequences, score_sequences(trained, ds.sequences)):
+            key = seq.label.kind.value
+            x = pipeline._features(config, window, seq, chin)
+            want = forward(trained.classifiers["main"][key].model, x).mean(axis=0)
+            assert np.max(np.abs(got.probs[key] - want)) <= 1e-12
 
     def test_blocks_hold_at_most_a_block_of_windows(self):
         ds = self._long_and_short(seed=22)
@@ -902,8 +927,8 @@ class TestModelSetSerialization:
         assert set(loaded.classifiers) == {"main"}
         assert set(loaded.classifiers["main"]) == {"static", "dynamic"}
         seqs = ds.sequences[:8]
-        for got, want in zip(score_sequences(loaded, seqs, ds.joint_map),
-                             score_sequences(trained, seqs, ds.joint_map)):
+        for got, want in zip(score_sequences(loaded, seqs),
+                             score_sequences(trained, seqs)):
             assert got.probs.keys() == want.probs.keys()
             for key in want.probs:
                 assert np.array_equal(got.probs[key], want.probs[key])

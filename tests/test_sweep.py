@@ -15,7 +15,7 @@ _spec.loader.exec_module(sweep)
 TOY = [
     ("synth", ["synth", "--out", "cohort", "--seed", "1", "--patients", "1"], None),
     ("ingest-correct0", ["ingest", "--dataset", "cohort", "--manifest",
-                         "cohort/correct0.csv"], sweep._mark_incorrect),
+                         "correct0.csv"], sweep._mark_incorrect),
     ("usage-frames", ["evaluate", "--dataset", "cohort", "--seed", "1", "--frames", "16,8"],
      None),
 ]

@@ -58,8 +58,11 @@ COMMANDS: list[Command] = [
     ("synth-unseen", ["synth", "--out", "unseen", "--seed", "2", "--patients", "3"], None),
     ("ingest", ["ingest", "--dataset", "cohort"], None),
     ("ingest-correct0", ["ingest", "--dataset", "cohort", "--manifest",
-                         "cohort/correct0.csv"], _mark_incorrect),
+                         "correct0.csv"], _mark_incorrect),
     ("evaluate-lstm", [*_CV, "--frames", "16", "--out", "eval-lstm"], None),
+    # run_manifest.json records the dataset-relative manifest
+    ("evaluate-correct0", [*_CV, "--frames", "16", "--manifest", "correct0.csv",
+                           "--out", "eval-correct0"], None),
     ("evaluate-ovr", [*_CV, *_OVR, "--frames", "16", "--rebalance", "true",
                       "--out", "eval-ovr"], None),
     ("evaluate-ovr-routed", [*_CV, *_OVR, *_ROUTED, "--out", "eval-ovr-routed"], None),
